@@ -140,17 +140,22 @@ def _emit_csv(manifest: RunManifest, rows: list[dict], out) -> None:
 
 
 def parse_element(group: FiniteGroup | SymmetricAmbient, text: str) -> GroupElement:
+    """An element literal of the group; GroupSpecError if it is not one."""
     text = text.strip()
     if isinstance(group, SymmetricAmbient):
         return parse_cycles(text, group.degree)
     sample = group.elements[0]
     if isinstance(sample, Permutation):
-        return parse_cycles(text, sample.degree)
-    if isinstance(sample, MatrixGF):
-        return parse_matrix(text, sample.modulus)
-    if isinstance(sample, AbelianTuple):
-        return parse_residues(text, sample.moduli)
-    raise GroupSpecError(f"cannot parse element {text!r}")
+        el = parse_cycles(text, sample.degree)
+    elif isinstance(sample, MatrixGF):
+        el = parse_matrix(text, sample.modulus)
+    elif isinstance(sample, AbelianTuple):
+        el = parse_residues(text, sample.moduli)
+    else:
+        raise GroupSpecError(f"cannot parse element {text!r}")
+    if el not in group:
+        raise GroupSpecError(f"element {text!r} is not in {group.name}")
+    return el
 
 
 def parse_tuple(
@@ -303,6 +308,8 @@ def _run_walkers(kind, group, normal, init, cfg, seed, samples, threads):
 
 
 def cmd_walk(args, out) -> int:
+    if args.samples < 1:
+        raise GroupSpecError(f"--samples must be at least 1, got {args.samples}")
     group = _resolve_walk_group(args.group)
     ambient = isinstance(group, SymmetricAmbient)
     if ambient and args.normal != "derived":

@@ -14,17 +14,23 @@ Four graph families share one vertex/edge machinery, selected by
 * extended Nielsen: Nielsen plus component inversion.
 
 Vertices are encoded as mixed-radix integers over the member positions
-of N.  Edges are never stored: BFS expands move images level by level
-with numpy gathers over precomputed product/inverse/conjugation tables,
-keeping only the distance array and the frontier.  Vertex predicates are
-evaluated for the whole code space at once by folding singleton-closure
-ids through a memoized join table.
+of N.  Edges are never stored.  One move table yields the images of a
+frontier under every move, block by block, as numpy gathers over
+precomputed product, inverse and conjugation tables (one row per distinct
+non-identity conjugation).  BFS marks each block in a reusable hit map,
+masks the map by the unvisited vertices and scans it for the next
+frontier, keeping only the distance array, the two masks and the
+frontier.  Geodesics walk back from the target over the distance array
+through the inverse moves, so no parent pointers are stored.  Vertex
+predicates are evaluated for the whole code space at once by folding
+singleton-closure ids through a memoized join table.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,6 +39,7 @@ from .elements import format_element
 from .errors import PreconditionError, ResourceCapError, VerificationError
 from .groups import FiniteGroup
 from .subgroups import (
+    DEFAULT_TUPLE_CAP,
     Subgroup,
     abelianization,
     get_join_oracle,
@@ -42,7 +49,6 @@ from .subgroups import (
     quotient_group,
 )
 
-DEFAULT_TUPLE_CAP = 4_000_000
 _CHUNK_CELLS = 2_000_000
 
 
@@ -145,8 +151,7 @@ class GraphHandle:
         self.pos_of = pos_of
 
         self.NMUL, self.NINV = self._member_tables()
-        self.conjugator_indices = self._conjugator_list()
-        self.CONJ = self._conj_table()
+        self.conjugator_indices, self.CONJ = self._conj_table()
 
         self.radix = np.array([nm ** (k - 1 - i) for i in range(k)], dtype=np.int64)
         self.size = nm**k
@@ -191,15 +196,17 @@ class GraphHandle:
             if not base:
                 raise PreconditionError("restricted AC needs a nonempty conjugator set")
             if mode.directed_conjugators:
-                return tuple(dict.fromkeys(base))
-            sym = list(base) + [self.group.inv(s) for s in base]
-            return tuple(dict.fromkeys(sym))
+                return tuple(base)
+            return tuple(base) + tuple(self.group.inv(s) for s in base)
         return ()
 
-    def _conj_table(self) -> np.ndarray:
-        ws = self.conjugator_indices
+    def _conj_table(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """Conjugators and their rows over member positions, keeping the
+        first conjugator of each distinct row and no identity row (w and
+        wz act alike for central z)."""
+        ws = self._conjugator_list()
         if not ws:
-            return np.empty((0, self.nm), dtype=np.int64)
+            return (), np.empty((0, self.nm), dtype=np.int64)
         g, m = self.group, self.member_idx
         table = np.empty((len(ws), self.nm), dtype=np.int64)
         if g.mul_table is not None:
@@ -212,7 +219,12 @@ class GraphHandle:
                 table[r] = [self.pos_of[g.conj(int(x), w)] for x in m]
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
-        return table
+        first: dict[bytes, int] = {}
+        for r, row in enumerate(table):
+            first.setdefault(row.tobytes(), r)
+        first.pop(np.arange(self.nm, dtype=np.int64).tobytes(), None)
+        keep = list(first.values())
+        return tuple(ws[r] for r in keep), table[keep]
 
     def _vertex_mask(self) -> np.ndarray:
         ids1 = self.oracle.singleton_ids[self.member_idx]
@@ -297,66 +309,73 @@ class GraphHandle:
             "wIndex": int(w),
         }
 
-    # -- neighbor generation -------------------------------------------------------
+    # -- the move table ------------------------------------------------------------
+
+    @cached_property
+    def _conj_backward(self) -> np.ndarray:
+        """Rows undoing ``CONJ``: conjugation by w^-1 for each kept w."""
+        return self.CONJ.argsort(axis=1)
+
+    def _move_images(
+        self, frontier: np.ndarray, *, backward: bool = False
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every move applied to every frontier code, in move-id order.
+
+        Yields ``(move ids, codes)`` blocks, ``codes`` of shape
+        ``(len(ids), len(frontier))`` and at most ``_CHUNK_CELLS`` cells per
+        conjugation block.  With ``backward`` the blocks hold instead the
+        codes that one move takes to each frontier code (multiplication and
+        inversion moves are closed under inverses, and conjugation by w is
+        undone by conjugation by w^-1); their ids then do not name the
+        moves that lead from them.
+        """
+        k, nm = self.k, self.nm
+        comps = [(frontier // self.radix[i]) % nm for i in range(k)]
+        conj = self._conj_backward if backward else self.CONJ
+        rows = max(1, _CHUNK_CELLS // max(frontier.size, 1))
+        for i in range(k):
+            a, r = comps[i], self.radix[i]
+            base = frontier - a * r
+            for j in range(k):
+                if j == i:
+                    continue
+                b, b_inv = comps[j], self.NINV[comps[j]]
+                pos = np.stack(
+                    (self.NMUL[a, b], self.NMUL[a, b_inv],
+                     self.NMUL[b, a], self.NMUL[b_inv, a])
+                )
+                pos *= r
+                pos += base
+                first = (i * k + j) * 4
+                yield np.arange(first, first + 4), pos
+            if self.mode.has_inversion:
+                yield np.array([self._inv_base + i]), base + self.NINV[a][None, :] * r
+            for start in range(0, len(conj), rows):
+                block = conj[start : start + rows, a]
+                block *= r
+                block += base
+                ids = self._conj_base + np.arange(start, start + len(block)) * k + i
+                yield ids, block
+
+    def _images_of(
+        self, code: int, *, backward: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Move ids and image codes of a single code, in move-id order."""
+        blocks = list(self._move_images(np.array([code]), backward=backward))
+        return (
+            np.concatenate([ids for ids, _ in blocks]),
+            np.concatenate([codes.ravel() for _, codes in blocks]),
+        )
 
     def neighbors(self, tup: Sequence[int]) -> list[tuple[int, ...]]:
         """Deduplicated neighbor tuples of a vertex (self-loops removed)."""
         code = self.encode(tup)
         if not self.vertex_mask[code]:
             raise PreconditionError(f"not a vertex: {tuple(tup)}")
-        out = sorted(self._neighbor_codes_single(code))
-        return [self.decode(c) for c in out]
+        _, images = self._images_of(code)
+        return [self.decode(int(c)) for c in np.unique(images) if c != code]
 
-    def _neighbor_codes_single(self, code: int) -> set[int]:
-        k, nm = self.k, self.nm
-        comps = [(code // int(self.radix[i])) % nm for i in range(k)]
-        found: set[int] = set()
-
-        def add(i: int, newpos: int):
-            if newpos != comps[i]:
-                found.add(code + (newpos - comps[i]) * int(self.radix[i]))
-
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                a, b = comps[i], comps[j]
-                add(i, int(self.NMUL[a, b]))
-                add(i, int(self.NMUL[a, self.NINV[b]]))
-                add(i, int(self.NMUL[b, a]))
-                add(i, int(self.NMUL[self.NINV[b], a]))
-            if self.mode.has_inversion:
-                add(i, int(self.NINV[comps[i]]))
-            for row in range(len(self.conjugator_indices)):
-                add(i, int(self.CONJ[row, comps[i]]))
-        return found
-
-    # -- BFS core -------------------------------------------------------------------
-
-    def _expand_frontier(self, frontier: np.ndarray) -> list[np.ndarray]:
-        """Candidate neighbor codes of a frontier, one array per move batch."""
-        k, nm = self.k, self.nm
-        comps = [(frontier // self.radix[i]) % nm for i in range(k)]
-        out = []
-        for i in range(k):
-            base = frontier - comps[i] * self.radix[i]
-            for j in range(k):
-                if i == j:
-                    continue
-                a, b = comps[i], comps[j]
-                out.append(base + self.NMUL[a, b] * self.radix[i])
-                out.append(base + self.NMUL[a, self.NINV[b]] * self.radix[i])
-                out.append(base + self.NMUL[b, a] * self.radix[i])
-                out.append(base + self.NMUL[self.NINV[b], a] * self.radix[i])
-            if self.mode.has_inversion:
-                out.append(base + self.NINV[comps[i]] * self.radix[i])
-            c = len(self.conjugator_indices)
-            if c:
-                rows = max(1, _CHUNK_CELLS // max(len(frontier), 1))
-                for start in range(0, c, rows):
-                    block = self.CONJ[start : start + rows, comps[i]]
-                    out.append((base[None, :] + block * self.radix[i]).ravel())
-        return out
+    # -- BFS and geodesics -----------------------------------------------------------
 
     def bfs_distances(
         self, sources: Sequence[int], *, target: int | None = None
@@ -364,135 +383,51 @@ class GraphHandle:
         """Distance array (int32, -1 unreached) from source codes; stops
         early when ``target`` is reached."""
         dist = np.full(self.size, -1, dtype=np.int32)
-        src = np.asarray(sorted(set(int(s) for s in sources)), dtype=np.int64)
+        src = np.unique(np.asarray(sources, dtype=np.int64))
         if not self.vertex_mask[src].all():
             raise PreconditionError("BFS source is not a vertex")
         dist[src] = 0
+        unvisited = self.vertex_mask.copy()
+        unvisited[src] = False
+        hit = np.zeros(self.size, dtype=bool)
         frontier = src
         d = 0
         while frontier.size:
             if target is not None and dist[target] >= 0:
                 return dist
             d += 1
-            new_parts = []
-            for cand in self._expand_frontier(frontier):
-                cand = cand[(dist[cand] < 0) & self.vertex_mask[cand]]
-                if cand.size:
-                    fresh = np.unique(cand)
-                    dist[fresh] = d
-                    new_parts.append(fresh)
-            frontier = (
-                np.unique(np.concatenate(new_parts))
-                if new_parts
-                else np.empty(0, dtype=np.int64)
-            )
+            for _, codes in self._move_images(frontier):
+                hit[codes] = True
+            # codes marked at earlier levels are visited, so this clears them
+            hit &= unvisited
+            frontier = np.flatnonzero(hit)
+            unvisited[frontier] = False
+            dist[frontier] = d
         return dist
 
-    def bfs_with_parents(
-        self, source: int, *, target: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """BFS recording one (parent, move) per visited code, for geodesics.
-
-        Slower than ``bfs_distances``; used when a path must be emitted.
-        """
-        dist = np.full(self.size, -1, dtype=np.int32)
-        parent = np.full(self.size, -1, dtype=np.int64)
-        move = np.full(self.size, -1, dtype=np.int32)
-        if not self.vertex_mask[source]:
-            raise PreconditionError("BFS source is not a vertex")
-        dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        k, nm = self.k, self.nm
-        d = 0
-        while frontier.size:
-            if target is not None and dist[target] >= 0:
-                return dist, parent, move
-            d += 1
-            cand_all, par_all, mv_all = [], [], []
-            comps = [(frontier // self.radix[i]) % nm for i in range(k)]
-
-            def emit(cand: np.ndarray, parents: np.ndarray, mv):
-                cand_all.append(cand)
-                par_all.append(parents)
-                if np.isscalar(mv):
-                    mv_all.append(np.full(cand.shape, mv, dtype=np.int32))
-                else:
-                    mv_all.append(mv)
-
-            for i in range(k):
-                base = frontier - comps[i] * self.radix[i]
-                for j in range(k):
-                    if i == j:
-                        continue
-                    a, b = comps[i], comps[j]
-                    pair = (i * k + j) * 4
-                    emit(base + self.NMUL[a, b] * self.radix[i], frontier, pair)
-                    emit(
-                        base + self.NMUL[a, self.NINV[b]] * self.radix[i],
-                        frontier,
-                        pair + 1,
-                    )
-                    emit(base + self.NMUL[b, a] * self.radix[i], frontier, pair + 2)
-                    emit(
-                        base + self.NMUL[self.NINV[b], a] * self.radix[i],
-                        frontier,
-                        pair + 3,
-                    )
-                if self.mode.has_inversion:
-                    emit(
-                        base + self.NINV[comps[i]] * self.radix[i],
-                        frontier,
-                        self._inv_base + i,
-                    )
-                c = len(self.conjugator_indices)
-                if c:
-                    rows = max(1, _CHUNK_CELLS // max(len(frontier), 1))
-                    for start in range(0, c, rows):
-                        block = self.CONJ[start : start + rows, comps[i]]
-                        codes = (base[None, :] + block * self.radix[i]).ravel()
-                        nrow = block.shape[0]
-                        mv = (
-                            self._conj_base
-                            + (np.arange(start, start + nrow, dtype=np.int32) * k + i)[
-                                :, None
-                            ]
-                        )
-                        emit(
-                            codes,
-                            np.broadcast_to(frontier, (nrow, len(frontier))).ravel(),
-                            np.broadcast_to(mv, (nrow, len(frontier))).ravel(),
-                        )
-            cand = np.concatenate(cand_all)
-            pars = np.concatenate(par_all)
-            mvs = np.concatenate(mv_all)
-            keep = (dist[cand] < 0) & self.vertex_mask[cand]
-            cand, pars, mvs = cand[keep], pars[keep], mvs[keep]
-            if cand.size:
-                fresh, first = np.unique(cand, return_index=True)
-                dist[fresh] = d
-                parent[fresh] = pars[first]
-                move[fresh] = mvs[first]
-                frontier = fresh
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-        return dist, parent, move
-
     def geodesic(self, source: int, target: int) -> list[dict] | None:
-        """Move sequence of one shortest path source -> target, or None."""
-        dist, parent, move = self.bfs_with_parents(source, target=target)
+        """Move sequence of one shortest path source -> target, or None.
+
+        Walks back from the target over the distance array: each step
+        takes the first code one level closer that a move leads from.
+        """
+        dist = self.bfs_distances([source], target=target)
         if dist[target] < 0:
             return None
         path = []
         code = target
-        while code != source:
+        for level in range(int(dist[target]) - 1, -1, -1):
+            _, preds = self._images_of(code, backward=True)
+            prev = int(preds[np.argmax(dist[preds] == level)])
+            ids, images = self._images_of(prev)
             path.append(
                 {
-                    "from": self.format_tuple(self.decode(int(parent[code]))),
-                    "to": self.format_tuple(self.decode(int(code))),
-                    "move": self.describe_move(int(move[code])),
+                    "from": self.format_tuple(self.decode(prev)),
+                    "to": self.format_tuple(self.decode(code)),
+                    "move": self.describe_move(int(ids[np.argmax(images == code)])),
                 }
             )
-            code = int(parent[code])
+            code = prev
         path.reverse()
         return path
 
@@ -552,10 +487,9 @@ def components(handle: GraphHandle) -> ComponentPartition:
     for code in vertex_codes:
         if labels[code] >= 0:
             continue
-        dist = handle.bfs_distances([int(code)])
-        comp = dist >= 0
+        comp = handle.bfs_distances([int(code)]) >= 0
         labels[comp] = len(sizes)
-        sizes.append(int(comp.sum()))
+        sizes.append(int(np.count_nonzero(comp)))
         reps.append(int(code))
     return ComponentPartition(handle, labels, tuple(sizes), tuple(reps))
 

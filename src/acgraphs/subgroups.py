@@ -16,6 +16,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
@@ -40,7 +41,7 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 

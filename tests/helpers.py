@@ -63,8 +63,12 @@ def brute_cycle_count(images):
     return count
 
 
-def ac_move_images(tup, group_elements, mode="full-ac", conjugators=None):
-    """All raw move images of a tuple of elements (dedup, no self)."""
+def ac_move_images(tup, group_elements, mode="full-ac", conjugators=None,
+                   directed=False):
+    """All raw move images of a tuple of elements (dedup, no self).
+
+    Restricted AC conjugates by the conjugators and their inverses, or by
+    the conjugators alone when ``directed``."""
     k = len(tup)
     out = set()
     for i in range(k):
@@ -88,7 +92,9 @@ def ac_move_images(tup, group_elements, mode="full-ac", conjugators=None):
                 conj[i] = tup[i].conjugate_by(w)
                 out.add(tuple(conj))
         elif mode == "restricted-ac":
-            ws = list(conjugators) + [w.inverse() for w in conjugators]
+            ws = list(conjugators)
+            if not directed:
+                ws += [w.inverse() for w in conjugators]
             for w in ws:
                 conj = list(tup)
                 conj[i] = tup[i].conjugate_by(w)
@@ -98,14 +104,19 @@ def ac_move_images(tup, group_elements, mode="full-ac", conjugators=None):
 
 
 def brute_graph(group_elements, member_elements, k, vertex_pred, mode="full-ac",
-                conjugators=None):
-    """Explicit vertex set and adjacency dict from raw moves."""
+                conjugators=None, directed=False):
+    """Explicit vertex set and adjacency dict (out-neighbours) from raw
+    moves."""
     vertices = [
         tup for tup in product(member_elements, repeat=k) if vertex_pred(tup)
     ]
     vset = set(vertices)
     adj = {
-        v: {u for u in ac_move_images(v, group_elements, mode, conjugators) if u in vset}
+        v: {
+            u
+            for u in ac_move_images(v, group_elements, mode, conjugators, directed)
+            if u in vset
+        }
         for v in vertices
     }
     return vertices, adj
@@ -149,18 +160,20 @@ def brute_distance(adj, u, v):
     return None
 
 
+def brute_distances(adj, u):
+    """Distances from u to every vertex it reaches."""
+    dist = {u: 0}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 def brute_diameter(adj, comp):
-    best = 0
-    for u in comp:
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
+    return max(max(brute_distances(adj, u).values()) for u in comp)

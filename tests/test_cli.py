@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import acgraphs
 from acgraphs.cli import main
 
 
@@ -165,6 +169,25 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "scan")
     assert code == 1
+
+
+def test_bad_input_is_a_usage_error_without_traceback():
+    cases = [
+        ("analyze", "--group", "alt:5", "--k", "2", "--distance", "(0 1)|(0 1 2)"),
+        ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1)"),
+        ("walk", "--group", "alt:5", "--normal", "ncl:(0 1)", "--init", "(0 1 2)"),
+        ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--samples", "0"),
+    ]
+    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "acgraphs.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("error: "), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 def test_verify_smoke_subset(capsys, tmp_path, monkeypatch):

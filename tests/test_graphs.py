@@ -25,7 +25,9 @@ from helpers import (
     brute_components,
     brute_diameter,
     brute_distance,
+    brute_distances,
     brute_graph,
+    brute_normal_closure,
     brute_normally_generates,
     brute_generates,
 )
@@ -140,6 +142,19 @@ def test_neighbors_match_brute_moves():
             assert ours == adj[v], f"{mode_name}: neighbor drift at {v}"
 
 
+def test_conjugation_rows_are_distinct_and_not_identity():
+    # w and wz conjugate alike for central z; an abelian group keeps no row
+    for spec, rows in (("alt:5", 59), ("sl2:5", 59), ("abelian:3,3", 0)):
+        g = parse_group(spec)
+        h = GraphHandle(g, 2, GraphMode.full_ac())
+        assert len(h.conjugator_indices) == rows, spec
+        assert len({row.tobytes() for row in h.CONJ}) == rows, spec
+        for w, row in zip(h.conjugator_indices, h.CONJ):
+            images = [g.conj(int(x), w) for x in h.member_idx]
+            assert list(h.member_idx[row]) == images, spec
+            assert (row != np.arange(h.nm)).any(), spec
+
+
 def test_restricted_neighbors_use_inverse_conjugators_by_default():
     g = parse_group("sl2:5")
     h = GraphHandle(g, 2, GraphMode.restricted_ac())
@@ -230,6 +245,52 @@ def test_distance_matches_brute_bfs():
             u_idx = tuple(g.index_of(e) for e in u)
             v_idx = tuple(g.index_of(e) for e in v)
             assert distance(h, u_idx, v_idx) == brute_distance(adj, u, v)
+
+
+def test_bfs_distances_match_brute_force_in_every_mode():
+    s3, s4, a4 = parse_group("sym:3"), parse_group("sym:4"), parse_group("alt:4")
+    a4_in_s4 = derived_subgroup(s4)
+    a4_set = set(a4_in_s4.elements())
+
+    def generates(els):
+        return lambda t: brute_generates(els, list(t))
+
+    def normally_generates(els):
+        return lambda t: brute_normally_generates(els, list(t))
+
+    def a4_closure(t):
+        return brute_normal_closure(list(s4.elements), list(t)) == a4_set
+
+    a4_gens = [a4.elements[i] for i in a4.generators]
+    cases = [
+        (s3, 2, GraphMode.full_ac(), None, list(s3.elements), "full-ac",
+         normally_generates(list(s3.elements)), False),
+        (s3, 3, GraphMode.full_ac(), None, list(s3.elements), "full-ac",
+         normally_generates(list(s3.elements)), False),
+        (s4, 2, GraphMode.full_ac(), a4_in_s4, list(a4_set), "full-ac",
+         a4_closure, False),
+        (a4, 2, GraphMode.restricted_ac(), None, list(a4.elements),
+         "restricted-ac", normally_generates(list(a4.elements)), False),
+        (a4, 2, GraphMode.restricted_ac(directed=True), None, list(a4.elements),
+         "restricted-ac", normally_generates(list(a4.elements)), True),
+        (s3, 2, GraphMode.nielsen(), None, list(s3.elements), "nielsen",
+         generates(list(s3.elements)), False),
+        (s4, 2, GraphMode.extended_nielsen(), None, list(s4.elements),
+         "extended-nielsen", generates(list(s4.elements)), False),
+    ]
+    for g, k, mode, normal, members, mode_name, pred, directed in cases:
+        h = GraphHandle(g, k, mode, normal)
+        verts, adj = brute_graph(list(g.elements), members, k, pred, mode_name,
+                                 a4_gens, directed)
+        assert len(verts) == h.vertex_count
+        rng = np.random.default_rng(4)
+        for s in rng.choice(len(verts), size=3, replace=False):
+            source = verts[int(s)]
+            dist = h.bfs_distances([h.encode([g.index_of(e) for e in source])])
+            expected = np.full(h.size, -1, dtype=np.int32)
+            for v, d in brute_distances(adj, source).items():
+                expected[h.encode([g.index_of(e) for e in v])] = d
+            assert np.array_equal(dist, expected), (g.name, k, mode)
 
 
 def test_distance_none_across_components():
@@ -349,15 +410,49 @@ def test_encode_rejects_outside_members():
         h.encode((idx(g, "(0 1)"), 0))
 
 
+def apply_move(group, tup, move):
+    """Apply a described move to a tuple of element indices by hand."""
+    out = list(tup)
+    i = move["i"]
+    if move["type"] == "invert":
+        out[i] = group.inv(tup[i])
+    elif move["type"] == "conjugate":
+        out[i] = group.conj(tup[i], move["wIndex"])
+    else:
+        y = group.inv(tup[move["j"]]) if move["inverse"] else tup[move["j"]]
+        if move["type"] == "multiply_right":
+            out[i] = group.mul(tup[i], y)
+        else:
+            out[i] = group.mul(y, tup[i])
+    return tuple(out)
+
+
 def test_geodesic_moves_replay():
-    g = parse_group("sym:3")
-    h = GraphHandle(g, 2, GraphMode.full_ac())
-    codes = np.flatnonzero(h.vertex_mask)
-    src, dst = int(codes[0]), int(codes[-1])
-    path = h.geodesic(src, dst)
-    assert path is not None
-    d = h.bfs_distances([src], target=dst)
-    assert len(path) == int(d[dst])
+    # the directed case is where walking back over forward moves goes wrong
+    for spec, mode in (
+        ("alt:5", GraphMode.full_ac()),
+        ("sym:4", GraphMode.nielsen()),
+        ("sl2:5", GraphMode.restricted_ac(directed=True)),
+    ):
+        g = parse_group(spec)
+        h = GraphHandle(g, 2, mode)
+        parse = {h.format_tuple(t): t for t in h.vertices()}
+        codes = np.flatnonzero(h.vertex_mask)
+        src = int(codes[0])
+        dist = h.bfs_distances([src])
+        reached = codes[dist[codes] >= 0]
+        rng = np.random.default_rng(2)
+        targets = [int(reached[np.argmax(dist[reached])])]
+        targets += [int(c) for c in rng.choice(reached, size=4, replace=False)]
+        for dst in targets:
+            path = h.geodesic(src, dst)
+            assert len(path) == dist[dst], spec
+            tup = h.decode(src)
+            for step in path:
+                assert parse[step["from"]] == tup, spec
+                tup = apply_move(g, tup, step["move"])
+                assert parse[step["to"]] == tup, (spec, step)
+            assert tup == h.decode(dst), spec
 
 
 def test_full_ac_equals_extended_nielsen_on_abelian():
