@@ -108,6 +108,17 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
+def _write_output(path: str, text: str, out) -> None:
+    if path == "-":
+        out.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GroupSpecError(f"cannot write --output {path!r}: {exc.strerror}") from exc
+
+
 def emit_report(manifest: RunManifest, report: dict, out) -> None:
     doc = {
         "manifest": manifest.to_json(),
@@ -115,11 +126,7 @@ def emit_report(manifest: RunManifest, report: dict, out) -> None:
         "report": report,
     }
     text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
-    if manifest.output_path == "-":
-        out.write(text)
-    else:
-        with open(manifest.output_path, "w") as fh:
-            fh.write(text)
+    _write_output(manifest.output_path, text, out)
 
 
 def _emit_csv(manifest: RunManifest, rows: list[dict], out) -> None:
@@ -128,12 +135,7 @@ def _emit_csv(manifest: RunManifest, rows: list[dict], out) -> None:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    text = buf.getvalue()
-    if manifest.output_path == "-":
-        out.write(text)
-    else:
-        with open(manifest.output_path, "w") as fh:
-            fh.write(text)
+    _write_output(manifest.output_path, buf.getvalue(), out)
 
 
 # -- element / tuple parsing ------------------------------------------------------
@@ -312,6 +314,9 @@ def cmd_walk(args, out) -> int:
         raise GroupSpecError(f"--samples must be at least 1, got {args.samples}")
     group = _resolve_walk_group(args.group)
     ambient = isinstance(group, SymmetricAmbient)
+    if ambient and args.algorithm != "acr":
+        label = {"pra": "PRA", "cayley": "Cayley"}[args.algorithm]
+        raise GroupSpecError(f"the {label} walk needs an enumerated group")
     if ambient and args.normal != "derived":
         raise GroupSpecError("ambient symmetric walks support --normal derived only")
     normal = None if ambient else _resolve_normal(group, args.normal)
@@ -327,8 +332,6 @@ def cmd_walk(args, out) -> int:
         budget = int(args.budget)
 
     if args.algorithm == "cayley":
-        if ambient:
-            raise GroupSpecError("the Cayley walk needs an enumerated group")
         seeds_idx = [group.index_of(e) for e in init]
         rng = np.random.default_rng(args.seed)
         samples = [
@@ -415,8 +418,16 @@ def cmd_stats(args, out) -> int:
             for c, num, den in dist.to_csv_rows()
         ]
     elif args.observed is not None:
-        with open(args.observed) as fh:
-            observed = {int(k): int(v) for k, v in json.load(fh).items()}
+        if args.n is None:
+            raise GroupSpecError("--observed needs --n, the degree of the reference law")
+        try:
+            with open(args.observed) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise GroupSpecError(
+                f"cannot read --observed {args.observed!r}: {exc.strerror}"
+            ) from exc
+        observed = {int(k): int(v) for k, v in json.loads(text).items()}
         dist = cycle_distribution(args.n, args.parity)
         report["chiSquared"] = chi_squared_test(observed, dist).to_json()
     else:

@@ -34,6 +34,10 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor, which validates the payload
+        return (Permutation, (self.images,))
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -124,6 +128,9 @@ class MatrixGF:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
 
+    def __reduce__(self):
+        return (MatrixGF, (self.entries, self.modulus))
+
     def __mul__(self, other: "MatrixGF") -> "MatrixGF":
         if not isinstance(other, MatrixGF):
             raise TypeError(f"cannot multiply MatrixGF by {type(other).__name__}")
@@ -183,6 +190,9 @@ class AbelianTuple:
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianTuple is immutable")
+
+    def __reduce__(self):
+        return (AbelianTuple, (self.residues, self.moduli))
 
     def __mul__(self, other: "AbelianTuple") -> "AbelianTuple":
         if not isinstance(other, AbelianTuple):

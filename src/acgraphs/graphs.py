@@ -172,13 +172,7 @@ class GraphHandle:
         ninv = self.pos_of[g.inv_array[m]]
         if (ninv < 0).any():
             raise PreconditionError("member set not closed under inverse")
-        if g.mul_table is not None:
-            nmul = self.pos_of[g.mul_table[np.ix_(m, m)].astype(np.int64)]
-        else:
-            nmul = np.empty((self.nm, self.nm), dtype=np.int64)
-            for a in range(self.nm):
-                ia = int(m[a])
-                nmul[a] = [self.pos_of[g.mul(ia, int(b))] for b in m]
+        nmul = self.pos_of[g.mul_table[np.ix_(m, m)].astype(np.int64)]
         if (nmul < 0).any():
             raise PreconditionError("member set not closed under product")
         return nmul.astype(np.int64), ninv.astype(np.int64)
@@ -208,15 +202,10 @@ class GraphHandle:
         if not ws:
             return (), np.empty((0, self.nm), dtype=np.int64)
         g, m = self.group, self.member_idx
+        mt = g.mul_table
         table = np.empty((len(ws), self.nm), dtype=np.int64)
-        if g.mul_table is not None:
-            mt = g.mul_table
-            for r, w in enumerate(ws):
-                winv = g.inv(w)
-                table[r] = self.pos_of[mt[mt[winv, m].astype(np.int64), w]]
-        else:
-            for r, w in enumerate(ws):
-                table[r] = [self.pos_of[g.conj(int(x), w)] for x in m]
+        for r, w in enumerate(ws):
+            table[r] = self.pos_of[mt[mt[g.inv(w), m].astype(np.int64), w]]
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
         first: dict[bytes, int] = {}

@@ -1,15 +1,17 @@
 """Fully enumerated finite groups with canonical element indexing.
 
 A ``FiniteGroup`` owns an immutable, canonically ordered element list
-(index 0 is the identity, the rest sorted by payload), an inverse table,
-and - for groups up to ``mul_table_cap`` elements - a dense numpy product
-table.  Groups are built by ``parse_group`` from a small spec grammar:
+(index 0 is the identity, the rest sorted by payload), an inverse table
+and a dense numpy product table; all arithmetic on enumerated elements
+goes through these tables, and element objects serve parsing and
+printing.  Groups are built by ``parse_group`` from a small spec grammar:
 
     cyclic:n | abelian:e1,e2,... | sym:n | alt:n | dihedral:n | sl2:p
 
-Construction saturates the generators and checks the result against the
-direct enumeration, which simultaneously proves closure of the element
-list and that the generators generate.
+The table is built from the generators (n object products each), which
+checks both closure of the element list and that the generators generate
+it.  ``ACGRAPHS_MAX_ELEMENTS`` (default 8,192) bounds the order before
+enumeration, and so the table (at most 128 MiB).
 
 ``SymmetricAmbient`` is the non-enumerated escape hatch for random walks
 over Sym_n at degrees whose order is far beyond any element cap; it does
@@ -34,26 +36,19 @@ from .elements import (
 )
 from .errors import GroupSpecError, ResourceCapError
 
-DEFAULT_MAX_ELEMENTS = 500_000
-DEFAULT_MUL_TABLE_CAP = 2048
-
-
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise GroupSpecError(f"environment cap {name} is not an integer: {raw!r}")
+DEFAULT_MAX_ELEMENTS = 8_192
 
 
 def max_elements_cap() -> int:
-    return _env_cap("ACGRAPHS_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
-
-
-def mul_table_cap() -> int:
-    return _env_cap("ACGRAPHS_MUL_TABLE_CAP", DEFAULT_MUL_TABLE_CAP)
+    raw = os.environ.get("ACGRAPHS_MAX_ELEMENTS")
+    if raw is None:
+        return DEFAULT_MAX_ELEMENTS
+    try:
+        return int(raw)
+    except ValueError:
+        raise GroupSpecError(
+            f"environment cap ACGRAPHS_MAX_ELEMENTS is not an integer: {raw!r}"
+        )
 
 
 class FiniteGroup:
@@ -67,8 +62,6 @@ class FiniteGroup:
         name: str,
         elements: Sequence[GroupElement],
         generators: Iterable[GroupElement],
-        *,
-        mul_cap: int | None = None,
     ):
         self.name = name
         elements = list(elements)
@@ -87,52 +80,46 @@ class FiniteGroup:
         self.generators: tuple[int, ...] = tuple(
             sorted({self._index[g] for g in generators})
         )
-        self._check_generated()
+        self.mul_table: np.ndarray = self._build_table()
         self.inverse_table: tuple[int, ...] = tuple(
             self._index[e.inverse()] for e in self.elements
         )
-        cap = mul_table_cap() if mul_cap is None else mul_cap
-        self.mul_table: np.ndarray | None = None
-        if len(self.elements) <= cap:
-            self.mul_table = self._build_table()
         self.inv_array: np.ndarray = np.array(self.inverse_table, dtype=np.int64)
 
     # -- construction helpers ------------------------------------------------
 
-    def _check_generated(self) -> None:
-        """Saturate the generators; equality with the listing proves both
-        closure of the listing and that the generators generate it."""
-        gens = [self.elements[i] for i in self.generators]
-        reached = {self.elements[0]}
-        frontier = [self.elements[0]]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y not in reached:
-                        if y not in self._index:
-                            raise ValueError(
-                                f"{self.name}: product escapes the element list"
-                            )
-                        reached.add(y)
-                        new.append(y)
-            frontier = new
-        if len(reached) != len(self.elements):
-            raise ValueError(
-                f"{self.name}: generators span {len(reached)} of "
-                f"{len(self.elements)} listed elements"
-            )
-
     def _build_table(self) -> np.ndarray:
+        """Product table from the generators' left multiplications
+        ``L_s[i] = index(s * e_i)``, spread by BFS from the identity: row c
+        is ``L_s[row j]`` when ``e_c = s * e_j``.  A product off the
+        listing proves it not closed; an unreached row proves that the
+        generators do not span it."""
         n = len(self.elements)
         dtype = np.uint16 if n < 2**16 else np.uint32
+        try:
+            left = [
+                np.array([self._index[self.elements[s] * e] for e in self.elements],
+                         dtype=dtype)
+                for s in self.generators
+            ]
+        except KeyError:
+            raise ValueError(f"{self.name}: product escapes the element list") from None
         table = np.empty((n, n), dtype=dtype)
-        idx = self._index
-        for i, a in enumerate(self.elements):
-            row = table[i]
-            for j, b in enumerate(self.elements):
-                row[j] = idx[a * b]
+        table[0] = np.arange(n)
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        queue = [0]
+        for j in queue:  # grows while scanned: breadth-first order
+            for ls in left:
+                c = int(ls[j])
+                if not reached[c]:
+                    reached[c] = True
+                    table[c] = ls[table[j]]
+                    queue.append(c)
+        if len(queue) != n:
+            raise ValueError(
+                f"{self.name}: generators span {len(queue)} of {n} listed elements"
+            )
         return table
 
     # -- basic queries ---------------------------------------------------------
@@ -165,9 +152,7 @@ class FiniteGroup:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[i, j])
-        return self._index[self.elements[i] * self.elements[j]]
+        return int(self.mul_table[i, j])
 
     def inv(self, i: int) -> int:
         return self.inverse_table[i]
@@ -246,7 +231,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_cap(name: str, order: int, cap: int | None) -> None:
+def _check_cap(order: int, cap: int | None) -> None:
     limit = max_elements_cap() if cap is None else cap
     if order > limit:
         raise ResourceCapError("max_elements", order, limit)
@@ -260,7 +245,7 @@ def _cycle_perm(n: int, points: Sequence[int]) -> Permutation:
 
 
 def _sym_group(n: int, cap: int | None) -> FiniteGroup:
-    _check_cap("max_elements", math.factorial(n), cap)
+    _check_cap(math.factorial(n), cap)
     els = [Permutation(p) for p in permutations(range(n))]
     if n < 2:
         gens: list[Permutation] = []
@@ -273,7 +258,7 @@ def _sym_group(n: int, cap: int | None) -> FiniteGroup:
 
 def _alt_group(n: int, cap: int | None) -> FiniteGroup:
     order = max(math.factorial(n) // 2, 1)
-    _check_cap("max_elements", order, cap)
+    _check_cap(order, cap)
     els = [Permutation(p) for p in permutations(range(n)) if Permutation(p).sign() > 0]
     if n < 3:
         gens: list[Permutation] = []
@@ -294,7 +279,7 @@ def _sl2_group(p: int, cap: int | None) -> FiniteGroup:
             "sl2:2 is unsupported: the standard transvections with entry 2 "
             "collapse to the identity mod 2"
         )
-    _check_cap("max_elements", p * (p * p - 1), cap)
+    _check_cap(p * (p * p - 1), cap)
     els = [
         MatrixGF((a, b, c, d), p)
         for a, b, c, d in product(range(p), repeat=4)
@@ -306,7 +291,7 @@ def _sl2_group(p: int, cap: int | None) -> FiniteGroup:
 
 def _abelian_group(moduli: Sequence[int], name: str, cap: int | None) -> FiniteGroup:
     order = math.prod(moduli) if moduli else 1
-    _check_cap("max_elements", order, cap)
+    _check_cap(order, cap)
     els = [
         AbelianTuple(r, moduli)
         for r in product(*[range(m) for m in moduli])
@@ -323,7 +308,7 @@ def _abelian_group(moduli: Sequence[int], name: str, cap: int | None) -> FiniteG
 def _dihedral_group(n: int, cap: int | None) -> FiniteGroup:
     if n < 3:
         raise GroupSpecError(f"dihedral:{n} has no faithful n-gon action; use n >= 3")
-    _check_cap("max_elements", 2 * n, cap)
+    _check_cap(2 * n, cap)
     rot = _cycle_perm(n, list(range(n)))
     ref = Permutation((n - i) % n for i in range(n))
     els: set[Permutation] = set()
@@ -341,8 +326,9 @@ def parse_group(spec: str, *, max_elements: int | None = None) -> FiniteGroup:
 
     Grammar: ``cyclic:n`` (n >= 1), ``abelian:e1,e2,...`` (each e >= 2),
     ``sym:n`` / ``alt:n`` (n <= 10), ``dihedral:n`` (n >= 3), ``sl2:p``
-    (p an odd prime <= 13).  Orders beyond the element cap raise
-    ``ResourceCapError``; grammar violations raise ``GroupSpecError``.
+    (p an odd prime <= 13).  Orders beyond the element cap
+    (``ACGRAPHS_MAX_ELEMENTS``, default 8,192) raise ``ResourceCapError``
+    before enumeration; grammar violations raise ``GroupSpecError``.
     """
     spec = spec.strip().lower()
     kind, sep, arg = spec.partition(":")

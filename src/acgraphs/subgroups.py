@@ -290,7 +290,7 @@ def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups: the join-semilattice generated by singleton
     normal closures (every normal subgroup is the join of the closures of
     its own elements), ordered by ascending order then members."""
-    oracle = JoinOracle(group, "normal")
+    oracle = get_join_oracle(group, "normal")
     ids = {0} | {oracle.singleton_id(i) for i in range(group.order)}
     changed = True
     while changed:
@@ -460,7 +460,7 @@ def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]
         raise ResourceCapError("nd_search", group.order, cap)
     if group.order == 1:
         return (0, 0)
-    oracle = JoinOracle(group, "normal")
+    oracle = get_join_oracle(group, "normal")
     ids = sorted({oracle.singleton_id(i) for i in range(1, group.order)} - {0})
     full = oracle.full_id
 
@@ -499,7 +499,7 @@ def min_generator_count(group: FiniteGroup, upto: int) -> int | None:
     generation), or None if every family up to that size falls short."""
     if group.order == 1:
         return 0
-    oracle = JoinOracle(group, "plain")
+    oracle = get_join_oracle(group, "plain")
     ids = sorted({oracle.singleton_id(i) for i in range(1, group.order)} - {0})
     for size in range(1, upto + 1):
         for fam in combinations(ids, size):
@@ -521,7 +521,7 @@ def psi_k(
     total = group.order**k
     if total > cap:
         raise ResourceCapError("tuple_census", total, cap)
-    oracle = JoinOracle(group, "normal")
+    oracle = get_join_oracle(group, "normal")
     count = _count_generating_tuples(oracle, k)
     return Fraction(count, total)
 
@@ -562,10 +562,10 @@ def mazurov_lift(
             f"{group.name} is not normally generated by {k} elements (nd={nd})"
         )
     quotient, pi = quotient_group(group, modulo)
-    q_oracle = JoinOracle(quotient, "normal")
+    q_oracle = get_join_oracle(quotient, "normal")
     if not q_oracle.generates(pi[i] for i in g):
         raise PreconditionError("images of g do not normally generate G/M")
-    oracle = JoinOracle(group, "normal")
+    oracle = get_join_oracle(group, "normal")
     for ms in product(modulo.members, repeat=k):
         candidate = tuple(group.mul(gi, mi) for gi, mi in zip(g, ms))
         if oracle.generates(candidate):

@@ -29,10 +29,10 @@ from .graphs import (
 )
 from .groups import FiniteGroup, parse_group
 from .subgroups import (
-    JoinOracle,
     Subgroup,
     abelianization,
     covering_numbers,
+    get_join_oracle,
     mazurov_lift,
     nd_pair,
     normal_closure,
@@ -188,8 +188,8 @@ def check_soluble_lemma(ctx: VerifyContext) -> CheckResult:
         if g.order > 120:
             continue
         ab = abelianization(g)
-        oracle = JoinOracle(g, "normal")
-        ab_oracle = JoinOracle(ab.target, "plain")
+        oracle = get_join_oracle(g, "normal")
+        ab_oracle = get_join_oracle(ab.target, "plain")
         for k in (1, 2):
             if g.order**k > 20_000:
                 continue
@@ -230,13 +230,13 @@ def check_mazurov_lift(ctx: VerifyContext) -> CheckResult:
     lifts = 0
     for spec in ("sym:3", "sym:4", "dihedral:6"):
         g = ctx.groups[spec]
-        oracle = JoinOracle(g, "normal")
+        oracle = get_join_oracle(g, "normal")
         nd, _ = nd_pair(g)
         for m_sub in normal_subgroups(g):
             if m_sub.is_whole_group():
                 continue
             quotient, pi = quotient_group(g, m_sub)
-            q_oracle = JoinOracle(quotient, "normal")
+            q_oracle = get_join_oracle(quotient, "normal")
             for k in (1, 2):
                 if nd > k:
                     continue
@@ -494,7 +494,7 @@ def check_walk_vertex_preservation(ctx: VerifyContext) -> CheckResult:
     steps_checked = 0
     for spec in ("sym:3", "sym:4", "abelian:3,3", "dihedral:6", "alt:5"):
         g = ctx.groups[spec]
-        oracle = JoinOracle(g, "normal")
+        oracle = get_join_oracle(g, "normal")
         whole = ctx.whole(g)
         if whole.order**2 > 10_000:
             continue
@@ -668,7 +668,6 @@ def check_pair_map_preserves_vertices(ctx: VerifyContext) -> CheckResult:
         g = ctx.groups[spec]
         if nd_pair(g)[0] > 2:
             continue
-        oracle = JoinOracle(g, "normal")
         handle = GraphHandle(g, 2, GraphMode.full_ac())
         codes = np.flatnonzero(handle.vertex_mask)
         if len(codes) > 400:
@@ -681,7 +680,7 @@ def check_pair_map_preserves_vertices(ctx: VerifyContext) -> CheckResult:
                 tup = handle.decode(int(code))
                 image = apply_pair_map(pair, tup, g)
                 checked += 1
-                if not oracle.generates(image):
+                if not handle.oracle.generates(image):
                     return CheckResult(
                         "pair_map_vertex_preservation",
                         False,

@@ -11,14 +11,17 @@ over a union of conjugacy classes are provided for comparison.
 Three implementations share the step distribution:
 
 * ``acr_step``/``acr_sample`` - the scalar reference, one walker;
-* ``_acr_batch_table`` - vectorized in element-index space (enumerated
-  groups with a product table);
+* ``_acr_batch_table`` - vectorized in element-index space over the
+  product table every enumerated group carries;
 * ``_acr_batch_permutation`` - vectorized on permutation image arrays
   (Sym_n ambients of any degree, no enumeration).
 
-``acr_sample_many``/``pra_sample_many`` pick a kernel automatically; the
-scalar path is the contract, the batch paths exist because statistical
-validation wants tens of thousands of independent walkers.
+``acr_sample_many`` picks the table kernel for enumerated groups and the
+permutation kernel for ambients, and falls back to the scalar walk only
+for word conjugators and the full move set; ``pra_sample_many`` always
+runs the table kernel.  The scalar path is the contract, the batch paths
+exist because statistical validation wants tens of thousands of
+independent walkers.
 
 All randomness flows through a caller-supplied ``numpy.random.Generator``
 (seedable, splittable via ``spawn``); nothing reads outside entropy.
@@ -346,10 +349,7 @@ def _acr_batch_table(
     nielsen_only: bool = False,
 ) -> np.ndarray:
     """Independent walkers in element-index space over the product table."""
-    mul = group.mul_table
-    if mul is None:
-        raise PreconditionError("table kernel needs a dense product table")
-    mul = mul.astype(np.int64)
+    mul = group.mul_table.astype(np.int64)
     inv = group.inv_array
     k, w = cfg.k, walkers
     state = np.tile(np.array(init_idx, dtype=np.int64)[:, None], (1, w))
@@ -394,21 +394,9 @@ def acr_sample_many(
         if isinstance(group, SymmetricAmbient):
             out = _acr_batch_permutation(group.degree, init, cfg, samples, rng)
             return [Permutation(int(x) for x in row) for row in out]
-        if (
-            isinstance(group, FiniteGroup)
-            and group.mul_table is None
-            and isinstance(group.elements[0], Permutation)
-            and group.order == math.factorial(group.elements[0].degree)
-        ):
-            # the whole Sym_n: shuffle-drawn conjugators are uniform over G
-            out = _acr_batch_permutation(
-                group.elements[0].degree, init, cfg, samples, rng
-            )
-            return [Permutation(int(x) for x in row) for row in out]
-        if isinstance(group, FiniteGroup) and group.mul_table is not None:
-            idx = [group.index_of(e) for e in init]
-            out = _acr_batch_table(group, idx, cfg, samples, rng)
-            return [group.elements[int(i)] for i in out]
+        idx = [group.index_of(e) for e in init]
+        out = _acr_batch_table(group, idx, cfg, samples, rng)
+        return [group.elements[int(i)] for i in out]
     return [acr_sample(group, normal, init, cfg, rng) for _ in range(samples)]
 
 
@@ -419,15 +407,13 @@ def pra_sample_many(
     rng: np.random.Generator,
     samples: int,
 ) -> list[GroupElement]:
-    """`samples` independent PRA walks, batch kernel when one applies."""
+    """`samples` independent PRA walks on the table kernel."""
     oracle = get_join_oracle(group, "plain")
     idx = [group.index_of(e) for e in init]
     if not oracle.generates(idx):
         raise PreconditionError("initial tuple does not generate the group")
-    if group.mul_table is not None:
-        out = _acr_batch_table(group, idx, cfg, samples, rng, nielsen_only=True)
-        return [group.elements[int(i)] for i in out]
-    return [pra_sample(group, init, cfg, rng) for _ in range(samples)]
+    out = _acr_batch_table(group, idx, cfg, samples, rng, nielsen_only=True)
+    return [group.elements[int(i)] for i in out]
 
 
 @dataclass(frozen=True)

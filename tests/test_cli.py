@@ -171,13 +171,21 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
-def test_bad_input_is_a_usage_error_without_traceback():
+def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
+    missing = tmp_path / "missing"
     cases = [
         ("analyze", "--group", "alt:5", "--k", "2", "--distance", "(0 1)|(0 1 2)"),
         ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1)"),
         ("walk", "--group", "alt:5", "--normal", "ncl:(0 1)", "--init", "(0 1 2)"),
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--samples", "0"),
+        ("walk", "--group", "sym:9", "--algorithm", "pra", "--init", "(0 1 2)"),
+        ("stats", "--observed", str(missing / "hist.json"), "--n", "4"),
+        ("stats", "--observed", str(tmp_path / "hist.json")),
+        ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
+        ("stats", "--stirling", "4", "--format", "csv",
+         "--output", str(missing / "out.csv")),
     ]
+    (tmp_path / "hist.json").write_text('{"1": 3, "2": 5}')
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     for argv in cases:

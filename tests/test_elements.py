@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from acgraphs.elements import (
@@ -121,6 +123,25 @@ def test_json_round_trip():
         AbelianTuple((1, 0), (2, 3)),
     ):
         assert element_from_json(el.to_json()) == el
+
+
+def test_pickle_round_trip():
+    for el, other in (
+        (parse_cycles("(0 1 2)", 4), parse_cycles("(2 3)", 4)),
+        (MatrixGF((1, 2, 0, 1), 7), MatrixGF((1, 0, 2, 1), 7)),
+        (AbelianTuple((1, 0), (2, 3)), AbelianTuple((1, 2), (2, 3))),
+    ):
+        back = pickle.loads(pickle.dumps(el))
+        assert type(back) is type(el)
+        assert back == el and hash(back) == hash(el)
+        assert back * other == el * other
+        with pytest.raises(AttributeError):
+            setattr(back, "payload", None)
+    # unpickling goes through the constructor, so its validation runs
+    bad = object.__new__(Permutation)
+    object.__setattr__(bad, "images", (0, 0, 1))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(bad))
 
 
 def test_permutation_validation():

@@ -6,6 +6,7 @@ import pytest
 from acgraphs.elements import MatrixGF
 from acgraphs.errors import GroupSpecError, ResourceCapError
 from acgraphs.groups import (
+    FiniteGroup,
     SymmetricAmbient,
     parse_group,
     random_even_permutation,
@@ -68,13 +69,70 @@ def test_closure_exhaustive_small():
         assert brute_mulclose(gens) == set(g.elements)
 
 
+# every family: all pairs up to order 720, 3,000 sampled pairs above
+TABLE_CASES = (
+    ("cyclic:1", True),
+    ("cyclic:12", True),
+    ("abelian:2,4", True),
+    ("abelian:3,3", True),
+    ("dihedral:7", True),
+    ("sym:3", True),
+    ("sym:4", True),
+    ("sym:6", True),
+    ("alt:5", True),
+    ("alt:6", True),
+    ("sl2:3", True),
+    ("sl2:7", True),
+    ("alt:7", False),
+    ("sl2:13", False),
+    ("sym:7", False),
+)
+
+
 def test_mul_table_matches_element_products():
-    g = parse_group("sym:4")
-    assert g.mul_table is not None
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        i, j = int(rng.integers(24)), int(rng.integers(24))
-        assert g.elements[g.mul(i, j)] == g.elements[i] * g.elements[j]
+    for spec, exhaustive in TABLE_CASES:
+        g = parse_group(spec)
+        n = g.order
+        assert isinstance(g.mul_table, np.ndarray), spec
+        assert g.mul_table.shape == (n, n) and g.mul_table.dtype == np.uint16, spec
+        els = g.elements
+        if exhaustive:
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+        else:
+            pairs = rng.integers(n, size=(3000, 2)).tolist()
+        for i, j in pairs:
+            assert els[g.mul(i, j)] == els[i] * els[j], (spec, i, j)
+
+
+def test_unclosed_listing_is_rejected():
+    g = parse_group("sym:3")
+    gens = g.generator_elements()
+    missing = next(e for e in g.elements[1:] if e not in gens)
+    listing = [e for e in g.elements if e != missing]
+    with pytest.raises(ValueError, match="escapes the element list"):
+        FiniteGroup("sym:3 minus one", listing, gens)
+
+
+def test_generators_that_do_not_span_are_rejected():
+    g = parse_group("sym:3")
+    transposition = next(e for e in g.generator_elements() if e.sign() < 0)
+    with pytest.raises(ValueError, match="generators span 2 of 6"):
+        FiniteGroup("sym:3", g.elements, [transposition])
+
+
+def test_element_cap_applies_before_enumeration(monkeypatch):
+    import acgraphs.groups as groups_mod
+
+    def refuse(*args):
+        raise AssertionError("enumerated past the element cap")
+
+    monkeypatch.delenv("ACGRAPHS_MAX_ELEMENTS", raising=False)
+    monkeypatch.setattr(groups_mod, "AbelianTuple", refuse)
+    with pytest.raises(ResourceCapError) as err:
+        parse_group("cyclic:8193")
+    assert err.value.cap_name == "max_elements"
+    assert "8193" in str(err.value) and "8192" in str(err.value)
 
 
 def test_bad_specs():
