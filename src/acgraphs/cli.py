@@ -54,6 +54,7 @@ from .errors import (
 from .graphs import GraphHandle, GraphMode, components, diameter, distance
 from .groups import FiniteGroup, SymmetricAmbient, parse_group
 from .stats import (
+    chi2_json,
     chi_squared_test,
     cycle_distribution,
     point_action_uniformity,
@@ -368,12 +369,12 @@ def cmd_walk(args, out) -> int:
             hist[c] = hist.get(c, 0) + 1
         report["cycleHistogram"] = {str(c): v for c, v in sorted(hist.items())}
         parity = "even" if all(s.sign() > 0 for s in samples) else "all"
-        report["cycleChiSquared"] = chi_squared_test(
-            hist, cycle_distribution(degree, parity)
-        ).to_json()
-        report["pointActionChiSquared"] = point_action_uniformity(
-            samples, degree
-        ).to_json()
+        report["cycleChiSquared"] = chi2_json(
+            lambda: chi_squared_test(hist, cycle_distribution(degree, parity))
+        )
+        report["pointActionChiSquared"] = chi2_json(
+            lambda: point_action_uniformity(samples, degree)
+        )
     if not ambient and normal is not None and normal.order <= 10_000:
         report["mixing"] = mixing_diagnostic(samples, normal).to_json()
 

@@ -24,6 +24,11 @@ frontier.  Geodesics walk back from the target over the distance array
 through the inverse moves, so no parent pointers are stored.  Vertex
 predicates are evaluated for the whole code space at once by folding
 singleton-closure ids through a memoized join table.
+
+Exact diameters sweep one BFS per orbit of a few code permutations that
+preserve the vertices and the moves (diagonal conjugation, position
+permutations, inversion of one component).  Orbit labels come from
+min-label propagation with pointer jumping and are cached per handle.
 """
 
 from __future__ import annotations
@@ -194,6 +199,11 @@ class GraphHandle:
             return tuple(base) + tuple(self.group.inv(s) for s in base)
         return ()
 
+    def _conj_row(self, w: int) -> np.ndarray:
+        """Conjugation by w over member positions (-1 where it leaves N)."""
+        g, mt = self.group, self.group.mul_table
+        return self.pos_of[mt[mt[g.inv(w), self.member_idx].astype(np.int64), w]]
+
     def _conj_table(self) -> tuple[tuple[int, ...], np.ndarray]:
         """Conjugators and their rows over member positions, keeping the
         first conjugator of each distinct row and no identity row (w and
@@ -201,11 +211,9 @@ class GraphHandle:
         ws = self._conjugator_list()
         if not ws:
             return (), np.empty((0, self.nm), dtype=np.int64)
-        g, m = self.group, self.member_idx
-        mt = g.mul_table
         table = np.empty((len(ws), self.nm), dtype=np.int64)
         for r, w in enumerate(ws):
-            table[r] = self.pos_of[mt[mt[g.inv(w), m].astype(np.int64), w]]
+            table[r] = self._conj_row(w)
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
         first: dict[bytes, int] = {}
@@ -356,6 +364,49 @@ class GraphHandle:
             np.concatenate([codes.ravel() for _, codes in blocks]),
         )
 
+    # -- symmetries ----------------------------------------------------------------
+
+    def symmetry_maps(self) -> list[np.ndarray]:
+        """Code -> code permutations that preserve the vertex mask and the
+        move set, hence eccentricity.
+
+        Diagonal conjugation by each generator of G (not in restricted AC,
+        whose conjugator set it need not preserve), the swap of positions
+        0 and 1 and, for k > 2, the cycle of all positions, and inversion
+        of component 0 (multiplication moves trade sides under it).
+        """
+        k, nm, radix = self.k, self.nm, self.radix
+        codes = np.arange(self.size, dtype=np.int64)
+        comps = [(codes // radix[i]) % nm for i in range(k)]
+        conjugators = () if self.mode.kind == "restricted-ac" else self.group.generators
+        rows = [self._conj_row(s) for s in conjugators]
+        maps = [
+            sum(row[c] * r for c, r in zip(comps, radix))
+            for row in rows
+            if (row != np.arange(nm)).any()
+        ]
+        if k > 1:
+            maps.append(codes + (comps[1] - comps[0]) * (radix[0] - radix[1]))
+        if k > 2:
+            maps.append(sum(comps[(i + 1) % k] * radix[i] for i in range(k)))
+        maps.append(codes + (self.NINV[comps[0]] - comps[0]) * radix[0])
+        return maps
+
+    @cached_property
+    def orbit_labels(self) -> np.ndarray:
+        """Per code, the least code of its orbit under ``symmetry_maps``:
+        min-label propagation along each map, then pointer jumping, until
+        nothing changes."""
+        maps = self.symmetry_maps()
+        lab = np.arange(self.size, dtype=np.int64)
+        while True:
+            prev = lab
+            for sigma in maps:
+                lab = np.minimum(lab, lab[sigma])
+            lab = lab[lab]
+            if np.array_equal(lab, prev):
+                return lab
+
     def neighbors(self, tup: Sequence[int]) -> list[tuple[int, ...]]:
         """Deduplicated neighbor tuples of a vertex (self-loops removed)."""
         code = self.encode(tup)
@@ -502,9 +553,14 @@ def diameter(
 ) -> int:
     """Max eccentricity of one component.
 
-    Exact mode sweeps BFS over the component, pruning vertices whose
-    triangle-inequality upper bound cannot beat the running lower bound;
-    ``exact=False`` returns the double-sweep lower bound only.
+    A double sweep (BFS from the first code, then from a farthest one)
+    gives a lower bound and, by the triangle inequality, an upper bound
+    per vertex; ``exact=False`` returns the lower bound only.  Exact mode
+    then runs one BFS per orbit of the handle's symmetries within the
+    component, skipping orbits whose least upper bound cannot beat the
+    running lower bound.  Symmetries preserve eccentricity but may carry
+    one component onto another, so each orbit is represented by one of
+    its codes inside the component.
     """
     codes = np.asarray(component_codes, dtype=np.int64)
     if codes.size == 0:
@@ -526,37 +582,39 @@ def diameter(
     lb = max(e0, e1)
     if not exact:
         return lb
+    codes = codes[np.argsort(-d1[codes], kind="stable")]
     upper = np.minimum(e0 + d0[codes], e1 + d1[codes])
-    order = np.argsort(-d1[codes], kind="stable")
-    for pos in order:
-        if upper[pos] <= lb:
+    # orbit groups in order of first appearance, each with its least bound
+    _, first, group = np.unique(
+        handle.orbit_labels[codes], return_index=True, return_inverse=True
+    )
+    group_upper = upper[first]
+    np.minimum.at(group_upper, group, upper)
+    for g in np.argsort(first):
+        if group_upper[g] <= lb:
             continue
-        e = ecc(handle.bfs_distances([int(codes[pos])]))
+        e = ecc(handle.bfs_distances([int(codes[first[g]])]))
         lb = max(lb, e)
     return lb
 
 
 def cayley_diameter(group: FiniteGroup, generator_indices: Sequence[int]) -> int:
     """Diameter of the (undirected) Cayley graph of the group w.r.t. the
-    given generators.  Vertex-transitive, so one BFS from the identity."""
-    gens = list(dict.fromkeys(list(generator_indices) +
-                              [group.inv(s) for s in generator_indices]))
-    if not gens:
+    given generators.  Vertex-transitive, so one BFS from the identity,
+    over the product table's generator columns."""
+    gens = np.asarray(generator_indices, dtype=np.int64)
+    if not gens.size:
         raise PreconditionError("Cayley graph needs generators")
+    right = group.mul_table[:, np.concatenate((gens, group.inv_array[gens]))]
     dist = np.full(group.order, -1, dtype=np.int32)
     dist[0] = 0
-    frontier = [0]
+    frontier = np.array([0])
     d = 0
-    while frontier:
+    while frontier.size:
         d += 1
-        new = []
-        for x in frontier:
-            for s in gens:
-                y = group.mul(x, s)
-                if dist[y] < 0:
-                    dist[y] = d
-                    new.append(y)
-        frontier = new
+        frontier = np.unique(right[frontier])
+        frontier = frontier[dist[frontier] < 0]
+        dist[frontier] = d
     if (dist < 0).any():
         raise PreconditionError("generators do not generate the group")
     return int(dist.max())

@@ -13,12 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .elements import Permutation
 from .errors import PreconditionError
 
 POOL_MIN_EXPECTED = 5.0
+INSUFFICIENT_SAMPLES = "insufficient samples"
+
+
+class InsufficientSamplesError(PreconditionError):
+    """Too few samples for a chi-squared test: pooling left one bin."""
 
 
 @lru_cache(maxsize=None)
@@ -214,11 +219,22 @@ def chi_squared_test(
         (e0, o0), (e1, o1) = bins[0], bins[1]
         bins = sorted([(e0 + e1, o0 + o1)] + bins[2:])
     if len(bins) < 2:
-        raise PreconditionError("fewer than two bins after pooling")
+        raise InsufficientSamplesError(
+            f"{INSUFFICIENT_SAMPLES}: fewer than two bins after pooling"
+        )
     stat = sum((o - e) ** 2 / e for e, o in bins)
     dof = len(bins) - 1
     crit = chi2_critical(dof, alpha)
     return Chi2Report(stat, dof, crit, alpha, stat < crit, len(bins))
+
+
+def chi2_json(test: Callable[[], Chi2Report]) -> dict | str:
+    """JSON of the test's report, or ``"insufficient samples"`` when the
+    sample is too small to leave two bins after pooling."""
+    try:
+        return test().to_json()
+    except InsufficientSamplesError:
+        return INSUFFICIENT_SAMPLES
 
 
 def point_action_uniformity(

@@ -29,6 +29,7 @@ from .groups import FiniteGroup
 
 DEFAULT_ND_CAP = 200
 DEFAULT_TUPLE_CAP = 4_000_000
+_SATURATE_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -74,21 +75,23 @@ def _saturate(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
 
     BFS by right multiplication with the seeds: every product of seeds is
     reached, and in a finite group that semigroup closure is already the
-    subgroup (inverses arise as powers).  Cost O(|result| * |seed|)."""
-    seeds = sorted(set(seed))
-    members = {0} | set(seeds)
-    frontier = list(members)
-    mul = group.mul
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in seeds:
-                y = mul(x, s)
-                if y not in members:
-                    members.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(members)
+    subgroup (inverses arise as powers).  Each level gathers the product
+    table at (frontier, seeds), at most ``_SATURATE_CELLS`` cells at a
+    time, into a member mask.  Cost O(|result| * |seed|)."""
+    seeds = np.unique(np.fromiter(seed, dtype=np.int64))
+    member = np.zeros(group.order, dtype=bool)
+    member[0] = True
+    member[seeds] = True
+    frontier = np.flatnonzero(member)
+    rows = max(1, _SATURATE_CELLS // max(seeds.size, 1))
+    while frontier.size and seeds.size:
+        hit = np.zeros(group.order, dtype=bool)
+        for start in range(0, frontier.size, rows):
+            hit[group.mul_table[frontier[start : start + rows, None], seeds]] = True
+        hit &= ~member
+        frontier = np.flatnonzero(hit)
+        member |= hit
+    return frozenset(np.flatnonzero(member).tolist())
 
 
 def _is_normal_members(group: FiniteGroup, members: frozenset[int]) -> bool:
@@ -201,19 +204,17 @@ class JoinOracle:
                 sub = normal_closure(group, [cls[0]]).member_set
                 ids[list(cls)] = self._intern(sub)
         else:
-            done: dict[int, int] = {}
+            # row t holds every element's t-th power, up to the largest order
+            every = np.arange(group.order)
+            powers = [np.zeros(group.order, dtype=np.int64)]
+            returned = np.zeros(group.order, dtype=bool)
+            while not returned.all():
+                powers.append(group.mul_table[powers[-1], every].astype(np.int64))
+                returned |= powers[-1] == 0
+            powers = np.stack(powers)
+            orders = np.argmax(powers[1:] == 0, axis=0) + 1
             for i in range(group.order):
-                if i in done:
-                    continue
-                sub = _saturate(group, [i])
-                sid = self._intern(sub)
-                # every generator of the same cyclic subgroup gets the same id
-                for j in sub:
-                    if j not in done and _saturate(group, [j]) == sub:
-                        done[j] = sid
-                ids[i] = sid
-            for i, sid in done.items():
-                ids[i] = sid
+                ids[i] = self._intern(frozenset(powers[: orders[i], i].tolist()))
         return ids
 
     def _intern(self, members: frozenset[int]) -> int:

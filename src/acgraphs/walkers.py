@@ -39,7 +39,13 @@ import numpy as np
 from .elements import GroupElement, Permutation, identity_like
 from .errors import PreconditionError
 from .groups import FiniteGroup, SymmetricAmbient
-from .stats import Chi2Report, chi_squared_test, tv_distance
+from .stats import (
+    INSUFFICIENT_SAMPLES,
+    Chi2Report,
+    InsufficientSamplesError,
+    chi_squared_test,
+    tv_distance,
+)
 from .subgroups import Subgroup, conjugation_orbit, get_join_oracle
 
 
@@ -421,11 +427,11 @@ class MixingReport:
     samples: int
     support: int
     tv: Fraction
-    chi2: Chi2Report
+    chi2: Chi2Report | None  # None: too few samples for the test
 
     @property
     def pass95(self) -> bool:
-        return self.chi2.passed
+        return self.chi2 is not None and self.chi2.passed
 
     def to_json(self) -> dict:
         return {
@@ -436,7 +442,9 @@ class MixingReport:
                 "denominator": self.tv.denominator,
                 "float": float(self.tv),
             },
-            "chiSquared": self.chi2.to_json(),
+            "chiSquared": (
+                INSUFFICIENT_SAMPLES if self.chi2 is None else self.chi2.to_json()
+            ),
         }
 
 
@@ -456,5 +464,8 @@ def mixing_diagnostic(
         hist[i] = hist.get(i, 0) + 1
     tv = tv_distance(hist, subgroup.order)
     uniform = {m: Fraction(1, subgroup.order) for m in subgroup.members}
-    chi2 = chi_squared_test(hist, uniform)
+    try:
+        chi2 = chi_squared_test(hist, uniform)
+    except InsufficientSamplesError:
+        chi2 = None
     return MixingReport(len(samples), subgroup.order, tv, chi2)

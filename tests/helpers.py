@@ -29,6 +29,25 @@ def brute_mulclose(elements):
     return els
 
 
+def brute_span(identity, seeds):
+    """Subgroup generated by the seeds: every product of seeds, found by
+    right multiplication from the identity (in a finite group the
+    semigroup they generate is already a subgroup)."""
+    seeds = set(seeds)
+    els = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            for s in seeds:
+                c = a * s
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        frontier = new
+    return els
+
+
 def brute_normal_closure(group_elements, seeds):
     """Closure of all conjugates of the seeds, conjugating by everything."""
     conjugates = {s.conjugate_by(g) for s in seeds for g in group_elements}

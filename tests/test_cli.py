@@ -198,6 +198,25 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr, argv
 
 
+def test_walk_with_too_few_samples_reports_insufficient_samples():
+    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "acgraphs.cli", "walk", "--group", "alt:5",
+         "--init", "(0 1 2);(0 1 2 3 4)", "--samples", "10"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["samples"] == 10
+    assert sum(report["cycleHistogram"].values()) == 10
+    assert report["cycleChiSquared"] == "insufficient samples"
+    assert report["pointActionChiSquared"] == "insufficient samples"
+    assert report["mixing"]["chiSquared"] == "insufficient samples"
+    assert report["mixing"]["samples"] == 10
+    assert report["mixing"]["tvDistance"]["denominator"] > 0
+
+
 def test_verify_smoke_subset(capsys, tmp_path, monkeypatch):
     # run the real command against a reduced catalog to keep this fast
     import acgraphs.verify as verify_mod

@@ -22,6 +22,7 @@ from acgraphs.subgroups import (
 )
 
 from helpers import (
+    brute_center,
     brute_components,
     brute_diameter,
     brute_distance,
@@ -30,6 +31,7 @@ from helpers import (
     brute_normal_closure,
     brute_normally_generates,
     brute_generates,
+    brute_span,
 )
 
 
@@ -336,9 +338,139 @@ def test_diameter_estimate_is_lower_bound():
     assert est <= 8  # exact value, computed by full sweep
 
 
+# -- symmetries and the orbit sweep ---------------------------------------------------
+
+
+def test_symmetry_maps_are_graph_automorphisms():
+    s3, s4, z33, sl2 = (
+        parse_group(s) for s in ("sym:3", "sym:4", "abelian:3,3", "sl2:5")
+    )
+    a4_in_s4 = derived_subgroup(s4)
+    a4_set = set(a4_in_s4.elements())
+    s3_els, z33_els, sl2_els = list(s3.elements), list(z33.elements), list(sl2.elements)
+    sl2_gens = [sl2.elements[i] for i in sl2.generators]
+    center = brute_center(sl2_els, sl2_gens)
+    cases = [
+        # (group, k, mode, normal, members, brute mode, vertex predicate,
+        #  conjugators, directed, expected number of maps)
+        (s4, 2, GraphMode.full_ac(), a4_in_s4, list(a4_set), "full-ac",
+         lambda t: brute_normal_closure(list(s4.elements), list(t)) == a4_set,
+         None, False, 2 + 2),
+        (z33, 2, GraphMode.nielsen(), None, z33_els, "nielsen",
+         lambda t: brute_generates(z33_els, list(t)), None, False, 0 + 2),
+        # SL2(5) is quasisimple: a pair normally generates it unless both
+        # entries are central
+        (sl2, 2, GraphMode.restricted_ac(directed=True), None, sl2_els,
+         "restricted-ac", lambda t: not set(t) <= center, sl2_gens, True, 0 + 2),
+    ]
+    for k in (2, 3):
+        for mode, conj_maps in (
+            (GraphMode.full_ac(), 2),
+            (GraphMode.restricted_ac(), 0),
+            (GraphMode.nielsen(), 2),
+            (GraphMode.extended_nielsen(), 2),
+        ):
+            pred = (
+                (lambda t: brute_normally_generates(s3_els, list(t)))
+                if mode.is_ac
+                else (lambda t: brute_generates(s3_els, list(t)))
+            )
+            gens = [s3.elements[i] for i in s3.generators]
+            cases.append((s3, k, mode, None, s3_els, mode.kind, pred, gens, False,
+                          conj_maps + k))
+    for g, k, mode, normal, members, mode_name, pred, conj, directed, n_maps in cases:
+        h = GraphHandle(g, k, mode, normal)
+        verts, adj = brute_graph(list(g.elements), members, k, pred, mode_name,
+                                 conj, directed)
+        code_of = {v: h.encode([g.index_of(e) for e in v]) for v in verts}
+        tuple_of = {c: v for v, c in code_of.items()}
+        assert sorted(tuple_of) == list(np.flatnonzero(h.vertex_mask))
+        maps = h.symmetry_maps()
+        assert len(maps) == n_maps, (g.name, k, mode)
+        for sigma in maps:
+            assert np.array_equal(np.sort(sigma), np.arange(h.size))
+            assert np.array_equal(h.vertex_mask[sigma], h.vertex_mask)
+            for v in verts:
+                image = tuple_of[int(sigma[code_of[v]])]
+                moved = {tuple_of[int(sigma[code_of[u]])] for u in adj[v]}
+                assert adj[image] == moved, (g.name, k, mode, v)
+
+
+def test_orbit_labels_are_least_codes_of_orbits():
+    h = GraphHandle(parse_group("sym:3"), 2, GraphMode.full_ac())
+    lab = h.orbit_labels
+    assert (lab <= np.arange(h.size)).all()
+    assert np.array_equal(lab[lab], lab)
+    for sigma in h.symmetry_maps():
+        assert np.array_equal(lab[sigma], lab)
+    assert np.array_equal(h.vertex_mask[lab], h.vertex_mask)
+
+
+def test_orbit_diameter_matches_brute_force_across_swapped_components():
+    # in abelian:3,3 the swap and the inversion negate the determinant and
+    # so exchange the two components: an orbit's least code can lie outside
+    # the component being swept.  The symmetries fix each alt:5 component.
+    for spec, sizes, swapped in (
+        ("abelian:3,3", [24, 24], True),
+        ("alt:5", [600, 600, 1080], False),
+    ):
+        g = parse_group(spec)
+        els = list(g.elements)
+        h = GraphHandle(g, 2, GraphMode.nielsen())
+        parts = components(h)
+        assert sorted(parts.sizes) == sizes
+        reps = np.array(parts.reps)
+        assert swapped == any(
+            (parts.labels[sigma[reps]] != parts.labels[reps]).any()
+            for sigma in h.symmetry_maps()
+        )
+        verts, adj = brute_graph(
+            els, els, 2, lambda t: len(brute_span(els[0], t)) == len(els), "nielsen"
+        )
+        code_of = {v: h.encode([g.index_of(e) for e in v]) for v in verts}
+        adj_codes = {code_of[v]: {code_of[u] for u in adj[v]} for v in verts}
+        brute = {
+            frozenset(comp): brute_diameter(adj_codes, comp)
+            for comp in brute_components(list(adj_codes), adj_codes)
+        }
+        for lab in range(parts.count):
+            codes = parts.codes_of(lab)
+            assert diameter(h, codes) == brute[frozenset(codes.tolist())], (spec, lab)
+
+
+def test_exact_diameter_runs_one_bfs_per_orbit(monkeypatch):
+    g = parse_group("alt:5")
+    h = GraphHandle(g, 2, GraphMode.full_ac())
+    codes = components(h).codes_of(0)
+    calls = []
+    bfs = h.bfs_distances
+    monkeypatch.setattr(
+        h, "bfs_distances", lambda *a, **kw: calls.append(1) or bfs(*a, **kw)
+    )
+    assert diameter(h, codes, exact=False) <= 8
+    assert "orbit_labels" not in h.__dict__  # the estimate builds no orbits
+    assert len(calls) == 2
+    calls.clear()
+    assert diameter(h, codes) == 8
+    # 3,599 vertices, 32 orbits under Inn(A5), the swap and the inversion
+    assert len(np.unique(h.orbit_labels[codes])) == 32
+    assert len(calls) <= 2 + 32
+
+
 def test_cayley_diameter_cyclic():
     g = parse_group("cyclic:6")
     assert cayley_diameter(g, g.generators) == 3
+
+
+def test_cayley_diameter_matches_element_bfs():
+    for spec in ("sym:4", "alt:5", "dihedral:6", "sl2:5"):
+        g = parse_group(spec)
+        gens = [g.elements[i] for i in g.generators]
+        gens += [s.inverse() for s in gens]
+        adj = {x: {x * s for s in gens} for x in g.elements}
+        dist = brute_distances(adj, g.elements[0])
+        assert len(dist) == g.order
+        assert cayley_diameter(g, g.generators) == max(dist.values()), spec
 
 
 # -- quotient checks ---------------------------------------------------------------------

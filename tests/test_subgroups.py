@@ -6,11 +6,13 @@ import pytest
 from acgraphs.elements import parse_cycles
 from acgraphs.errors import PreconditionError, ResourceCapError
 from acgraphs.groups import parse_group
+import acgraphs.subgroups as subgroups
 from acgraphs.subgroups import (
     JoinOracle,
     abelianization,
     closure,
     covering_numbers,
+    get_join_oracle,
     derived_subgroup,
     is_soluble,
     mazurov_lift,
@@ -21,7 +23,9 @@ from acgraphs.subgroups import (
     quotient_group,
 )
 
-from helpers import brute_mulclose, brute_normal_closure
+from acgraphs.verify import SMALL_CORPUS
+
+from helpers import brute_mulclose, brute_normal_closure, brute_span
 
 
 def idx(group, text):
@@ -289,3 +293,34 @@ def test_covering_numbers_alt5():
 def test_covering_numbers_need_simple():
     with pytest.raises(PreconditionError):
         covering_numbers(parse_group("sym:4"))
+
+
+def test_saturate_matches_element_closure_on_small_corpus(monkeypatch):
+    # the subgroups that normal_subgroups and the plain oracle intern are
+    # saturations, cyclic subgroups, the trivial group or the whole group:
+    # check the first two against closures over element objects
+    calls = []
+    saturate = subgroups._saturate
+
+    def recording(group, seed):
+        seed = frozenset(seed)
+        out = saturate(group, seed)
+        calls.append((group, seed, out))
+        return out
+
+    monkeypatch.setattr(subgroups, "_saturate", recording)
+    plains = []
+    for spec in SMALL_CORPUS:
+        g = parse_group(spec)  # a fresh group, so its oracles are built here
+        normal_subgroups(g)
+        plains.append(get_join_oracle(g, "plain"))
+        plains[-1].generates(g.generators)
+    assert len(calls) > 100
+    for g, seed, out in set(calls):
+        els = g.elements
+        assert {els[i] for i in out} == brute_span(els[0], [els[i] for i in seed])
+    for plain in plains:
+        els = plain.group.elements
+        for i, e in enumerate(els):
+            cyclic = {els[j] for j in plain.members_of(plain.singleton_id(i))}
+            assert cyclic == brute_span(els[0], [e])
