@@ -21,14 +21,17 @@ non-identity conjugation).  BFS marks each block in a reusable hit map,
 masks the map by the unvisited vertices and scans it for the next
 frontier, keeping only the distance array, the two masks and the
 frontier.  Geodesics walk back from the target over the distance array
-through the inverse moves, so no parent pointers are stored.  Vertex
-predicates are evaluated for the whole code space at once by folding
-singleton-closure ids through a memoized join table.
+through the inverse moves, so no parent pointers are stored.
 
-Exact diameters sweep one BFS per orbit of a few code permutations that
-preserve the vertices and the moves (diagonal conjugation, position
-permutations, inversion of one component).  Orbit labels come from
-min-label propagation with pointer jumping and are cached per handle.
+The vertex predicate depends only on the tuple of the entries'
+singleton-closure ids, and is invariant under position permutations and
+diagonal conjugation.  It is folded through the join oracle once per
+orbit of id tuples, then spread over the orbits and read off for the
+whole code space at once.  Exact diameters likewise sweep one BFS per
+orbit of a few code permutations that preserve the vertices and the moves
+(diagonal conjugation, position permutations, inversion of one
+component).  Both kinds of orbit come from one min-label propagation with
+pointer jumping; code orbit labels are cached per handle.
 """
 
 from __future__ import annotations
@@ -60,6 +63,40 @@ _CHUNK_CELLS = 2_000_000
 def tuple_cap() -> int:
     raw = os.environ.get("ACGRAPHS_MAX_TUPLES")
     return int(raw) if raw else DEFAULT_TUPLE_CAP
+
+
+def _tuple_maps(perms: Sequence[np.ndarray], base: int, k: int) -> list[np.ndarray]:
+    """Permutations of the codes ``sum(t[i] * base**(k-1-i))`` of k-tuples
+    over ``range(base)``: each non-identity entry permutation of ``perms``
+    applied to every entry, the swap of positions 0 and 1 and, for k > 2,
+    the cycle of all positions."""
+    codes = np.arange(base**k, dtype=np.int64)
+    radix = [base ** (k - 1 - i) for i in range(k)]
+    digits = [codes // r % base for r in radix]
+    maps = [
+        sum(p[t] * r for t, r in zip(digits, radix))
+        for p in perms
+        if (p != np.arange(base)).any()
+    ]
+    if k > 1:
+        maps.append(codes + (digits[1] - digits[0]) * (radix[0] - radix[1]))
+    if k > 2:
+        maps.append(sum(digits[(i + 1) % k] * radix[i] for i in range(k)))
+    return maps
+
+
+def _least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Per point of ``range(n)``, the least point of its orbit under the
+    maps: min-label propagation along each map, then pointer jumping,
+    until nothing changes."""
+    lab = np.arange(n, dtype=np.int64)
+    while True:
+        prev = lab
+        for sigma in maps:
+            lab = np.minimum(lab, lab[sigma])
+        lab = lab[lab]
+        if np.array_equal(lab, prev):
+            return lab
 
 
 @dataclass(frozen=True)
@@ -224,21 +261,34 @@ class GraphHandle:
         return tuple(ws[r] for r in keep), table[keep]
 
     def _vertex_mask(self) -> np.ndarray:
-        ids1 = self.oracle.singleton_ids[self.member_idx]
-        distinct = sorted(set(int(i) for i in ids1) | {0, self.target_id})
-        # fold positions through a dense join table over the ids seen so far;
-        # joins of semilattice members stay inside it, grown on demand
-        ids = ids1.copy()
-        for _ in range(self.k - 1):
-            seen = sorted(set(int(i) for i in ids) | set(distinct))
-            remap = {sid: r for r, sid in enumerate(seen)}
-            join_rows = np.empty((len(seen), len(seen)), dtype=np.int64)
-            for a, sa in enumerate(seen):
-                for b, sb in enumerate(seen):
-                    join_rows[a, b] = self.oracle.join(sa, sb)
-            la = np.vectorize(remap.__getitem__, otypes=[np.int64])
-            ids = join_rows[np.repeat(la(ids), self.nm), np.tile(la(ids1), len(ids))]
-        return ids == self.target_id
+        """Codes whose entries generate the target (normally, in AC modes).
+
+        That depends only on the entries' singleton-closure ids, and is
+        unchanged by permuting positions or by conjugating every entry by
+        one element of G, which permutes the ids.  So the join is folded
+        once per orbit of id tuples, at its least tuple, over the distinct
+        id pairs of each step, then spread over the orbit and read off per
+        code through the code's id tuple.
+        """
+        k, oracle = self.k, self.oracle
+        ids, first, local = np.unique(
+            oracle.singleton_ids[self.member_idx], return_index=True, return_inverse=True
+        )
+        d = len(ids)
+        perms = [local[self._conj_row(s)[first]] for s in self.group.generators]
+        lab = _least_in_orbit(_tuple_maps(perms, d, k), d**k)
+        reps = np.flatnonzero(lab == np.arange(d**k))
+        acc = ids[reps // d ** (k - 1)]
+        for i in range(1, k):
+            pairs, back = np.unique(
+                np.stack((acc, ids[reps // d ** (k - 1 - i) % d]), axis=1),
+                axis=0, return_inverse=True,
+            )
+            joined = np.array([oracle.join(int(a), int(b)) for a, b in pairs])
+            acc = joined[back.reshape(-1)]
+        hit = np.zeros(d**k, dtype=bool)
+        hit[reps] = acc == self.target_id
+        return hit[lab].reshape((d,) * k)[np.ix_(*[local] * k)].ravel()
 
     # -- codec ------------------------------------------------------------------
 
@@ -375,37 +425,17 @@ class GraphHandle:
         0 and 1 and, for k > 2, the cycle of all positions, and inversion
         of component 0 (multiplication moves trade sides under it).
         """
-        k, nm, radix = self.k, self.nm, self.radix
-        codes = np.arange(self.size, dtype=np.int64)
-        comps = [(codes // radix[i]) % nm for i in range(k)]
         conjugators = () if self.mode.kind == "restricted-ac" else self.group.generators
-        rows = [self._conj_row(s) for s in conjugators]
-        maps = [
-            sum(row[c] * r for c, r in zip(comps, radix))
-            for row in rows
-            if (row != np.arange(nm)).any()
-        ]
-        if k > 1:
-            maps.append(codes + (comps[1] - comps[0]) * (radix[0] - radix[1]))
-        if k > 2:
-            maps.append(sum(comps[(i + 1) % k] * radix[i] for i in range(k)))
-        maps.append(codes + (self.NINV[comps[0]] - comps[0]) * radix[0])
+        maps = _tuple_maps([self._conj_row(s) for s in conjugators], self.nm, self.k)
+        codes = np.arange(self.size, dtype=np.int64)
+        c0 = codes // self.radix[0]
+        maps.append(codes + (self.NINV[c0] - c0) * self.radix[0])
         return maps
 
     @cached_property
     def orbit_labels(self) -> np.ndarray:
-        """Per code, the least code of its orbit under ``symmetry_maps``:
-        min-label propagation along each map, then pointer jumping, until
-        nothing changes."""
-        maps = self.symmetry_maps()
-        lab = np.arange(self.size, dtype=np.int64)
-        while True:
-            prev = lab
-            for sigma in maps:
-                lab = np.minimum(lab, lab[sigma])
-            lab = lab[lab]
-            if np.array_equal(lab, prev):
-                return lab
+        """Per code, the least code of its orbit under ``symmetry_maps``."""
+        return _least_in_orbit(self.symmetry_maps(), self.size)
 
     def neighbors(self, tup: Sequence[int]) -> list[tuple[int, ...]]:
         """Deduplicated neighbor tuples of a vertex (self-loops removed)."""

@@ -6,8 +6,9 @@ Everything works on element indices of a ``FiniteGroup``.  Heavy
 predicates (does this tuple normally generate?) go through a
 ``JoinOracle``: the distinct single-element closures form a small
 join-semilattice, closures of sets are joins of singleton closures, and
-the joins are memoized, so exhaustive tuple censuses cost a table lookup
-per tuple instead of a saturation.
+the joins are memoized.  So a tuple census folds joins over the
+distribution or the symmetry orbits of singleton-closure id tuples, never
+saturating once per tuple.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class Subgroup:
 
     def is_whole_group(self) -> bool:
         return len(self.members) == self.group.order
-
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
-    def contains_index(self, i: int) -> bool:
-        return i in self.member_set
 
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(self.group.elements[i] for i in self.members)
@@ -265,13 +260,6 @@ class JoinOracle:
     def generates(self, indices: Iterable[int]) -> bool:
         """Whole group generated (normally, in mode 'normal') by these indices."""
         return self.join_of_indices(indices) == self.full_id
-
-    def subgroup_of_tuple(self, indices: Iterable[int]) -> Subgroup:
-        members = self.members_of(self.join_of_indices(indices))
-        return Subgroup(
-            self.group, tuple(sorted(members)), self.mode == "normal" or
-            _is_normal_members(self.group, members)
-        )
 
 
 _oracle_cache: "WeakKeyDictionary[FiniteGroup, dict[str, JoinOracle]]" = (

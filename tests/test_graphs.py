@@ -15,6 +15,7 @@ from acgraphs.graphs import (
 )
 from acgraphs.groups import parse_group
 from acgraphs.subgroups import (
+    JoinOracle,
     Subgroup,
     derived_subgroup,
     normal_closure,
@@ -86,6 +87,88 @@ def test_sl2_vertex_counts_account_for_the_center():
         g = parse_group(spec)
         h = GraphHandle(g, 2, GraphMode.full_ac())
         assert h.vertex_count == order * order - 4
+
+
+def _brute_vertex_predicate(group, normal, mode):
+    """Vertex test on element tuples: the span of the entries (of all their
+    conjugates, in AC modes) is N.  Memoized on the entries, or on their
+    conjugacy classes, since that is all the span depends on."""
+    els = list(group.elements)
+    target = {group.elements[i] for i in normal.members}
+    classes = {x: frozenset(x.conjugate_by(w) for w in els) for x in els}
+    memo = {}
+
+    def pred(tup):
+        key = frozenset(classes[x] for x in tup) if mode.is_ac else frozenset(tup)
+        if key not in memo:
+            seeds = set().union(*key) if mode.is_ac else key
+            memo[key] = brute_span(els[0], seeds) == target
+        return memo[key]
+
+    return pred
+
+
+def test_vertex_mask_matches_oracle_and_brute_predicate():
+    # the mask folds joins once per symmetry orbit of singleton-closure id
+    # tuples and spreads the result; every code is checked against the
+    # oracle's fold over its own tuple and against element-object spans
+    s3, s4, d6 = parse_group("sym:3"), parse_group("sym:4"), parse_group("dihedral:6")
+    modes = (
+        GraphMode.full_ac(),
+        GraphMode.restricted_ac(),
+        GraphMode.nielsen(),
+        GraphMode.extended_nielsen(),
+    )
+    cases = [(s3, k, mode, None) for k in (1, 2, 3) for mode in modes]
+    cases += [
+        (s4, 2, GraphMode.nielsen(), None),
+        (s4, 2, GraphMode.full_ac(), None),
+        (s4, 2, GraphMode.full_ac(), derived_subgroup(s4)),
+        (s4, 3, GraphMode.full_ac(), derived_subgroup(s4)),
+        (d6, 3, GraphMode.nielsen(), None),
+        (d6, 3, GraphMode.full_ac(), None),
+        (parse_group("abelian:3,3"), 2, GraphMode.nielsen(), None),
+        (parse_group("alt:5"), 2, GraphMode.extended_nielsen(), None),
+        (parse_group("sl2:5"), 2, GraphMode.restricted_ac(directed=True), None),
+    ]
+    for g, k, mode, normal in cases:
+        h = GraphHandle(g, k, mode, normal)
+        pred = _brute_vertex_predicate(g, h.normal, mode)
+        for code in range(h.size):
+            tup = h.decode(code)
+            by_oracle = h.oracle.join_of_indices(tup) == h.target_id
+            by_brute = pred(tuple(g.elements[i] for i in tup))
+            assert h.vertex_mask[code] == by_oracle == by_brute, (g.name, k, mode, tup)
+        if h.normal.is_whole_group():
+            assert h.target_id == h.oracle.full_id
+
+
+def test_sl2_7_nielsen_mask_joins_once_per_orbit(monkeypatch):
+    # a freshly parsed group gets a fresh oracle with an empty join memo
+    g = parse_group("sl2:7")
+    calls = []
+    join = JoinOracle.join
+    monkeypatch.setattr(
+        JoinOracle, "join", lambda self, a, b: calls.append((a, b)) or join(self, a, b)
+    )
+    h = GraphHandle(g, 2, GraphMode.nielsen())
+    monkeypatch.undo()
+    # orbits of ordered pairs of cyclic subgroups under conjugation by every
+    # element and the swap, counted over all of G rather than its generators
+    ids, local = np.unique(h.oracle.singleton_ids, return_inverse=True)
+    d = len(ids)
+    a, b = np.divmod(np.arange(d * d), d)
+    first = np.unique(local, return_index=True)[1]
+    mt, inv = g.mul_table.astype(np.int64), g.inv_array
+    canon = np.full(d * d, d * d)
+    for w in range(g.order):
+        p = local[mt[mt[inv[w], first], w]]
+        canon = np.minimum(canon, np.minimum(p[a] * d + p[b], p[b] * d + p[a]))
+    orbits = len(np.unique(canon))
+    assert orbits == 92
+    assert 0 < len(calls) <= orbits
+    assert h.vertex_count == 76_608
+    assert components(h).sizes == (21504, 24192, 21504, 4704, 4704)
 
 
 def test_graph_tuple_cap():
