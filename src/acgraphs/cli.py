@@ -56,7 +56,9 @@ from .groups import FiniteGroup, SymmetricAmbient, parse_group
 from .stats import (
     chi2_json,
     chi_squared_test,
+    cycle_counts,
     cycle_distribution,
+    histogram,
     point_action_uniformity,
     stirling_first,
 )
@@ -307,7 +309,7 @@ def _run_walkers(kind, group, normal, init, cfg, seed, samples, threads):
             results = list(pool.map(run_chunk, range(len(chunks))))
     else:
         results = [run_chunk(i) for i in range(len(chunks))]
-    return [el for chunk in results for el in chunk]
+    return np.concatenate(results)
 
 
 def cmd_walk(args, out) -> int:
@@ -323,22 +325,19 @@ def cmd_walk(args, out) -> int:
     normal = None if ambient else _resolve_normal(group, args.normal)
     init = parse_tuple(group, args.init, args.k)
 
+    degree = group.degree if ambient else None
+    if not ambient and isinstance(group.elements[0], Permutation):
+        degree = group.elements[0].degree
     if args.budget == "auto":
-        if ambient or isinstance(group.elements[0], Permutation):
-            degree = group.degree if ambient else group.elements[0].degree
-            budget = default_step_budget(args.k, degree=degree)
-        else:
-            budget = default_step_budget(args.k, subgroup_order=normal.order)
+        order = None if ambient else normal.order
+        budget = default_step_budget(args.k, degree=degree, subgroup_order=order)
     else:
         budget = int(args.budget)
 
     if args.algorithm == "cayley":
         seeds_idx = [group.index_of(e) for e in init]
         rng = np.random.default_rng(args.seed)
-        samples = [
-            cayley_class_walk(group, normal, seeds_idx, budget, rng)
-            for _ in range(args.samples)
-        ]
+        samples = cayley_class_walk(group, normal, seeds_idx, budget, rng, args.samples)
         config_json: dict = {"k": args.k, "stepBudget": budget}
     else:
         cfg = WalkConfig(
@@ -361,19 +360,19 @@ def cmd_walk(args, out) -> int:
         "resolvedBudget": budget,
         "samples": args.samples,
     }
-    if isinstance(samples[0], Permutation):
-        degree = samples[0].degree
-        hist: dict[int, int] = {}
-        for s in samples:
-            c = s.cycle_count()
-            hist[c] = hist.get(c, 0) + 1
-        report["cycleHistogram"] = {str(c): v for c, v in sorted(hist.items())}
-        parity = "even" if all(s.sign() > 0 for s in samples) else "all"
+    if degree is not None:
+        images = samples
+        if not ambient:
+            images = np.array([e.images for e in group.elements])[samples]
+        cycles = cycle_counts(images)
+        hist = histogram(cycles)
+        report["cycleHistogram"] = {str(c): v for c, v in hist.items()}
+        parity = "even" if ((degree - cycles) % 2 == 0).all() else "all"
         report["cycleChiSquared"] = chi2_json(
             lambda: chi_squared_test(hist, cycle_distribution(degree, parity))
         )
         report["pointActionChiSquared"] = chi2_json(
-            lambda: point_action_uniformity(samples, degree)
+            lambda: point_action_uniformity(images, degree)
         )
     if not ambient and normal is not None and normal.order <= 10_000:
         report["mixing"] = mixing_diagnostic(samples, normal).to_json()
@@ -546,9 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=1, help="rng seed (recorded)")
         p.add_argument("--output", default="-", help="report path ('-' = stdout)")
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker pool for walker fan-out"
-        )
 
     p = sub.add_parser("analyze", help="graph analytics")
     p.add_argument("--group", required=True)
@@ -574,6 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain-prob", type=float, default=0.5)
     p.add_argument("--conjugator-words", type=int, default=None)
     p.add_argument("--full-move-set", action="store_true")
+    p.add_argument(
+        "--threads", type=int, default=1, help="worker pool for walker fan-out"
+    )
     common(p)
     p.set_defaults(func=cmd_walk)
 

@@ -678,16 +678,36 @@ class CoverCheckReport:
         }
 
 
-def _project_codes(
-    src: GraphHandle, dst: GraphHandle, projection: Sequence[int], codes: np.ndarray
-) -> np.ndarray:
-    """Apply an index projection componentwise to vertex codes."""
+def _component_map(
+    src: GraphHandle,
+    dst: GraphHandle,
+    projection: Sequence[int],
+    not_vertex: str,
+    split: str,
+) -> tuple[np.ndarray, ComponentPartition, ComponentPartition, tuple]:
+    """Project every vertex code of ``src`` into ``dst`` once; return the
+    images, both partitions and a (label, size, target label) triple per
+    source component.  VerificationError(``not_vertex``) if an image is no
+    vertex, VerificationError(``split``) if a component meets two targets."""
+    codes = np.flatnonzero(src.vertex_mask)
     pi = np.asarray(projection, dtype=np.int64)
-    out = np.zeros(codes.shape, dtype=np.int64)
+    images = np.zeros(codes.shape, dtype=np.int64)
     for i in range(src.k):
         comp = src.member_idx[(codes // src.radix[i]) % src.nm]
-        out += dst.pos_of[pi[comp]] * dst.radix[i]
-    return out
+        images += dst.pos_of[pi[comp]] * dst.radix[i]
+    if not dst.vertex_mask[images].all():
+        raise VerificationError(not_vertex)
+    src_parts = components(src)
+    dst_parts = components(dst)
+    keys = np.unique(
+        src_parts.labels[codes].astype(np.int64) * dst_parts.count
+        + dst_parts.labels[images]
+    )
+    if len(keys) != src_parts.count:
+        raise VerificationError(split)
+    targets = (keys % dst_parts.count).tolist()
+    pairs = tuple(zip(range(src_parts.count), src_parts.sizes, targets))
+    return images, src_parts, dst_parts, pairs
 
 
 def cover_check(group: FiniteGroup, modulo: Subgroup, k: int) -> CoverCheckReport:
@@ -703,25 +723,14 @@ def cover_check(group: FiniteGroup, modulo: Subgroup, k: int) -> CoverCheckRepor
     src = GraphHandle(group, k, GraphMode.full_ac())
     quotient, pi = quotient_group(group, modulo)
     dst = GraphHandle(quotient, k, GraphMode.full_ac())
-    src_codes = np.flatnonzero(src.vertex_mask)
-    images = _project_codes(src, dst, pi, src_codes)
-    if not dst.vertex_mask[images].all():
-        raise VerificationError("image of a vertex is not a vertex in the quotient")
+    images, src_parts, dst_parts, pairs = _component_map(
+        src,
+        dst,
+        pi,
+        "image of a vertex is not a vertex in the quotient",
+        "a connected component maps into several quotient components",
+    )
     surjective = len(np.unique(images)) == dst.vertex_count
-
-    src_parts = components(src)
-    dst_parts = components(dst)
-    pairs = []
-    for lab in range(src_parts.count):
-        comp_codes = src_parts.codes_of(lab)
-        q_labels = np.unique(
-            dst_parts.labels[_project_codes(src, dst, pi, comp_codes)]
-        )
-        if len(q_labels) != 1:
-            raise VerificationError(
-                "a connected component maps into several quotient components"
-            )
-        pairs.append((lab, int(src_parts.sizes[lab]), int(q_labels[0])))
     return CoverCheckReport(
         group,
         modulo.order,
@@ -729,7 +738,7 @@ def cover_check(group: FiniteGroup, modulo: Subgroup, k: int) -> CoverCheckRepor
         surjective,
         src_parts.count,
         dst_parts.count,
-        tuple(pairs),
+        pairs,
     )
 
 
@@ -768,31 +777,19 @@ def soluble_component_check(group: FiniteGroup, k: int) -> SolubleComponentRepor
     ab = abelianization(group)
     src = GraphHandle(group, k, GraphMode.full_ac())
     dst = GraphHandle(ab.target, k, GraphMode.extended_nielsen())
-    src_codes = np.flatnonzero(src.vertex_mask)
-    images = _project_codes(src, dst, ab.projection_idx, src_codes)
-    if not dst.vertex_mask[images].all():
-        raise VerificationError("projection of a vertex fails to generate Ab(G)")
-    src_parts = components(src)
-    dst_parts = components(dst)
-    mapping: dict[int, int] = {}
-    pairs = []
-    for lab in range(src_parts.count):
-        comp_codes = src_parts.codes_of(lab)
-        q_labels = np.unique(
-            dst_parts.labels[_project_codes(src, dst, ab.projection_idx, comp_codes)]
+    _, src_parts, dst_parts, pairs = _component_map(
+        src,
+        dst,
+        ab.projection_idx,
+        "projection of a vertex fails to generate Ab(G)",
+        "a component maps into several abelianized components",
+    )
+    targets = {q for _, _, q in pairs}
+    if len(targets) != len(pairs):
+        raise VerificationError(
+            "two components share an abelianized component: preimage disconnected"
         )
-        if len(q_labels) != 1:
-            raise VerificationError(
-                "a component maps into several abelianized components"
-            )
-        q = int(q_labels[0])
-        if q in mapping.values():
-            raise VerificationError(
-                "two components share an abelianized component: preimage disconnected"
-            )
-        mapping[lab] = q
-        pairs.append((lab, int(src_parts.sizes[lab]), q))
-    if len(mapping) != dst_parts.count:
+    if len(targets) != dst_parts.count:
         raise VerificationError("component map is not onto the quotient components")
     return SolubleComponentReport(
         group,
@@ -800,5 +797,5 @@ def soluble_component_check(group: FiniteGroup, k: int) -> SolubleComponentRepor
         ab.invariant_factors,
         src_parts.count,
         dst_parts.count,
-        tuple(pairs),
+        pairs,
     )

@@ -136,9 +136,6 @@ class FiniteGroup:
     def identity_element(self) -> GroupElement:
         return self.elements[0]
 
-    def element(self, i: int) -> GroupElement:
-        return self.elements[i]
-
     def index_of(self, el: GroupElement) -> int:
         try:
             return self._index[el]

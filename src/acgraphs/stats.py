@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .elements import Permutation
+import numpy as np
+
 from .errors import PreconditionError
 
 POOL_MIN_EXPECTED = 5.0
@@ -237,21 +238,36 @@ def chi2_json(test: Callable[[], Chi2Report]) -> dict | str:
         return INSUFFICIENT_SAMPLES
 
 
+def histogram(values: np.ndarray) -> dict[int, int]:
+    """Counts of the non-negative integers in ``values``, keys ascending."""
+    counts = np.bincount(values)
+    return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
+
+
+def cycle_counts(images: np.ndarray) -> np.ndarray:
+    """Cycle count, fixed points included, of each row of point images.
+
+    Gathers through the first n - 1 powers track each point's least orbit
+    member; a cycle is a point equal to it."""
+    points = np.arange(images.shape[1], dtype=images.dtype)
+    power, least = images, np.minimum(images, points)
+    for _ in range(images.shape[1] - 2):
+        power = np.take_along_axis(images, power, axis=1)
+        np.minimum(least, power, out=least)
+    return np.count_nonzero(least == points, axis=1)
+
+
 def point_action_uniformity(
-    samples: Sequence[Permutation], n: int, *, alpha: float = 0.05
+    images: np.ndarray, n: int, *, alpha: float = 0.05
 ) -> Chi2Report:
-    """Chi-squared of the image of the first point under each sample
-    against the uniform distribution on the n points."""
-    if not samples:
+    """Chi-squared of the image of the first point under each sample (a
+    row of point images) against the uniform distribution on the n points."""
+    if not len(images):
         raise PreconditionError("no samples")
-    hist: dict[int, int] = {}
-    for s in samples:
-        if not isinstance(s, Permutation) or s.degree != n:
-            raise PreconditionError(f"expected degree-{n} permutations")
-        img = s(0)
-        hist[img] = hist.get(img, 0) + 1
+    if images.ndim != 2 or images.shape[1] != n:
+        raise PreconditionError(f"expected degree-{n} permutations")
     uniform = {point: Fraction(1, n) for point in range(n)}
-    return chi_squared_test(hist, uniform, alpha=alpha)
+    return chi_squared_test(histogram(images[:, 0]), uniform, alpha=alpha)
 
 
 def tv_distance(observed: Mapping, support_size: int) -> Fraction:

@@ -251,11 +251,15 @@ class JoinOracle:
                     self._join_memo[key] = sid
         return sid
 
-    def join_of_indices(self, indices: Iterable[int]) -> int:
+    def join_all(self, sids: Iterable[int]) -> int:
+        """Join of a family of subgroup ids (the trivial one if empty)."""
         sid = 0
-        for i in indices:
-            sid = self.join(sid, self.singleton_id(i))
+        for s in sids:
+            sid = self.join(sid, s)
         return sid
+
+    def join_of_indices(self, indices: Iterable[int]) -> int:
+        return self.join_all(map(self.singleton_id, indices))
 
     def generates(self, indices: Iterable[int]) -> bool:
         """Whole group generated (normally, in mode 'normal') by these indices."""
@@ -452,16 +456,9 @@ def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]
     oracle = get_join_oracle(group, "normal")
     ids = sorted({oracle.singleton_id(i) for i in range(1, group.order)} - {0})
     full = oracle.full_id
-
-    def join_family(fam: Sequence[int]) -> int:
-        sid = 0
-        for f in fam:
-            sid = oracle.join(sid, f)
-        return sid
-
     nd = None
     for size in range(1, len(ids) + 1):
-        if any(join_family(fam) == full for fam in combinations(ids, size)):
+        if any(oracle.join_all(fam) == full for fam in combinations(ids, size)):
             nd = size
             break
     if nd is None:
@@ -471,10 +468,10 @@ def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]
     for size in range(nd, max_size + 1):
         found = False
         for fam in combinations(ids, size):
-            if join_family(fam) != full:
+            if oracle.join_all(fam) != full:
                 continue
             if all(
-                join_family(fam[:i] + fam[i + 1:]) != full for i in range(size)
+                oracle.join_all(fam[:i] + fam[i + 1:]) != full for i in range(size)
             ):
                 found = True
                 break
@@ -492,10 +489,7 @@ def min_generator_count(group: FiniteGroup, upto: int) -> int | None:
     ids = sorted({oracle.singleton_id(i) for i in range(1, group.order)} - {0})
     for size in range(1, upto + 1):
         for fam in combinations(ids, size):
-            sid = 0
-            for f in fam:
-                sid = oracle.join(sid, f)
-            if sid == oracle.full_id:
+            if oracle.join_all(fam) == oracle.full_id:
                 return size
     return None
 

@@ -8,20 +8,19 @@ that is returned instead of a tuple component.  The plain
 product-replacement walk (Nielsen moves only) and a Cayley-graph walk
 over a union of conjugacy classes are provided for comparison.
 
-Three implementations share the step distribution:
+Two implementations share the step distribution:
 
-* ``acr_step``/``acr_sample`` - the scalar reference, one walker;
-* ``_acr_batch_table`` - vectorized in element-index space over the
-  product table every enumerated group carries;
-* ``_acr_batch_permutation`` - vectorized on permutation image arrays
-  (Sym_n ambients of any degree, no enumeration).
+* ``acr_step``/``acr_sample`` (and the PRA pair) - the scalar reference,
+  one walker on element objects;
+* ``_batch_walk`` - one vectorized loop for many independent walkers over
+  a small arithmetic: element indices and product-table gathers for
+  enumerated groups, rows of point images and flat gathers for Sym_n
+  ambients of any degree (no enumeration).
 
-``acr_sample_many`` picks the table kernel for enumerated groups and the
-permutation kernel for ambients, and falls back to the scalar walk only
-for word conjugators and the full move set; ``pra_sample_many`` always
-runs the table kernel.  The scalar path is the contract, the batch paths
-exist because statistical validation wants tens of thousands of
-independent walkers.
+The ``*_many`` samplers and ``cayley_class_walk`` return element indices
+for enumerated groups and image rows for the ambient.  The scalar path
+is the contract, the batch path exists because statistical validation
+wants tens of thousands of independent walkers.
 
 All randomness flows through a caller-supplied ``numpy.random.Generator``
 (seedable, splittable via ``spawn``); nothing reads outside entropy.
@@ -44,6 +43,7 @@ from .stats import (
     Chi2Report,
     InsufficientSamplesError,
     chi_squared_test,
+    histogram,
     tv_distance,
 )
 from .subgroups import Subgroup, conjugation_orbit, get_join_oracle
@@ -149,42 +149,54 @@ def _distinct_pair(k: int, rng: np.random.Generator) -> tuple[int, int]:
     return i, j
 
 
-def acr_step(state: WalkState, cfg: WalkConfig, group: GroupContext) -> WalkState:
-    """One AC-replacement step; mutates nothing, advances the shared rng."""
+def acr_step(
+    state: WalkState, cfg: WalkConfig, group: GroupContext | None, *,
+    nielsen_only: bool = False,
+) -> WalkState:
+    """One AC-replacement step, or a product-replacement step (plain
+    multiplication only) if ``nielsen_only``; mutates nothing, advances
+    the shared rng."""
     rng = state.rng
     t = list(state.tuple_elements)
-    if cfg.full_move_set:
-        move = int(rng.integers(4))
-        if move >= 2:
-            i = int(rng.integers(cfg.k))
-            if move == 2:
-                t[i] = t[i].inverse()
-            else:
-                t[i] = t[i].conjugate_by(_random_conjugator(group, cfg, rng))
-            cum = state.cumulative * t[i] if cfg.use_cumulative else state.cumulative
-            return replace(
-                state, tuple_elements=tuple(t), cumulative=cum, steps=state.steps + 1
-            )
-        plain = move == 0
+    move = int(rng.integers(4)) if cfg.full_move_set and not nielsen_only else None
+    if move is not None and move >= 2:
+        i = int(rng.integers(cfg.k))
+        if move == 2:
+            t[i] = t[i].inverse()
+        else:
+            t[i] = t[i].conjugate_by(_random_conjugator(group, cfg, rng))
     else:
-        plain = bool(rng.random() < cfg.plain_move_probability)
-    i, j = _distinct_pair(cfg.k, rng)
-    left = bool(rng.integers(2))
-    invert = bool(rng.integers(2))
-    y = t[j]
-    if not plain:
-        y = y.conjugate_by(_random_conjugator(group, cfg, rng))
-    if invert:
-        y = y.inverse()
-    t[i] = (y * t[i]) if left else (t[i] * y)
+        if move is None:
+            plain = nielsen_only or bool(rng.random() < cfg.plain_move_probability)
+        else:
+            plain = move == 0
+        i, j = _distinct_pair(cfg.k, rng)
+        left = bool(rng.integers(2))
+        invert = bool(rng.integers(2))
+        y = t[j]
+        if not plain:
+            y = y.conjugate_by(_random_conjugator(group, cfg, rng))
+        if invert:
+            y = y.inverse()
+        t[i] = (y * t[i]) if left else (t[i] * y)
     cum = state.cumulative * t[i] if cfg.use_cumulative else state.cumulative
     return replace(
         state, tuple_elements=tuple(t), cumulative=cum, steps=state.steps + 1
     )
 
 
+def _finish(state: WalkState, cfg: WalkConfig, step) -> GroupElement:
+    """Run ``step`` for the budget; the cumulative product or a random component."""
+    for _ in range(cfg.step_budget):
+        state = step(state)
+    if cfg.use_cumulative:
+        return state.cumulative
+    return state.tuple_elements[int(state.rng.integers(cfg.k))]
+
+
 def _check_acr_init(
-    group: GroupContext, normal: Subgroup | None, init: Sequence[GroupElement]
+    group: GroupContext, normal: Subgroup | None, init: Sequence[GroupElement],
+    cfg: WalkConfig,
 ) -> None:
     if isinstance(group, FiniteGroup):
         if normal is None:
@@ -199,6 +211,8 @@ def _check_acr_init(
         # Sym_n ambient, target Alt_n (simple for n >= 5): a tuple of even
         # permutations is a vertex iff some component is non-identity
         n = group.degree
+        if cfg.conjugator_word_length is not None:
+            raise PreconditionError("word-mode conjugators need an enumerated group")
         if n < 5:
             raise PreconditionError("ambient walks need degree >= 5 (simple Alt_n)")
         for e in init:
@@ -215,30 +229,21 @@ def acr_sample(
     cfg: WalkConfig,
     rng: np.random.Generator,
 ) -> GroupElement:
-    """Run one walk for the configured budget; return the cumulative
-    product, or a uniformly chosen tuple component if not cumulative."""
-    _check_acr_init(group, normal, init)
-    state = make_state(init, rng)
-    for _ in range(cfg.step_budget):
-        state = acr_step(state, cfg, group)
-    if cfg.use_cumulative:
-        return state.cumulative
-    return state.tuple_elements[int(rng.integers(cfg.k))]
+    """One ACR walk: its cumulative product, or a random final component."""
+    _check_acr_init(group, normal, init, cfg)
+    return _finish(make_state(init, rng), cfg, lambda st: acr_step(st, cfg, group))
 
 
 def pra_step(state: WalkState, cfg: WalkConfig) -> WalkState:
     """One product-replacement (plain Nielsen multiplication) step."""
-    rng = state.rng
-    t = list(state.tuple_elements)
-    i, j = _distinct_pair(cfg.k, rng)
-    left = bool(rng.integers(2))
-    invert = bool(rng.integers(2))
-    y = t[j].inverse() if invert else t[j]
-    t[i] = (y * t[i]) if left else (t[i] * y)
-    cum = state.cumulative * t[i] if cfg.use_cumulative else state.cumulative
-    return replace(
-        state, tuple_elements=tuple(t), cumulative=cum, steps=state.steps + 1
-    )
+    return acr_step(state, cfg, None, nielsen_only=True)
+
+
+def _check_pra_init(group: FiniteGroup, init: Sequence[GroupElement]) -> list[int]:
+    idx = [group.index_of(e) for e in init]
+    if not get_join_oracle(group, "plain").generates(idx):
+        raise PreconditionError("initial tuple does not generate the group")
+    return idx
 
 
 def pra_sample(
@@ -248,16 +253,8 @@ def pra_sample(
     rng: np.random.Generator,
 ) -> GroupElement:
     """Product-replacement sampler over generating tuples of the group."""
-    oracle = get_join_oracle(group, "plain")
-    idx = [group.index_of(e) for e in init]
-    if not oracle.generates(idx):
-        raise PreconditionError("initial tuple does not generate the group")
-    state = make_state(init, rng)
-    for _ in range(cfg.step_budget):
-        state = pra_step(state, cfg)
-    if cfg.use_cumulative:
-        return state.cumulative
-    return state.tuple_elements[int(rng.integers(cfg.k))]
+    _check_pra_init(group, init)
+    return _finish(make_state(init, rng), cfg, lambda st: pra_step(st, cfg))
 
 
 def cayley_class_walk(
@@ -266,122 +263,136 @@ def cayley_class_walk(
     seeds: Sequence[int],
     budget: int,
     rng: np.random.Generator,
-) -> GroupElement:
-    """Nearest-neighbor walk on the Cayley graph of N with respect to the
-    union of the ambient conjugacy classes of the seeds, from the identity."""
+    samples: int,
+) -> np.ndarray:
+    """`samples` nearest-neighbor walks on the Cayley graph of N with
+    respect to the union of the ambient conjugacy classes of the seeds,
+    from the identity; returns their end points as element indices."""
     oracle = get_join_oracle(group, "normal")
     if oracle.members_of(oracle.join_of_indices(seeds)) != normal.member_set:
         raise PreconditionError("seeds do not normally generate N")
-    union: set[int] = set()
-    for s in set(seeds):
-        union |= conjugation_orbit(group, s)
-    steps = sorted(union)
-    pos = 0
-    for choice in rng.integers(len(steps), size=budget):
-        pos = group.mul(pos, steps[int(choice)])
-    return group.elements[pos]
+    union = set().union(*(conjugation_orbit(group, s) for s in set(seeds)))
+    steps = np.array(sorted(union), dtype=np.int64)
+    pos = np.zeros(samples, dtype=np.int64)
+    for col in rng.integers(len(steps), size=(samples, budget)).T:
+        pos = group.mul_table[pos, steps[col]]
+    return pos.astype(np.int64)
 
 
-# -- vectorized kernels ------------------------------------------------------------
+# -- the batch kernel ------------------------------------------------------------------
 
 
-def _perm_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rowwise left-to-right product of image arrays: (u*v)[x] = v[u[x]]."""
-    return np.take_along_axis(v, u, axis=1)
+class _TableArithmetic:
+    """Element indices of an enumerated group; products and inverses are
+    table gathers, word-mode conjugators a fold over generator words."""
+
+    def __init__(self, group: FiniteGroup, word_length: int | None):
+        self.table = group.mul_table  # gathers from the narrow table, no copy
+        self.inverse = group.inv_array
+        self.word_length = word_length
+        gens = np.array(group.generators, dtype=np.int64)
+        self.letters = np.concatenate([gens, self.inverse[gens]])
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.table[a, b]
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        return self.inverse[a]
+
+    def identity(self, m: int) -> np.ndarray:
+        return np.zeros(m, dtype=np.int64)
+
+    def random(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        if self.word_length is None:
+            return rng.integers(len(self.table), size=m)
+        w = self.identity(m)
+        if self.letters.size:
+            for col in rng.integers(self.letters.size, size=(self.word_length, m)):
+                w = self.table[w, self.letters[col]]
+        return w
 
 
-def _perm_inv(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    np.put_along_axis(out, u, np.broadcast_to(np.arange(u.shape[1]), u.shape), axis=1)
-    return out
+class _ImageArithmetic:
+    """Rows of point images of Sym_n: ``(u*v)[x] = v[u[x]]`` by one flat
+    gather, the inverse by the matching scatter, uniform elements by
+    shuffle."""
+
+    def __init__(self, degree: int, rows: int):
+        self.offsets = np.arange(rows, dtype=np.int64)[:, None] * degree
+        self.points = np.arange(degree, dtype=np.int64)
+
+    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return v.ravel()[u + self.offsets[: len(u)]]
+
+    def inv(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        out.ravel()[u + self.offsets[: len(u)]] = self.points
+        return out
+
+    def identity(self, m: int) -> np.ndarray:
+        return np.tile(self.points, (m, 1))
+
+    def random(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        return np.argsort(rng.random((m, len(self.points))), axis=1)
 
 
-def _random_perms(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    return np.argsort(rng.random((m, n)), axis=1)
-
-
-def _acr_batch_permutation(
-    degree: int,
-    init: Sequence[Permutation],
-    cfg: WalkConfig,
-    walkers: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Independent ACR walkers over Sym_n, image-array state.
-
-    Returns (walkers, degree) outputs (cumulative products or random
-    components per the config).
-    """
-    n, k, w = degree, cfg.k, walkers
-    state = np.empty((k, w, n), dtype=np.int64)
-    for c, el in enumerate(init):
-        state[c] = np.tile(np.array(el.images, dtype=np.int64), (w, 1))
-    cum = np.tile(np.arange(n, dtype=np.int64), (w, 1))
-    rows = np.arange(w)
-    for _ in range(cfg.step_budget):
-        i = rng.integers(k, size=w)
-        j = rng.integers(k - 1, size=w)
-        j = j + (j >= i)
-        plain = rng.random(w) < cfg.plain_move_probability
-        left = rng.integers(2, size=w).astype(bool)
-        invert = rng.integers(2, size=w).astype(bool)
-        xi = state[i, rows]
-        y = state[j, rows].copy()
-        conj_rows = np.flatnonzero(~plain)
-        if conj_rows.size:
-            ws = _random_perms(len(conj_rows), n, rng)
-            sub = y[conj_rows]
-            y[conj_rows] = _perm_mul(_perm_mul(_perm_inv(ws), sub), ws)
-        inv_rows = np.flatnonzero(invert)
-        if inv_rows.size:
-            y[inv_rows] = _perm_inv(y[inv_rows])
-        new = np.where(left[:, None], _perm_mul(y, xi), _perm_mul(xi, y))
-        state[i, rows] = new
-        if cfg.use_cumulative:
-            cum = _perm_mul(cum, new)
-    if cfg.use_cumulative:
-        return cum
-    r = rng.integers(k, size=w)
-    return state[r, rows]
-
-
-def _acr_batch_table(
-    group: FiniteGroup,
-    init_idx: Sequence[int],
+def _batch_walk(
+    arith: _TableArithmetic | _ImageArithmetic,
+    init: np.ndarray,
     cfg: WalkConfig,
     walkers: int,
     rng: np.random.Generator,
     *,
     nielsen_only: bool = False,
 ) -> np.ndarray:
-    """Independent walkers in element-index space over the product table."""
-    mul = group.mul_table.astype(np.int64)
-    inv = group.inv_array
+    """Independent walkers from the tuple ``init`` (one element of the
+    arithmetic per component); returns their cumulative products, or a
+    random component each, per the config.
+
+    Each step draws, for all walkers at once: i, j, the move (a
+    plain/conjugated coin, one of the four full moves, or nothing for
+    PRA), left, invert, then the conjugators of the conjugated rows.
+    Full moves 2 and 3 invert or conjugate x_i itself."""
     k, w = cfg.k, walkers
-    state = np.tile(np.array(init_idx, dtype=np.int64)[:, None], (1, w))
-    cum = np.zeros(w, dtype=np.int64)
+    state = np.repeat(np.asarray(init, dtype=np.int64)[:, None], w, axis=1)
+    cum = arith.identity(w)
     rows = np.arange(w)
+
+    def pick(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.where(mask.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+
+    full = cfg.full_move_set and not nielsen_only
     for _ in range(cfg.step_budget):
         i = rng.integers(k, size=w)
         j = rng.integers(k - 1, size=w)
         j = j + (j >= i)
+        if full:
+            move = rng.integers(4, size=w)
+            conjugated = move % 2 == 1
+        elif not nielsen_only:
+            conjugated = rng.random(w) >= cfg.plain_move_probability
         left = rng.integers(2, size=w).astype(bool)
         invert = rng.integers(2, size=w).astype(bool)
         xi = state[i, rows]
-        y = state[j, rows].copy()
+        y = state[j, rows]
+        if full:
+            unary = move >= 2
+            y = pick(unary, xi, y)
+            invert = np.where(unary, move == 2, invert)
         if not nielsen_only:
-            plain = rng.random(w) < cfg.plain_move_probability
-            conj_rows = np.flatnonzero(~plain)
-            if conj_rows.size:
-                ws = rng.integers(group.order, size=len(conj_rows))
-                y[conj_rows] = mul[mul[inv[ws], y[conj_rows]], ws]
-        y = np.where(invert, inv[y], y)
-        new = np.where(left, mul[y, xi], mul[xi, y])
+            c = np.flatnonzero(conjugated)
+            if c.size:
+                ws = arith.random(c.size, rng)
+                y[c] = arith.mul(arith.mul(arith.inv(ws), y[c]), ws)
+        y = pick(invert, arith.inv(y), y)
+        new = pick(left, arith.mul(y, xi), arith.mul(xi, y))
+        if full:
+            new = pick(unary, y, new)
         state[i, rows] = new
         if cfg.use_cumulative:
-            cum = mul[cum, new]
+            cum = arith.mul(cum, new)
     if cfg.use_cumulative:
-        return cum
+        return cum.astype(np.int64)
     r = rng.integers(k, size=w)
     return state[r, rows]
 
@@ -393,17 +404,18 @@ def acr_sample_many(
     cfg: WalkConfig,
     rng: np.random.Generator,
     samples: int,
-) -> list[GroupElement]:
-    """`samples` independent ACR walks, batch kernel when one applies."""
-    _check_acr_init(group, normal, init)
-    if cfg.conjugator_word_length is None and not cfg.full_move_set:
-        if isinstance(group, SymmetricAmbient):
-            out = _acr_batch_permutation(group.degree, init, cfg, samples, rng)
-            return [Permutation(int(x) for x in row) for row in out]
-        idx = [group.index_of(e) for e in init]
-        out = _acr_batch_table(group, idx, cfg, samples, rng)
-        return [group.elements[int(i)] for i in out]
-    return [acr_sample(group, normal, init, cfg, rng) for _ in range(samples)]
+) -> np.ndarray:
+    """`samples` independent ACR walks: element indices ``(samples,)``
+    for an enumerated group, image rows ``(samples, n)`` for the Sym_n
+    ambient."""
+    _check_acr_init(group, normal, init, cfg)
+    if isinstance(group, SymmetricAmbient):
+        arith = _ImageArithmetic(group.degree, samples)
+        start = [e.images for e in init]
+    else:
+        arith = _TableArithmetic(group, cfg.conjugator_word_length)
+        start = [group.index_of(e) for e in init]
+    return _batch_walk(arith, start, cfg, samples, rng)
 
 
 def pra_sample_many(
@@ -412,14 +424,11 @@ def pra_sample_many(
     cfg: WalkConfig,
     rng: np.random.Generator,
     samples: int,
-) -> list[GroupElement]:
-    """`samples` independent PRA walks on the table kernel."""
-    oracle = get_join_oracle(group, "plain")
-    idx = [group.index_of(e) for e in init]
-    if not oracle.generates(idx):
-        raise PreconditionError("initial tuple does not generate the group")
-    out = _acr_batch_table(group, idx, cfg, samples, rng, nielsen_only=True)
-    return [group.elements[int(i)] for i in out]
+) -> np.ndarray:
+    """`samples` independent PRA walks; returns element indices."""
+    idx = _check_pra_init(group, init)
+    arith = _TableArithmetic(group, None)
+    return _batch_walk(arith, idx, cfg, samples, rng, nielsen_only=True)
 
 
 @dataclass(frozen=True)
@@ -448,20 +457,18 @@ class MixingReport:
         }
 
 
-def mixing_diagnostic(
-    samples: Sequence[GroupElement], subgroup: Subgroup
-) -> MixingReport:
-    """Empirical distance of a sample to uniform over an enumerated
-    subgroup: exact TV distance plus a chi-squared uniformity test."""
-    if not samples:
+def mixing_diagnostic(samples: np.ndarray, subgroup: Subgroup) -> MixingReport:
+    """Empirical distance of a sample of element indices to uniform over
+    an enumerated subgroup: exact TV distance plus a chi-squared
+    uniformity test."""
+    if not len(samples):
         raise PreconditionError("empty sample")
-    group = subgroup.group
-    hist: dict[int, int] = {}
-    for s in samples:
-        i = group.index_of(s)
-        if i not in subgroup.member_set:
-            raise PreconditionError(f"sample {s!r} is outside the subgroup")
-        hist[i] = hist.get(i, 0) + 1
+    hist = histogram(samples)
+    outside = set(hist) - subgroup.member_set
+    if outside:
+        raise PreconditionError(
+            f"sample {subgroup.group.elements[min(outside)]!r} is outside the subgroup"
+        )
     tv = tv_distance(hist, subgroup.order)
     uniform = {m: Fraction(1, subgroup.order) for m in subgroup.members}
     try:

@@ -28,7 +28,9 @@ from acgraphs.graphs import (
 from acgraphs.groups import SymmetricAmbient, parse_group
 from acgraphs.stats import (
     chi_squared_test,
+    cycle_counts,
     cycle_distribution,
+    histogram,
     point_action_uniformity,
     stirling_first,
 )
@@ -274,10 +276,7 @@ def test_c11_acr_statistical_protocol():
             for rep in range(20):
                 rng = np.random.default_rng(1000 * n + 100 * k + rep)
                 outs = acr_sample_many(amb, None, init, cfg, rng, samples)
-                hist: dict[int, int] = {}
-                for s in outs:
-                    c = s.cycle_count()
-                    hist[c] = hist.get(c, 0) + 1
+                hist = histogram(cycle_counts(outs))
                 if chi_squared_test(hist, dist).passed:
                     cycle_pass += 1
                 if point_action_uniformity(outs, n).passed:

@@ -90,6 +90,15 @@ def test_walk_thread_count_does_not_change_report(capsys, tmp_path):
     assert "mixing" in r1
 
 
+def test_threads_is_a_walk_option_only(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--group", "sym:3", "--k", "2", "--threads", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_walk_pra(capsys):
     code, out, _ = run_cli(
         capsys, "walk", "--group", "sym:4", "--normal", "whole", "--algorithm",

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from acgraphs.elements import Permutation, parse_cycles
@@ -10,6 +11,7 @@ from acgraphs.stats import (
     chi2_cdf,
     chi2_critical,
     chi_squared_test,
+    cycle_counts,
     cycle_distribution,
     point_action_uniformity,
     stirling_first,
@@ -118,18 +120,26 @@ def test_chi2_errors():
 
 
 def test_point_action_examples():
-    rotations = [
-        Permutation([(i + s) % 5 for i in range(5)]) for s in range(5)
-    ] * 20
+    rotations = np.array([[(i + s) % 5 for i in range(5)] for s in range(5)] * 20)
     report = point_action_uniformity(rotations, 5)
     assert report.statistic == pytest.approx(0.0)
     assert report.passed
 
-    fixers = [parse_cycles("(1 2)", 5)] * 100  # all fix point 0
+    fixers = np.array([parse_cycles("(1 2)", 5).images] * 100)  # all fix point 0
     assert not point_action_uniformity(fixers, 5).passed
 
     with pytest.raises(PreconditionError):
-        point_action_uniformity([parse_cycles("(0 1)", 4)], 5)
+        point_action_uniformity(np.array([parse_cycles("(0 1)", 4).images]), 5)
+
+
+def test_cycle_counts_match_permutation_cycle_count():
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        rows = np.argsort(rng.random((200, n)), axis=1)
+        expected = [Permutation(row).cycle_count() for row in rows.tolist()]
+        assert cycle_counts(rows).tolist() == expected
+    assert cycle_counts(np.array([[0, 1, 2, 3, 4, 5, 6]])).tolist() == [7]
+    assert cycle_counts(np.array([[1, 2, 3, 4, 5, 6, 0]])).tolist() == [1]
 
 
 def test_tv_examples():
@@ -143,8 +153,6 @@ def test_tv_examples():
 
 
 def test_tv_bounds_random():
-    import numpy as np
-
     rng = np.random.default_rng(2)
     for _ in range(300):
         m = int(rng.integers(1, 40))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from acgraphs.elements import parse_cycles
+from acgraphs.elements import Permutation, parse_cycles
 from acgraphs.errors import PreconditionError
 from acgraphs.groups import SymmetricAmbient, parse_group, random_even_permutation
-from acgraphs.stats import tv_distance
+from acgraphs.stats import histogram, tv_distance
 from acgraphs.subgroups import Subgroup, normal_closure
 from acgraphs.walkers import (
     WalkConfig,
@@ -111,7 +111,8 @@ def test_outputs_land_in_the_target_subgroup():
     for cumulative in (True, False):
         cfg = WalkConfig(k=2, step_budget=25, use_cumulative=cumulative)
         outs = acr_sample_many(g, a5, init, cfg, np.random.default_rng(2), 200)
-        assert all(g.index_of(o) in a5.member_set for o in outs)
+        assert outs.shape == (200,)
+        assert all(o in a5.member_set for o in outs.tolist())
 
 
 def test_ambient_walk_outputs_even_permutations():
@@ -120,7 +121,8 @@ def test_ambient_walk_outputs_even_permutations():
     cfg = WalkConfig(k=2, step_budget=default_step_budget(2, degree=10))
     assert cfg.step_budget == 80
     outs = acr_sample_many(amb, None, init, cfg, np.random.default_rng(3), 500)
-    assert all(o.sign() > 0 for o in outs)
+    assert outs.shape == (500, 10)
+    assert all(Permutation(row).sign() > 0 for row in outs.tolist())
     single = acr_sample(amb, None, init, cfg, np.random.default_rng(4))
     assert single.sign() > 0
 
@@ -135,6 +137,11 @@ def test_ambient_rejects_small_degree_and_odd_components():
     with pytest.raises(PreconditionError):
         acr_sample(amb10, None, (parse_cycles("(0 1)", 10),) * 2, cfg,
                    np.random.default_rng(0))
+    # word-mode conjugators need generators: rejected before any step
+    words = WalkConfig(k=2, step_budget=0, conjugator_word_length=3)
+    with pytest.raises(PreconditionError):
+        acr_sample_many(amb10, None, (parse_cycles("(0 1 2)", 10),) * 2, words,
+                        np.random.default_rng(0), 5)
 
 
 def test_batch_table_kernel_matches_scalar_distribution():
@@ -148,16 +155,29 @@ def test_batch_table_kernel_matches_scalar_distribution():
         for i in range(1500)
     ]
 
-    def hist(samples):
-        h = {}
-        for s in samples:
-            i = g.index_of(s)
-            h[i] = h.get(i, 0) + 1
-        return h
-
+    scalar = np.array([g.index_of(s) for s in scalar])
     # both should be near-uniform over alt:4 at this budget
-    assert float(tv_distance(hist(batch), 12)) < 0.06
-    assert float(tv_distance(hist(scalar), 12)) < 0.12
+    assert float(tv_distance(histogram(batch), 12)) < 0.06
+    assert float(tv_distance(histogram(scalar), 12)) < 0.12
+
+
+@pytest.mark.parametrize(
+    "mode", [{"full_move_set": True}, {"conjugator_word_length": 2}]
+)
+def test_batch_kernel_matches_scalar_law_at_short_budget(mode):
+    # three steps leave the law far from uniform, so a wrong move shows
+    g = parse_group("sym:4")
+    a4 = normal_closure(g, [idx(g, "(0 1 2)")])
+    init = (parse_cycles("(0 1 2)", 4), parse_cycles("()", 4))
+    for cumulative in (True, False):
+        cfg = WalkConfig(k=2, step_budget=3, use_cumulative=cumulative, **mode)
+        batch = acr_sample_many(g, a4, init, cfg, np.random.default_rng(41), 40_000)
+        rng = np.random.default_rng(42)
+        scalar = [g.index_of(acr_sample(g, a4, init, cfg, rng)) for _ in range(8000)]
+        hb, hs = histogram(batch), histogram(np.array(scalar))
+        tv = sum(abs(hb.get(m, 0) / 40_000 - hs.get(m, 0) / 8000) for m in a4.members)
+        assert float(tv_distance(hs, 12)) > 0.2, (mode, cumulative)
+        assert tv / 2 < 0.04, (mode, cumulative, tv / 2)
 
 
 def test_pra_trivial_group():
@@ -185,41 +205,39 @@ def test_pra_mixes_on_sym6():
     init = (parse_cycles("(0 1)", 6), parse_cycles("(0 1 2 3 4 5)", 6))
     cfg = WalkConfig(k=2, step_budget=200)
     outs = pra_sample_many(g, init, cfg, np.random.default_rng(10), 30_000)
-    hist = {}
-    for o in outs:
-        i = g.index_of(o)
-        hist[i] = hist.get(i, 0) + 1
-    assert float(tv_distance(hist, 720)) < 0.1
+    assert float(tv_distance(histogram(outs), 720)) < 0.1
 
 
 def test_cayley_walk_budget_zero_is_identity():
     g = parse_group("sym:4")
     a4 = normal_closure(g, [idx(g, "(0 1 2)")])
-    out = cayley_class_walk(g, a4, (idx(g, "(0 1 2)"),), 0, np.random.default_rng(0))
-    assert out.is_identity()
+    outs = cayley_class_walk(g, a4, (idx(g, "(0 1 2)"),), 0, np.random.default_rng(0), 5)
+    assert outs.shape == (5,)
+    assert all(g.elements[o].is_identity() for o in outs)
 
 
 def test_cayley_walk_stays_in_class_closure():
     g = parse_group("sym:6")
     a6 = normal_closure(g, [idx(g, "(0 1 2)")])
     for budget in (1, 7, 40):
-        out = cayley_class_walk(
-            g, a6, (idx(g, "(0 1 2)"),), budget, np.random.default_rng(budget)
+        outs = cayley_class_walk(
+            g, a6, (idx(g, "(0 1 2)"),), budget, np.random.default_rng(budget), 30
         )
-        assert out.sign() > 0  # the 3-cycle class lies in alt:6
+        # the 3-cycle class lies in alt:6
+        assert all(g.elements[o].sign() > 0 for o in outs)
 
 
 def test_cayley_walk_rejects_non_generating_seeds():
     g = parse_group("sym:4")
     a4 = normal_closure(g, [idx(g, "(0 1 2)")])
     with pytest.raises(PreconditionError):
-        cayley_class_walk(g, a4, (idx(g, "(0 1)(2 3)"),), 5, np.random.default_rng(0))
+        cayley_class_walk(g, a4, (idx(g, "(0 1)(2 3)"),), 5, np.random.default_rng(0), 3)
 
 
 def test_mixing_diagnostic_exact_uniform():
     g = parse_group("sym:3")
     sub = whole(g)
-    report = mixing_diagnostic(list(g.elements) * 30, sub)
+    report = mixing_diagnostic(np.tile(np.arange(g.order), 30), sub)
     assert report.tv == 0
     assert report.chi2.statistic == pytest.approx(0.0)
     assert report.pass95
@@ -230,7 +248,7 @@ def test_mixing_diagnostic_point_mass():
 
     g = parse_group("sym:3")
     sub = whole(g)
-    report = mixing_diagnostic([g.elements[1]] * 120, sub)
+    report = mixing_diagnostic(np.full(120, 1), sub)
     assert report.tv == Fraction(5, 6)  # 1 - 1/|N|
     assert not report.pass95
 
@@ -238,10 +256,10 @@ def test_mixing_diagnostic_point_mass():
 def test_mixing_diagnostic_errors():
     g = parse_group("sym:3")
     with pytest.raises(PreconditionError):
-        mixing_diagnostic([], whole(g))
+        mixing_diagnostic(np.array([], dtype=np.int64), whole(g))
     a3 = normal_closure(g, [idx(g, "(0 1 2)")])
     with pytest.raises(PreconditionError):
-        mixing_diagnostic([g.elements[idx(g, "(0 1)")]], a3)
+        mixing_diagnostic(np.array([idx(g, "(0 1)")]), a3)
 
 
 def test_uniform_oracle_tv_alt5():
@@ -276,6 +294,6 @@ def test_word_mode_conjugators_deterministic_and_closed():
     b = acr_sample(g, a4, init, cfg, np.random.default_rng(21))
     assert a == b
     assert g.index_of(a) in a4.member_set
-    # word mode has no batch kernel: sample_many falls back to the scalar path
+    # word mode runs on the batch kernel too: conjugators fold generator words
     outs = acr_sample_many(g, a4, init, cfg, np.random.default_rng(22), 40)
-    assert all(g.index_of(o) in a4.member_set for o in outs)
+    assert all(o in a4.member_set for o in outs.tolist())
