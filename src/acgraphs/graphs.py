@@ -30,8 +30,10 @@ orbit of id tuples, then spread over the orbits and read off for the
 whole code space at once.  Exact diameters likewise sweep one BFS per
 orbit of a few code permutations that preserve the vertices and the moves
 (diagonal conjugation, position permutations, inversion of one
-component).  Both kinds of orbit come from one min-label propagation with
-pointer jumping; code orbit labels are cached per handle.
+component).  Both kinds of orbit come from ``groups.least_in_orbit``, the
+min-label propagation that also labels conjugacy classes; code orbit
+labels are cached per handle.  Every conjugation row is a column gather
+of ``FiniteGroup.conjugation_rows``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .elements import format_element
 from .errors import PreconditionError, ResourceCapError, VerificationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, least_in_orbit
 from .subgroups import (
     DEFAULT_TUPLE_CAP,
     Subgroup,
@@ -83,20 +85,6 @@ def _tuple_maps(perms: Sequence[np.ndarray], base: int, k: int) -> list[np.ndarr
     if k > 2:
         maps.append(sum(digits[(i + 1) % k] * radix[i] for i in range(k)))
     return maps
-
-
-def _least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Per point of ``range(n)``, the least point of its orbit under the
-    maps: min-label propagation along each map, then pointer jumping,
-    until nothing changes."""
-    lab = np.arange(n, dtype=np.int64)
-    while True:
-        prev = lab
-        for sigma in maps:
-            lab = np.minimum(lab, lab[sigma])
-        lab = lab[lab]
-        if np.array_equal(lab, prev):
-            return lab
 
 
 @dataclass(frozen=True)
@@ -236,21 +224,17 @@ class GraphHandle:
             return tuple(base) + tuple(self.group.inv(s) for s in base)
         return ()
 
-    def _conj_row(self, w: int) -> np.ndarray:
-        """Conjugation by w over member positions (-1 where it leaves N)."""
-        g, mt = self.group, self.group.mul_table
-        return self.pos_of[mt[mt[g.inv(w), self.member_idx].astype(np.int64), w]]
+    def _conj_rows(self, ws: Sequence[int]) -> np.ndarray:
+        """Row r: conjugation by ws[r] over member positions (-1 where it
+        leaves N)."""
+        return self.pos_of[self.group.conjugation_rows(ws)[:, self.member_idx]]
 
     def _conj_table(self) -> tuple[tuple[int, ...], np.ndarray]:
         """Conjugators and their rows over member positions, keeping the
         first conjugator of each distinct row and no identity row (w and
         wz act alike for central z)."""
         ws = self._conjugator_list()
-        if not ws:
-            return (), np.empty((0, self.nm), dtype=np.int64)
-        table = np.empty((len(ws), self.nm), dtype=np.int64)
-        for r, w in enumerate(ws):
-            table[r] = self._conj_row(w)
+        table = self._conj_rows(ws)
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
         first: dict[bytes, int] = {}
@@ -275,8 +259,8 @@ class GraphHandle:
             oracle.singleton_ids[self.member_idx], return_index=True, return_inverse=True
         )
         d = len(ids)
-        perms = [local[self._conj_row(s)[first]] for s in self.group.generators]
-        lab = _least_in_orbit(_tuple_maps(perms, d, k), d**k)
+        perms = local[self._conj_rows(self.group.generators)[:, first]]
+        lab = least_in_orbit(_tuple_maps(perms, d, k), d**k)
         reps = np.flatnonzero(lab == np.arange(d**k))
         acc = ids[reps // d ** (k - 1)]
         for i in range(1, k):
@@ -426,7 +410,7 @@ class GraphHandle:
         of component 0 (multiplication moves trade sides under it).
         """
         conjugators = () if self.mode.kind == "restricted-ac" else self.group.generators
-        maps = _tuple_maps([self._conj_row(s) for s in conjugators], self.nm, self.k)
+        maps = _tuple_maps(self._conj_rows(conjugators), self.nm, self.k)
         codes = np.arange(self.size, dtype=np.int64)
         c0 = codes // self.radix[0]
         maps.append(codes + (self.NINV[c0] - c0) * self.radix[0])
@@ -435,7 +419,7 @@ class GraphHandle:
     @cached_property
     def orbit_labels(self) -> np.ndarray:
         """Per code, the least code of its orbit under ``symmetry_maps``."""
-        return _least_in_orbit(self.symmetry_maps(), self.size)
+        return least_in_orbit(self.symmetry_maps(), self.size)
 
     def neighbors(self, tup: Sequence[int]) -> list[tuple[int, ...]]:
         """Deduplicated neighbor tuples of a vertex (self-loops removed)."""

@@ -4,7 +4,10 @@ A ``FiniteGroup`` owns an immutable, canonically ordered element list
 (index 0 is the identity, the rest sorted by payload), an inverse table
 and a dense numpy product table; all arithmetic on enumerated elements
 goes through these tables, and element objects serve parsing and
-printing.  Groups are built by ``parse_group`` from a small spec grammar:
+printing.  Conjugation is one table gather (``conjugation_rows``);
+``class_labels`` names each conjugacy class by its least member through
+``least_in_orbit``, the package's one orbit routine.  Groups are built by
+``parse_group`` from a small spec grammar:
 
     cyclic:n | abelian:e1,e2,... | sym:n | alt:n | dihedral:n | sl2:p
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cached_property
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -49,6 +53,20 @@ def max_elements_cap() -> int:
         raise GroupSpecError(
             f"environment cap ACGRAPHS_MAX_ELEMENTS is not an integer: {raw!r}"
         )
+
+
+def least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Per point of ``range(n)``, the least point of its orbit under the
+    maps: min-label propagation along each map, then pointer jumping,
+    until nothing changes."""
+    lab = np.arange(n, dtype=np.int64)
+    while True:
+        prev = lab
+        for sigma in maps:
+            lab = np.minimum(lab, lab[sigma])
+        lab = lab[lab]
+        if np.array_equal(lab, prev):
+            return lab
 
 
 class FiniteGroup:
@@ -157,6 +175,19 @@ class FiniteGroup:
     def conj(self, i: int, w: int) -> int:
         """Index of w^-1 * x_i * w."""
         return self.mul(self.mul(self.inv(w), i), w)
+
+    def conjugation_rows(self, ws: Iterable[int]) -> np.ndarray:
+        """Array of shape ``(len(ws), order)`` whose entry ``[r, i]`` is the
+        index of w^-1 * x_i * w for w = x_{ws[r]}."""
+        ws = np.fromiter(ws, dtype=np.int64)
+        mt = self.mul_table
+        return mt[mt[self.inv_array[ws][:, None], np.arange(self.order)], ws[:, None]]
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """Per element, the least index of its conjugacy class: its orbit
+        under conjugation by the generators."""
+        return least_in_orbit(self.conjugation_rows(self.generators), self.order)
 
     def comm(self, i: int, j: int) -> int:
         """Index of the commutator x_i^-1 x_j^-1 x_i x_j."""

@@ -2,13 +2,15 @@
 abelianization with invariant factors, quotients, normal-generation
 statistics and the lifting of normal generators through quotients.
 
-Everything works on element indices of a ``FiniteGroup``.  Heavy
-predicates (does this tuple normally generate?) go through a
-``JoinOracle``: the distinct single-element closures form a small
-join-semilattice, closures of sets are joins of singleton closures, and
-the joins are memoized.  So a tuple census folds joins over the
-distribution or the symmetry orbits of singleton-closure id tuples, never
-saturating once per tuple.
+Everything works on element indices of a ``FiniteGroup``.  Conjugacy
+classes, class unions and normal closures are read off the group's class
+labels, and so are normality tests; commutators, cosets and class powers
+are gathers of its product table.  Heavy predicates (does this tuple
+normally generate?) go through a ``JoinOracle``: the distinct
+single-element closures form a small join-semilattice, closures of sets
+are joins of singleton closures, and the joins are memoized.  So a tuple
+census folds joins over the distribution or the symmetry orbits of
+singleton-closure id tuples, never saturating once per tuple.
 """
 
 from __future__ import annotations
@@ -89,82 +91,62 @@ def _saturate(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(np.flatnonzero(member).tolist())
 
 
-def _is_normal_members(group: FiniteGroup, members: frozenset[int]) -> bool:
-    # closure under conjugation by the generators implies normality
-    return all(
-        group.conj(m, g) in members for m in members for g in group.generators
-    )
-
-
 def closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the seed indices."""
+    """Smallest subgroup containing the seed indices; normal when it is a
+    union of conjugacy classes."""
     members = _saturate(group, seed)
-    return Subgroup(group, tuple(sorted(members)), _is_normal_members(group, members))
-
-
-def conjugation_orbit(group: FiniteGroup, i: int) -> frozenset[int]:
-    """Conjugacy class of element i, as the orbit under generator conjugation."""
-    orbit = {i}
-    frontier = [i]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in group.generators:
-                y = group.conj(x, g)
-                if y not in orbit:
-                    orbit.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(orbit)
+    normal = class_union(group, members).size == len(members)
+    return Subgroup(group, tuple(sorted(members)), normal)
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
     """All conjugacy classes, each sorted, ordered by minimal member."""
-    seen: set[int] = set()
-    classes = []
-    for i in range(group.order):
-        if i in seen:
-            continue
-        cls = conjugation_orbit(group, i)
-        seen |= cls
-        classes.append(tuple(sorted(cls)))
-    return classes
+    by_class = np.argsort(group.class_labels, kind="stable")
+    _, starts = np.unique(group.class_labels[by_class], return_index=True)
+    return [tuple(cls.tolist()) for cls in np.split(by_class, starts[1:])]
+
+
+def class_union(group: FiniteGroup, seed: Iterable[int]) -> np.ndarray:
+    """Ascending indices of the union of the seeds' conjugacy classes."""
+    labels = group.class_labels
+    return np.flatnonzero(np.isin(labels, labels[np.fromiter(seed, dtype=np.int64)]))
 
 
 def normal_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup containing the seed: the subgroup generated
     by the union of the seeds' conjugacy classes."""
-    conjugates: set[int] = set()
-    for i in set(seed):
-        conjugates |= conjugation_orbit(group, i)
-    members = _saturate(group, conjugates)
+    members = _saturate(group, class_union(group, seed))
     return Subgroup(group, tuple(sorted(members)), True)
+
+
+def _commutators(group: FiniteGroup, elements: Sequence[int]) -> np.ndarray:
+    """Ascending indices of the commutators a^-1 b^-1 a b over all pairs
+    of the elements, gathered at most ``_SATURATE_CELLS`` cells at a time."""
+    a = np.asarray(elements, dtype=np.int64)
+    mt, a_inv = group.mul_table, group.inv_array[a]
+    hit = np.zeros(group.order, dtype=bool)
+    rows = max(1, _SATURATE_CELLS // max(a.size, 1))
+    for s in range(0, a.size, rows):
+        block = slice(s, s + rows)
+        hit[mt[mt[a_inv[block, None], a_inv], mt[a[block, None], a]]] = True
+    return np.flatnonzero(hit)
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
     """[G,G]: computed as the normal closure of generator commutators,
     which equals the closure of all commutators."""
-    gens = group.generators
-    comms = {group.comm(a, b) for a in gens for b in gens}
-    return normal_closure(group, comms)
+    return normal_closure(group, _commutators(group, group.generators))
 
 
 def is_soluble(group: FiniteGroup) -> bool:
     """Derived series reaches the trivial subgroup."""
     current = Subgroup(group, tuple(range(group.order)), True)
     while current.order > 1:
-        sub = _derived_of_members(group, current.members)
+        sub = _saturate(group, _commutators(group, current.members))
         if len(sub) == current.order:
             return False
         current = Subgroup(group, tuple(sorted(sub)), False)
     return True
-
-
-def _derived_of_members(group: FiniteGroup, members: Sequence[int]) -> frozenset[int]:
-    comms = {
-        group.comm(a, b) for a in members for b in members
-    }
-    return _saturate(group, comms)
 
 
 class JoinOracle:
@@ -195,9 +177,10 @@ class JoinOracle:
         ids = np.zeros(group.order, dtype=np.int64)
         if self.mode == "normal":
             # same class -> same normal closure
-            for cls in conjugacy_classes(group):
-                sub = normal_closure(group, [cls[0]]).member_set
-                ids[list(cls)] = self._intern(sub)
+            labels = group.class_labels
+            for rep in np.unique(labels).tolist():
+                sub = normal_closure(group, [rep]).member_set
+                ids[labels == rep] = self._intern(sub)
         else:
             # row t holds every element's t-th power, up to the largest order
             every = np.arange(group.order)
@@ -316,27 +299,18 @@ def quotient_group(
         raise PreconditionError("subgroup belongs to a different group")
     if not modulo.is_normal:
         raise PreconditionError("can only quotient by a normal subgroup")
-    mem = modulo.member_set
-    coset_id: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(group.order):
-        if i in coset_id:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for m in mem:
-            coset_id[group.mul(i, m)] = cid
-    q = len(reps)
-    perms = []
-    for c in range(q):
-        images = tuple(coset_id[group.mul(reps[i], reps[c])] for i in range(q))
-        perms.append(Permutation(images))
+    # each coset iM is named by its least element; cosets ordered by it
+    least = group.mul_table[:, list(modulo.members)].min(axis=1)
+    reps, coset_id = np.unique(least, return_inverse=True)
+    # column c: the cosets (iM)(cM) for every coset iM
+    perms = [
+        Permutation(col)
+        for col in coset_id[group.mul_table[np.ix_(reps, reps)]].T.tolist()
+    ]
     gen_perms = [perms[coset_id[g]] for g in group.generators]
     quotient = FiniteGroup(f"{group.name}/[order {modulo.order}]", perms, gen_perms)
-    projection = tuple(
-        quotient.index_of(perms[coset_id[i]]) for i in range(group.order)
-    )
-    return quotient, projection
+    q_index = np.array([quotient.index_of(p) for p in perms])
+    return quotient, tuple(q_index[coset_id].tolist())
 
 
 # -- abelianization -------------------------------------------------------------
@@ -579,17 +553,17 @@ def covering_numbers(group: FiniteGroup) -> CoveringNumbers:
             f"covering numbers need a simple group; {group.name} has "
             f"{len(subs)} normal subgroups"
         )
-    all_idx = frozenset(range(group.order))
     per_class = []
     for cls in conjugacy_classes(group):
         if cls == (0,):
             continue
-        current = frozenset(cls)
+        current = np.zeros(group.order, dtype=bool)
+        current[list(cls)] = True
         n = 1
-        while current != all_idx:
-            current = frozenset(
-                group.mul(a, b) for a in current for b in cls
-            )
+        while not current.all():
+            power = np.zeros(group.order, dtype=bool)
+            power[group.mul_table[np.ix_(np.flatnonzero(current), cls)]] = True
+            current = power
             n += 1
             if n > group.order:
                 raise AssertionError("class power never covers a simple group?")

@@ -46,7 +46,7 @@ from .stats import (
     histogram,
     tv_distance,
 )
-from .subgroups import Subgroup, conjugation_orbit, get_join_oracle
+from .subgroups import Subgroup, class_union, get_join_oracle
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,7 @@ def cayley_class_walk(
     oracle = get_join_oracle(group, "normal")
     if oracle.members_of(oracle.join_of_indices(seeds)) != normal.member_set:
         raise PreconditionError("seeds do not normally generate N")
-    union = set().union(*(conjugation_orbit(group, s) for s in set(seeds)))
-    steps = np.array(sorted(union), dtype=np.int64)
+    steps = class_union(group, seeds)
     pos = np.zeros(samples, dtype=np.int64)
     for col in rng.integers(len(steps), size=(samples, budget)).T:
         pos = group.mul_table[pos, steps[col]]

@@ -55,6 +55,18 @@ def brute_normal_closure(group_elements, seeds):
     return brute_mulclose(conjugates)
 
 
+def brute_classes(group_elements):
+    """Conjugacy classes {x^w : w in G}, in the order of their first member
+    in the listing."""
+    classes, seen = [], set()
+    for x in group_elements:
+        if x not in seen:
+            cls = {x.conjugate_by(w) for w in group_elements}
+            seen |= cls
+            classes.append(cls)
+    return classes
+
+
 def brute_center(group_elements, generators):
     """Elements that commute with every generator, hence with the group."""
     return {x for x in group_elements if all(x * s == s * x for s in generators)}

@@ -11,8 +11,10 @@ from acgraphs.groups import (
     parse_group,
     random_even_permutation,
 )
+from acgraphs.subgroups import conjugacy_classes
+from acgraphs.verify import SMALL_CORPUS
 
-from helpers import brute_mulclose
+from helpers import brute_classes, brute_mulclose
 
 
 def test_trivial_group():
@@ -205,3 +207,14 @@ def test_env_var_overrides_element_cap(monkeypatch):
         parse_group("sym:5")
     monkeypatch.delenv("ACGRAPHS_MAX_ELEMENTS")
     assert parse_group("sym:5").order == 120
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS + ("sym:5", "sl2:7"))
+def test_conjugation_rows_and_classes_match_element_objects(spec):
+    g = parse_group(spec)
+    els = g.elements
+    rows = g.conjugation_rows(range(g.order)).tolist()
+    for w, row in enumerate(rows):
+        assert row == [g.index_of(x.conjugate_by(els[w])) for x in els], w
+    classes = [{els[i] for i in cls} for cls in conjugacy_classes(g)]
+    assert classes == brute_classes(els)

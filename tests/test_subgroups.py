@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from acgraphs.elements import parse_cycles
@@ -52,9 +53,11 @@ def test_closure_of_three_cycle():
 def test_closure_matches_brute_force():
     g = parse_group("sym:4")
     for seed in ([idx(g, "(0 1)")], [idx(g, "(0 1 2)"), idx(g, "(0 1)(2 3)")]):
-        ours = {g.elements[i] for i in closure(g, seed).members}
+        sub = closure(g, seed)
+        ours = {g.elements[i] for i in sub.members}
         brute = brute_mulclose([g.elements[i] for i in seed])
         assert ours == brute
+        assert sub.is_normal == (brute_normal_closure(list(g.elements), ours) == ours)
 
 
 def test_normal_closure_identity_tuple():
@@ -218,6 +221,24 @@ def test_quotient_group_s4_mod_klein_is_s3():
             assert pi[g.mul(a, b)] == q.mul(pi[a], pi[b])
 
 
+@pytest.mark.parametrize("spec", SMALL_CORPUS)
+def test_quotients_by_every_normal_subgroup_match_element_cosets(spec):
+    g = parse_group(spec)
+    els = g.elements
+    for m in normal_subgroups(g):
+        q, pi = quotient_group(g, m)
+        assert q.order * m.order == g.order
+        assert sorted(set(pi)) == list(range(q.order))
+        proj = np.array(pi)
+        assert (proj[g.mul_table] == q.mul_table[np.ix_(proj, proj)]).all()
+        fibres: dict[int, set] = {}
+        for i, c in enumerate(pi):
+            fibres.setdefault(c, set()).add(els[i])
+        assert fibres[q.identity] == set(m.elements())
+        cosets = {frozenset(x * y for y in m.elements()) for x in els}
+        assert {frozenset(f) for f in fibres.values()} == cosets
+
+
 def test_quotient_requires_normal():
     g = parse_group("sym:4")
     two = closure(g, [idx(g, "(0 1)")])
@@ -285,9 +306,10 @@ def test_solubility():
 
 
 def test_covering_numbers_alt5():
-    cn = covering_numbers(parse_group("alt:5"))
-    assert cn.or_value == 2
-    assert cn.cn_value == 3
+    for spec in ("alt:5", "alt:6"):
+        cn = covering_numbers(parse_group(spec))
+        assert cn.or_value == 2, spec
+        assert cn.cn_value == 3, spec
 
 
 def test_covering_numbers_need_simple():
