@@ -2,13 +2,14 @@
 
 Words over {x, y, ...} are stored as sequences of signed generator
 numbers (+1 = x, -1 = x^-1, +2 = y, ...) and free-reduced by default.
-A word pair acts on a tuple by substitution; if the pair's exponent
-matrix is unimodular the image of a normally generating pair still
-normally generates, so the substitution maps vertices of the whole-group
-AC graph to vertices, and the interesting question is whether it can
-ever change the connected component.  ``scan_quotient`` answers it for
-one concrete group, ``distance_series`` tabulates distances over a
-family of groups.
+A word pair acts on a tuple by substitution, each word a fold of product
+table gathers over the tuple's element indices (``eval_word`` is the
+element-object reference).  If the pair's exponent matrix is unimodular
+the image of a normally generating pair still normally generates, so the
+substitution maps vertices of the whole-group AC graph to vertices, and
+the interesting question is whether it can ever change the connected
+component.  ``scan_quotient`` answers it for one concrete group,
+``distance_series`` tabulates distances over a family of groups.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .elements import GroupElement, identity_like
 from .errors import GroupSpecError, PreconditionError, ResourceCapError, VerificationError
@@ -65,9 +68,6 @@ class Word:
 
     def __str__(self):
         return word_to_text(self)
-
-    def to_json(self) -> dict:
-        return {"word": word_to_text(self), "rank": self.rank}
 
 
 _TOKEN = re.compile(r"([A-Za-z])(?:\s*\^\s*(-?\d+))?|\S")
@@ -164,17 +164,23 @@ def exponent_matrix(pair: WordPair) -> tuple[tuple[tuple[int, int], tuple[int, i
     return ((a, b), (c, d)), a * d - b * c
 
 
-def apply_pair_map(
-    pair: WordPair, tup: Sequence[int], group: FiniteGroup
-) -> tuple[int, ...]:
-    """(x, y) -> (u(x, y), v(x, y)) on a 2-tuple of element indices."""
+def apply_pair_map(pair: WordPair, tup: Sequence, group: FiniteGroup) -> tuple:
+    """(x, y) -> (u(x, y), v(x, y)) on a 2-tuple of element indices, or
+    elementwise on two index arrays; each word is a fold of product-table
+    gathers."""
     if len(tup) != 2 or pair.rank != 2:
         raise PreconditionError("the substitution map acts on 2-tuples")
-    images = [group.elements[i] for i in tup]
-    return (
-        group.index_of(eval_word(pair.u, images)),
-        group.index_of(eval_word(pair.v, images)),
-    )
+    x, y = np.asarray(tup[0]), np.asarray(tup[1])
+    letters = {1: x, -1: group.inv_array[x], 2: y, -2: group.inv_array[y]}
+
+    def fold(word: Word) -> np.ndarray:
+        acc = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+        for l in word.letters:
+            acc = group.mul_table[acc, letters[l]]
+        return acc
+
+    u, v = fold(pair.u), fold(pair.v)
+    return (int(u), int(v)) if u.ndim == 0 else (u, v)
 
 
 # The shortest surviving potential counterexample to the Andrews-Curtis

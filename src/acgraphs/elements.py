@@ -94,9 +94,6 @@ class Permutation:
     def sort_key(self):
         return self.images
 
-    def to_json(self) -> dict:
-        return {"type": "permutation", "images": list(self.images)}
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -157,9 +154,6 @@ class MatrixGF:
     def sort_key(self):
         return self.entries
 
-    def to_json(self) -> dict:
-        return {"type": "matrix", "entries": list(self.entries), "modulus": self.modulus}
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixGF)
@@ -217,13 +211,6 @@ class AbelianTuple:
     def sort_key(self):
         return self.residues
 
-    def to_json(self) -> dict:
-        return {
-            "type": "abelian",
-            "residues": list(self.residues),
-            "moduli": list(self.moduli),
-        }
-
     def __eq__(self, other):
         return (
             isinstance(other, AbelianTuple)
@@ -269,17 +256,6 @@ def cycle_count(a: GroupElement) -> int:
     if not isinstance(a, Permutation):
         raise TypeError(f"cycle_count needs a permutation, got {type(a).__name__}")
     return a.cycle_count()
-
-
-def element_from_json(data: dict) -> GroupElement:
-    kind = data.get("type")
-    if kind == "permutation":
-        return Permutation(data["images"])
-    if kind == "matrix":
-        return MatrixGF(data["entries"], data["modulus"])
-    if kind == "abelian":
-        return AbelianTuple(data["residues"], data["moduli"])
-    raise ValueError(f"unknown element payload: {data!r}")
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -38,7 +38,6 @@ of ``FiniteGroup.conjugation_rows``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -47,7 +46,7 @@ import numpy as np
 
 from .elements import format_element
 from .errors import PreconditionError, ResourceCapError, VerificationError
-from .groups import FiniteGroup, least_in_orbit
+from .groups import FiniteGroup, env_cap, least_in_orbit
 from .subgroups import (
     DEFAULT_TUPLE_CAP,
     Subgroup,
@@ -60,11 +59,6 @@ from .subgroups import (
 )
 
 _CHUNK_CELLS = 2_000_000
-
-
-def tuple_cap() -> int:
-    raw = os.environ.get("ACGRAPHS_MAX_TUPLES")
-    return int(raw) if raw else DEFAULT_TUPLE_CAP
 
 
 def _tuple_maps(perms: Sequence[np.ndarray], base: int, k: int) -> list[np.ndarray]:
@@ -90,7 +84,6 @@ def _tuple_maps(perms: Sequence[np.ndarray], base: int, k: int) -> list[np.ndarr
 @dataclass(frozen=True)
 class GraphMode:
     kind: str  # "full-ac" | "restricted-ac" | "nielsen" | "extended-nielsen"
-    conjugators: tuple[int, ...] | None = None
     directed_conjugators: bool = False
 
     KINDS = ("full-ac", "restricted-ac", "nielsen", "extended-nielsen")
@@ -98,19 +91,14 @@ class GraphMode:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown graph mode {self.kind!r}")
-        if self.kind != "restricted-ac" and self.conjugators is not None:
-            raise ValueError("explicit conjugators only make sense in restricted-ac")
 
     @classmethod
     def full_ac(cls) -> "GraphMode":
         return cls("full-ac")
 
     @classmethod
-    def restricted_ac(
-        cls, conjugators: Sequence[int] | None = None, *, directed: bool = False
-    ) -> "GraphMode":
-        conj = tuple(conjugators) if conjugators is not None else None
-        return cls("restricted-ac", conj, directed)
+    def restricted_ac(cls, *, directed: bool = False) -> "GraphMode":
+        return cls("restricted-ac", directed)
 
     @classmethod
     def nielsen(cls) -> "GraphMode":
@@ -131,9 +119,7 @@ class GraphMode:
     def describe(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == "restricted-ac":
-            out["conjugators"] = (
-                "generators" if self.conjugators is None else list(self.conjugators)
-            )
+            out["conjugators"] = "generators"
             out["directedConjugators"] = self.directed_conjugators
         return out
 
@@ -171,7 +157,7 @@ class GraphHandle:
 
         members = np.array(self.normal.members, dtype=np.int64)
         nm = len(members)
-        limit = tuple_cap() if cap is None else cap
+        limit = env_cap("ACGRAPHS_MAX_TUPLES", DEFAULT_TUPLE_CAP) if cap is None else cap
         if nm**k > limit:
             raise ResourceCapError("graph_tuples", nm**k, limit)
         self.nm = nm
@@ -180,8 +166,8 @@ class GraphHandle:
         pos_of[members] = np.arange(nm)
         self.pos_of = pos_of
 
+        self.conjugator_indices, self.CONJ = self._conj_table(limit)
         self.NMUL, self.NINV = self._member_tables()
-        self.conjugator_indices, self.CONJ = self._conj_table()
 
         self.radix = np.array([nm ** (k - 1 - i) for i in range(k)], dtype=np.int64)
         self.size = nm**k
@@ -202,21 +188,17 @@ class GraphHandle:
         ninv = self.pos_of[g.inv_array[m]]
         if (ninv < 0).any():
             raise PreconditionError("member set not closed under inverse")
-        nmul = self.pos_of[g.mul_table[np.ix_(m, m)].astype(np.int64)]
+        nmul = self.pos_of[g.mul_table[np.ix_(m, m)]]
         if (nmul < 0).any():
             raise PreconditionError("member set not closed under product")
-        return nmul.astype(np.int64), ninv.astype(np.int64)
+        return nmul, ninv
 
     def _conjugator_list(self) -> tuple[int, ...]:
         mode = self.mode
         if mode.kind == "full-ac":
             return tuple(range(self.group.order))
         if mode.kind == "restricted-ac":
-            base = (
-                mode.conjugators
-                if mode.conjugators is not None
-                else self.group.generators
-            )
+            base = self.group.generators
             if not base:
                 raise PreconditionError("restricted AC needs a nonempty conjugator set")
             if mode.directed_conjugators:
@@ -229,19 +211,20 @@ class GraphHandle:
         leaves N)."""
         return self.pos_of[self.group.conjugation_rows(ws)[:, self.member_idx]]
 
-    def _conj_table(self) -> tuple[tuple[int, ...], np.ndarray]:
+    def _conj_table(self, limit: int) -> tuple[tuple[int, ...], np.ndarray]:
         """Conjugators and their rows over member positions, keeping the
         first conjugator of each distinct row and no identity row (w and
-        wz act alike for central z)."""
+        wz act alike for central z).  The table's cells count against the
+        tuple cap ``limit``."""
         ws = self._conjugator_list()
+        if len(ws) * self.nm > limit:
+            raise ResourceCapError("conjugation_table", len(ws) * self.nm, limit)
         table = self._conj_rows(ws)
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
-        first: dict[bytes, int] = {}
-        for r, row in enumerate(table):
-            first.setdefault(row.tobytes(), r)
-        first.pop(np.arange(self.nm, dtype=np.int64).tobytes(), None)
-        keep = list(first.values())
+        _, first = np.unique(table, axis=0, return_index=True)
+        keep = np.sort(first)
+        keep = keep[(table[keep] != np.arange(self.nm)).any(axis=1)]
         return tuple(ws[r] for r in keep), table[keep]
 
     def _vertex_mask(self) -> np.ndarray:
@@ -647,20 +630,6 @@ class CoverCheckReport:
     quotient_components: int
     correspondence: tuple[tuple[int, int, int], ...]  # (g label, size, q label)
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.name,
-            "moduloOrder": self.modulo_order,
-            "k": self.k,
-            "surjective": self.surjective,
-            "groupComponents": self.group_components,
-            "quotientComponents": self.quotient_components,
-            "correspondence": [
-                {"component": g, "size": s, "mapsTo": q}
-                for g, s, q in self.correspondence
-            ],
-        }
-
 
 def _component_map(
     src: GraphHandle,
@@ -734,19 +703,6 @@ class SolubleComponentReport:
     group_components: int
     quotient_components: int
     bijection: tuple[tuple[int, int, int], ...]  # (g label, size, q label)
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.name,
-            "k": self.k,
-            "invariantFactors": list(self.invariant_factors),
-            "groupComponents": self.group_components,
-            "quotientComponents": self.quotient_components,
-            "pairs": [
-                {"component": g, "size": s, "mapsTo": q}
-                for g, s, q in self.bijection
-            ],
-        }
 
 
 def soluble_component_check(group: FiniteGroup, k: int) -> SolubleComponentReport:

@@ -6,7 +6,8 @@ and a dense numpy product table; all arithmetic on enumerated elements
 goes through these tables, and element objects serve parsing and
 printing.  Conjugation is one table gather (``conjugation_rows``);
 ``class_labels`` names each conjugacy class by its least member through
-``least_in_orbit``, the package's one orbit routine.  Groups are built by
+``least_in_orbit``, the package's one orbit routine, and ``power_rows``
+tabulates every element's powers.  Groups are built by
 ``parse_group`` from a small spec grammar:
 
     cyclic:n | abelian:e1,e2,... | sym:n | alt:n | dihedral:n | sl2:p
@@ -43,16 +44,18 @@ from .errors import GroupSpecError, ResourceCapError
 DEFAULT_MAX_ELEMENTS = 8_192
 
 
-def max_elements_cap() -> int:
-    raw = os.environ.get("ACGRAPHS_MAX_ELEMENTS")
-    if raw is None:
-        return DEFAULT_MAX_ELEMENTS
+def env_cap(name: str, default: int) -> int:
+    """The integer size cap in environment variable ``name``, or
+    ``default`` when it is unset or empty."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
     try:
         return int(raw)
     except ValueError:
         raise GroupSpecError(
-            f"environment cap ACGRAPHS_MAX_ELEMENTS is not an integer: {raw!r}"
-        )
+            f"environment cap {name} is not an integer: {raw!r}"
+        ) from None
 
 
 def least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -193,13 +196,16 @@ class FiniteGroup:
         """Index of the commutator x_i^-1 x_j^-1 x_i x_j."""
         return self.mul(self.mul(self.inv(i), self.inv(j)), self.mul(i, j))
 
-    def element_order(self, i: int) -> int:
-        n = 1
-        j = i
-        while j != 0:
-            j = self.mul(j, i)
-            n += 1
-        return n
+    def power_rows(self) -> np.ndarray:
+        """Array whose row t holds every element's t-th power, for t from 0
+        up to the largest element order, in the product table's dtype."""
+        every = np.arange(self.order)
+        rows = [np.zeros(self.order, dtype=self.mul_table.dtype)]
+        returned = np.zeros(self.order, dtype=bool)
+        while not returned.all():
+            rows.append(self.mul_table[rows[-1], every])
+            returned |= rows[-1] == 0
+        return np.stack(rows)
 
     def random_index(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.order))
@@ -259,10 +265,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_cap(order: int, cap: int | None) -> None:
-    limit = max_elements_cap() if cap is None else cap
-    if order > limit:
-        raise ResourceCapError("max_elements", order, limit)
+def _check_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise ResourceCapError("max_elements", order, cap)
 
 
 def _cycle_perm(n: int, points: Sequence[int]) -> Permutation:
@@ -272,7 +277,7 @@ def _cycle_perm(n: int, points: Sequence[int]) -> Permutation:
     return Permutation(images)
 
 
-def _sym_group(n: int, cap: int | None) -> FiniteGroup:
+def _sym_group(n: int, cap: int) -> FiniteGroup:
     _check_cap(math.factorial(n), cap)
     els = [Permutation(p) for p in permutations(range(n))]
     if n < 2:
@@ -284,7 +289,7 @@ def _sym_group(n: int, cap: int | None) -> FiniteGroup:
     return FiniteGroup(f"sym:{n}", els, gens)
 
 
-def _alt_group(n: int, cap: int | None) -> FiniteGroup:
+def _alt_group(n: int, cap: int) -> FiniteGroup:
     order = max(math.factorial(n) // 2, 1)
     _check_cap(order, cap)
     els = [Permutation(p) for p in permutations(range(n)) if Permutation(p).sign() > 0]
@@ -299,7 +304,7 @@ def _alt_group(n: int, cap: int | None) -> FiniteGroup:
     return FiniteGroup(f"alt:{n}", els, gens)
 
 
-def _sl2_group(p: int, cap: int | None) -> FiniteGroup:
+def _sl2_group(p: int, cap: int) -> FiniteGroup:
     if not _is_prime(p):
         raise GroupSpecError(f"sl2 needs a prime modulus, got {p}")
     if p == 2:
@@ -317,7 +322,7 @@ def _sl2_group(p: int, cap: int | None) -> FiniteGroup:
     return FiniteGroup(f"sl2:{p}", els, gens)
 
 
-def _abelian_group(moduli: Sequence[int], name: str, cap: int | None) -> FiniteGroup:
+def abelian_group(moduli: Sequence[int], name: str, cap: int) -> FiniteGroup:
     order = math.prod(moduli) if moduli else 1
     _check_cap(order, cap)
     els = [
@@ -333,7 +338,7 @@ def _abelian_group(moduli: Sequence[int], name: str, cap: int | None) -> FiniteG
     return FiniteGroup(name, els, gens)
 
 
-def _dihedral_group(n: int, cap: int | None) -> FiniteGroup:
+def _dihedral_group(n: int, cap: int) -> FiniteGroup:
     if n < 3:
         raise GroupSpecError(f"dihedral:{n} has no faithful n-gon action; use n >= 3")
     _check_cap(2 * n, cap)
@@ -362,18 +367,20 @@ def parse_group(spec: str, *, max_elements: int | None = None) -> FiniteGroup:
     kind, sep, arg = spec.partition(":")
     if not sep or not arg:
         raise GroupSpecError(f"malformed group spec: {spec!r}")
+    if max_elements is None:
+        max_elements = env_cap("ACGRAPHS_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
     try:
         if kind == "cyclic":
             n = int(arg)
             if n < 1:
                 raise GroupSpecError(f"cyclic:{arg}: order must be >= 1")
             moduli = () if n == 1 else (n,)
-            return _abelian_group(moduli, f"cyclic:{n}", max_elements)
+            return abelian_group(moduli, f"cyclic:{n}", max_elements)
         if kind == "abelian":
             moduli = tuple(int(t) for t in arg.split(","))
             if not moduli or any(m < 2 for m in moduli):
                 raise GroupSpecError(f"abelian moduli must all be >= 2: {arg!r}")
-            return _abelian_group(moduli, f"abelian:{arg}", max_elements)
+            return abelian_group(moduli, f"abelian:{arg}", max_elements)
         if kind == "sym":
             n = int(arg)
             if not (1 <= n <= 10):

@@ -5,12 +5,15 @@ statistics and the lifting of normal generators through quotients.
 Everything works on element indices of a ``FiniteGroup``.  Conjugacy
 classes, class unions and normal closures are read off the group's class
 labels, and so are normality tests; commutators, cosets and class powers
-are gathers of its product table.  Heavy predicates (does this tuple
-normally generate?) go through a ``JoinOracle``: the distinct
-single-element closures form a small join-semilattice, closures of sets
-are joins of singleton closures, and the joins are memoized.  So a tuple
-census folds joins over the distribution or the symmetry orbits of
-singleton-closure id tuples, never saturating once per tuple.
+are gathers of its product table.  The abelianization reads a basis of
+G/[G,G] off that quotient's power rows, one basis element per pass, and
+each element's coordinates are its position in the grid of the span.
+Heavy predicates (does this tuple normally generate?) go through a
+``JoinOracle``: the distinct single-element closures form a small
+join-semilattice, closures of sets are joins of singleton closures, and
+the joins are memoized.  So a tuple census folds joins over the
+distribution or the symmetry orbits of singleton-closure id tuples,
+never saturating once per tuple.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .elements import AbelianTuple, GroupElement, Permutation
+from .elements import GroupElement, Permutation
 from .errors import PreconditionError, ResourceCapError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, abelian_group
 
 DEFAULT_ND_CAP = 200
 DEFAULT_TUPLE_CAP = 4_000_000
@@ -54,14 +57,6 @@ class Subgroup:
 
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(self.group.elements[i] for i in self.members)
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.name,
-            "members": list(self.members),
-            "order": self.order,
-            "isNormal": self.is_normal,
-        }
 
     def __repr__(self):
         return f"Subgroup({self.group.name}, order={self.order}, normal={self.is_normal})"
@@ -182,14 +177,7 @@ class JoinOracle:
                 sub = normal_closure(group, [rep]).member_set
                 ids[labels == rep] = self._intern(sub)
         else:
-            # row t holds every element's t-th power, up to the largest order
-            every = np.arange(group.order)
-            powers = [np.zeros(group.order, dtype=np.int64)]
-            returned = np.zeros(group.order, dtype=bool)
-            while not returned.all():
-                powers.append(group.mul_table[powers[-1], every].astype(np.int64))
-                returned |= powers[-1] == 0
-            powers = np.stack(powers)
+            powers = group.power_rows()
             orders = np.argmax(powers[1:] == 0, axis=0) + 1
             for i in range(group.order):
                 ids[i] = self._intern(frozenset(powers[: orders[i], i].tolist()))
@@ -293,7 +281,9 @@ def quotient_group(
     Cosets act on themselves by right multiplication; each coset becomes a
     permutation of the coset indices (the regular representation, faithful
     and compatible with the left-to-right composition convention).
-    Returns ``(Q, pi)`` with ``pi[g] = index in Q of gM``.
+    Returns ``(Q, pi)`` with ``pi[g] = index in Q of gM``: cosets are
+    numbered by their least element, and the permutation of coset c sends
+    coset 0 to c, so Q's canonical order keeps that numbering.
     """
     if modulo.group is not group:
         raise PreconditionError("subgroup belongs to a different group")
@@ -309,8 +299,7 @@ def quotient_group(
     ]
     gen_perms = [perms[coset_id[g]] for g in group.generators]
     quotient = FiniteGroup(f"{group.name}/[order {modulo.order}]", perms, gen_perms)
-    q_index = np.array([quotient.index_of(p) for p in perms])
-    return quotient, tuple(q_index[coset_id].tolist())
+    return quotient, tuple(coset_id.tolist())
 
 
 # -- abelianization -------------------------------------------------------------
@@ -323,93 +312,53 @@ class AbelianStructure:
     group: FiniteGroup
     invariant_factors: tuple[int, ...]
     target: FiniteGroup  # the concrete product of Z_{e_i}
-    projection: tuple[AbelianTuple, ...]  # per ambient element index
     projection_idx: tuple[int, ...]  # per ambient element index, into target
 
     @property
     def order(self) -> int:
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.name,
-            "invariantFactors": list(self.invariant_factors),
-            "generatorImages": [
-                self.projection[g].to_json() for g in self.group.generators
-            ],
-        }
-
-
-def _abelian_basis(q: FiniteGroup) -> list[int]:
-    """Basis of an abelian group: element indices of orders m_1 >= m_2 >= ...
-    forming a direct decomposition with the divisibility chain reversed."""
-    if q.order == 1:
-        return []
-    orders = [(q.element_order(i), i) for i in range(q.order)]
-    m, a = max(orders)
-    cyc = _saturate(q, [a])
-    sub = Subgroup(q, tuple(sorted(cyc)), True)  # abelian: everything normal
-    q2, pi2 = quotient_group(q, sub)
-    # powers of a for discrete logs in <a>
-    power_of: dict[int, int] = {}
-    x, e = 0, 0
-    while True:
-        power_of[x] = e
-        x = q.mul(x, a)
-        e += 1
-        if x == 0 and e > 0:
-            break
-    basis = [a]
-    for b2 in _abelian_basis(q2):
-        d = q2.element_order(b2)
-        b = next(i for i in range(q.order) if pi2[i] == b2)
-        bd = 0
-        for _ in range(d):
-            bd = q.mul(bd, b)
-        t = power_of[bd]
-        if t % d != 0:
-            raise AssertionError("abelian basis lift: order obstruction")
-        shift = (-(t // d)) % m
-        adj = 0
-        for _ in range(shift):
-            adj = q.mul(adj, a)
-        basis.append(q.mul(b, adj))
-    return basis
-
 
 def abelianization(group: FiniteGroup) -> AbelianStructure:
-    """Invariant factors of G/[G,G] and the projection map for every element."""
-    derived = derived_subgroup(group)
-    quotient, pi = quotient_group(group, derived)
-    basis = _abelian_basis(quotient)
-    orders_desc = [quotient.element_order(b) for b in basis]
-    factors = tuple(reversed(orders_desc))  # ascending chain e_1 | ... | e_r
+    """Invariant factors of Q = G/[G,G] and the projection of every element.
+
+    A basis of Q is found one element at a time, largest order first.
+    With H the span of the basis so far, held as the grid of its members
+    indexed by their coordinates (the newest basis element on the first
+    axis), each pass reads off Q's power rows the order of every element
+    modulo H, takes an element b of the largest such order d, and shifts
+    b by an element of H so that b^d = 1; H then grows by the powers of b.
+    The grid's shape is the chain e_1 | ... | e_r, and an element's flat
+    position in the final grid is its index in the product of the Z_{e_i}.
+    """
+    quotient, pi = quotient_group(group, derived_subgroup(group))
+    mt, powers = quotient.mul_table, quotient.power_rows()
+    grid = np.zeros((), dtype=mt.dtype)
+    inside = np.zeros(quotient.order, dtype=bool)
+    inside[0] = True
+    position = np.zeros(quotient.order, dtype=np.int64)
+    while not inside.all():
+        order_mod_h = np.argmax(inside[powers[1:]], axis=0) + 1
+        b = int(np.argmax(order_mod_h))
+        d = int(order_mod_h[b])
+        position[grid.ravel()] = np.arange(grid.size)
+        coords = np.array(np.unravel_index(position[powers[d, b]], grid.shape))
+        if (coords % d).any():
+            raise AssertionError("abelian basis lift: order obstruction")
+        b = mt[b, grid[tuple(-coords // d)]]  # negative indices wrap
+        grid = mt[powers[:d, b].reshape((d,) + (1,) * grid.ndim), grid]
+        inside[grid] = True
+    if grid.size != quotient.order:
+        raise AssertionError("abelian basis is not independent")
+    factors = grid.shape
     for small, big in zip(factors, factors[1:]):
         if big % small != 0:
             raise AssertionError(f"invariant factors not a chain: {factors}")
-    # coordinates of every quotient element w.r.t. the basis
-    coords: dict[int, tuple[int, ...]] = {}
-    for exps in product(*[range(m) for m in orders_desc]) if basis else [()]:
-        x = 0
-        for b, e in zip(basis, exps):
-            for _ in range(e):
-                x = quotient.mul(x, b)
-        key = tuple(reversed(exps))  # ascending factor order
-        if x in coords:
-            raise AssertionError("abelian basis is not independent")
-        coords[x] = key
-    if len(coords) != quotient.order:
-        raise AssertionError("abelian basis does not span")
-    target_elements = [AbelianTuple(r, factors) for r in coords.values()]
-    gens = []
-    for i in range(len(factors)):
-        unit = [0] * len(factors)
-        unit[i] = 1
-        gens.append(AbelianTuple(unit, factors))
-    target = FiniteGroup(f"ab({group.name})", target_elements, gens)
-    projection = tuple(AbelianTuple(coords[pi[i]], factors) for i in range(group.order))
-    projection_idx = tuple(target.index_of(t) for t in projection)
-    return AbelianStructure(group, factors, target, projection, projection_idx)
+    target = abelian_group(factors, f"ab({group.name})", quotient.order)
+    position[grid.ravel()] = np.arange(grid.size)
+    return AbelianStructure(
+        group, factors, target, tuple(position[np.asarray(pi)].tolist())
+    )
 
 
 # -- normal generation statistics ------------------------------------------------

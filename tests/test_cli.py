@@ -174,6 +174,9 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "analyze", "--group", "sym:8", "--k", "3")
     assert code == 3
+    # 5,040 tuples, but a 5,040 x 5,040 conjugation table
+    code, _, err = run_cli(capsys, "analyze", "--group", "sym:7", "--k", "1")
+    assert code == 3 and "conjugation_table" in err
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     code, _, err = run_cli(capsys, "scan")
@@ -182,7 +185,8 @@ def test_exit_codes(capsys):
 
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
     missing = tmp_path / "missing"
-    cases = [
+    # (environment overrides, argv)
+    cases = [({}, argv) for argv in (
         ("analyze", "--group", "alt:5", "--k", "2", "--distance", "(0 1)|(0 1 2)"),
         ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1)"),
         ("walk", "--group", "alt:5", "--normal", "ncl:(0 1)", "--init", "(0 1 2)"),
@@ -193,18 +197,22 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",
          "--output", str(missing / "out.csv")),
+    )] + [
+        ({"ACGRAPHS_MAX_TUPLES": "lots"}, ("analyze", "--group", "sym:3", "--k", "2")),
+        ({"ACGRAPHS_MAX_ELEMENTS": "lots"}, ("analyze", "--group", "sym:3", "--k", "2")),
     ]
     (tmp_path / "hist.json").write_text('{"1": 3, "2": 5}')
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    for argv in cases:
+    for overrides, argv in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "acgraphs.cli", *argv],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, **overrides},
         )
         assert proc.returncode == 1, argv
         assert proc.stderr.startswith("error: "), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+        assert all(name in proc.stderr for name in overrides), proc.stderr
 
 
 def test_walk_with_too_few_samples_reports_insufficient_samples():

@@ -110,6 +110,21 @@ def test_apply_pair_map_identity_and_swap():
     assert apply_pair_map(parse_pair("y", "x"), t, g) == (t[1], t[0])
 
 
+@pytest.mark.parametrize("spec", ["sym:4", "sl2:5"])
+def test_apply_pair_map_matches_eval_word_on_every_pair(spec):
+    g = parse_group(spec)
+    x, y = np.divmod(np.arange(g.order**2), g.order)
+    for pair in (AK_PAIR, parse_pair("y", "x"), parse_pair("x y", "y")):
+        u, v = apply_pair_map(pair, (x, y), g)
+        expected = [
+            [g.index_of(eval_word(w, [g.elements[a], g.elements[b]]))
+             for w in (pair.u, pair.v)]
+            for a, b in zip(x.tolist(), y.tolist())
+        ]
+        assert np.column_stack((u, v)).tolist() == expected
+        assert apply_pair_map(pair, (int(x[-1]), int(y[-1])), g) == tuple(expected[-1])
+
+
 def test_scan_identity_pair_distance_zero():
     g = parse_group("sl2:3")
     report = scan_quotient(

@@ -8,7 +8,6 @@ from acgraphs.elements import (
     Permutation,
     conj,
     cycle_count,
-    element_from_json,
     format_cycles,
     identity_like,
     parse_cycles,
@@ -114,15 +113,6 @@ def test_cycle_notation_round_trip():
     assert parse_cycles("()", 4).is_identity()
     with pytest.raises(ValueError):
         parse_cycles("(0 1)(1 2)", 4)  # not disjoint
-
-
-def test_json_round_trip():
-    for el in (
-        parse_cycles("(0 1 2)", 4),
-        MatrixGF((1, 2, 0, 1), 7),
-        AbelianTuple((1, 0), (2, 3)),
-    ):
-        assert element_from_json(el.to_json()) == el
 
 
 def test_pickle_round_trip():

@@ -177,6 +177,17 @@ def test_graph_tuple_cap():
         GraphHandle(g, 3, GraphMode.full_ac(), cap=10_000)
 
 
+def test_conjugation_table_counts_against_the_tuple_cap():
+    # 120 tuples fit, but the table has 120 conjugators x 120 members
+    g = parse_group("sym:5")
+    with pytest.raises(ResourceCapError) as exc:
+        GraphHandle(g, 1, GraphMode.full_ac(), cap=1_000)
+    assert exc.value.cap_name == "conjugation_table"
+    # restricted AC conjugates by 4 elements only; the odd permutations
+    # normally generate sym:5
+    assert GraphHandle(g, 1, GraphMode.restricted_ac(), cap=1_000).vertex_count == 60
+
+
 # -- neighbors ---------------------------------------------------------------------
 
 
@@ -690,8 +701,11 @@ def test_restricted_mode_needs_generators():
 def test_graph_mode_validation():
     with pytest.raises(ValueError):
         GraphMode("bogus")
-    with pytest.raises(ValueError):
-        GraphMode("nielsen", conjugators=(0,))
+    assert GraphMode.restricted_ac().describe() == {
+        "kind": "restricted-ac",
+        "conjugators": "generators",
+        "directedConjugators": False,
+    }
 
 
 def test_soluble_component_check_disconnected_case():

@@ -126,15 +126,38 @@ def test_abelianization_divisibility_chain():
 def test_abelianization_projection_is_homomorphism():
     g = parse_group("sym:4")
     ab = abelianization(g)
+    proj = ab.projection_idx
     for a in range(0, g.order, 3):
         for b in range(0, g.order, 5):
-            assert (
-                ab.projection[g.mul(a, b)]
-                == ab.projection[a] * ab.projection[b]
-            )
+            assert proj[g.mul(a, b)] == ab.target.mul(proj[a], proj[b])
     # kernel = derived subgroup
-    kernel = {i for i in range(g.order) if ab.projection[i].is_identity()}
+    kernel = {i for i in range(g.order) if proj[i] == 0}
     assert kernel == set(derived_subgroup(g).members)
+
+
+ABELIANIZATION_FACTORS = {
+    "abelian:4,6": (2, 12),
+    "abelian:6,10": (2, 30),
+    "abelian:8,12": (4, 24),
+    "abelian:2,3,4,5": (2, 60),
+    "abelian:2,4,8": (2, 4, 8),
+}
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS + tuple(ABELIANIZATION_FACTORS))
+def test_abelianization_is_onto_homomorphism_with_derived_kernel(spec):
+    g = parse_group(spec)
+    ab = abelianization(g)
+    factors = ab.invariant_factors
+    if spec in ABELIANIZATION_FACTORS:
+        assert factors == ABELIANIZATION_FACTORS[spec]
+    assert all(big % small == 0 for small, big in zip(factors, factors[1:]))
+    assert ab.target.order == ab.order
+    proj = np.array(ab.projection_idx)
+    # homomorphism on the whole product table
+    assert (proj[g.mul_table] == ab.target.mul_table[proj[:, None], proj]).all()
+    assert tuple(np.flatnonzero(proj == 0)) == derived_subgroup(g).members
+    assert set(proj.tolist()) == set(range(ab.order))
 
 
 def test_nd_pair_examples():
