@@ -17,11 +17,17 @@ Vertices are encoded as mixed-radix integers over the member positions
 of N.  Edges are never stored.  One move table yields the images of a
 frontier under every move, block by block, as numpy gathers over
 precomputed product, inverse and conjugation tables (one row per distinct
-non-identity conjugation).  BFS marks each block in a reusable hit map,
-masks the map by the unvisited vertices and scans it for the next
-frontier, keeping only the distance array, the two masks and the
-frontier.  Geodesics walk back from the target over the distance array
-through the inverse moves, so no parent pointers are stored.
+non-identity conjugation); a caller may narrow the frontier between
+blocks.  BFS picks a direction per level.  A push level marks each block
+in a reusable hit map, masks the map by the unvisited vertices and scans
+it for the next frontier.  Once the unvisited vertices are no more than
+the frontier, a pull level instead reads the inverse moves of the
+unvisited codes and keeps those with a preimage in the frontier, dropping
+each code from the scan at its first hit (Beamer, Asanovic & Patterson,
+SC 2012).  A BFS toward a target stops before the level that holds one
+of the target's preimages.  Geodesics walk back from the target over the
+distance array through the inverse moves, so no parent pointers are
+stored.
 
 The vertex predicate depends only on the tuple of the entries'
 singleton-closure ids, and is invariant under position permutations and
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -183,14 +189,24 @@ class GraphHandle:
 
     # -- tables -----------------------------------------------------------------
 
-    def _member_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        g, m = self.group, self.member_idx
+    def _member_tables(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """Product table (None at k = 1, where no multiplication move
+        exists) and inverse array over member positions.  Closure under
+        product is checked at every k, in row blocks of at most
+        ``_CHUNK_CELLS`` cells."""
+        g, m, nm = self.group, self.member_idx, self.nm
         ninv = self.pos_of[g.inv_array[m]]
         if (ninv < 0).any():
             raise PreconditionError("member set not closed under inverse")
-        nmul = self.pos_of[g.mul_table[np.ix_(m, m)]]
-        if (nmul < 0).any():
-            raise PreconditionError("member set not closed under product")
+        nmul = np.empty((nm, nm), dtype=np.int64) if self.k > 1 else None
+        member = self.pos_of >= 0
+        rows = max(1, _CHUNK_CELLS // nm)
+        for start in range(0, nm, rows):
+            block = g.mul_table[np.ix_(m[start : start + rows], m)]
+            if not member[block].all():
+                raise PreconditionError("member set not closed under product")
+            if nmul is not None:
+                nmul[start : start + rows] = self.pos_of[block]
         return nmul, ninv
 
     def _conjugator_list(self) -> tuple[int, ...]:
@@ -332,7 +348,7 @@ class GraphHandle:
 
     def _move_images(
         self, frontier: np.ndarray, *, backward: bool = False
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Generator[tuple[np.ndarray, np.ndarray], np.ndarray | None, None]:
         """Every move applied to every frontier code, in move-id order.
 
         Yields ``(move ids, codes)`` blocks, ``codes`` of shape
@@ -341,19 +357,31 @@ class GraphHandle:
         codes that one move takes to each frontier code (multiplication and
         inversion moves are closed under inverses, and conjugation by w is
         undone by conjugation by w^-1); their ids then do not name the
-        moves that lead from them.
+        moves that lead from them.  A caller may narrow the frontier
+        between blocks by sending a boolean mask over the columns of the
+        last block: later blocks hold the kept columns only.
         """
         k, nm = self.k, self.nm
-        comps = [(frontier // self.radix[i]) % nm for i in range(k)]
+        radix = self.radix[:, None]
+        comps = frontier // radix % nm
+        # rows 0..k-1: the components; rows k..2k-1: the code less component i
+        cols = np.concatenate((comps, frontier - comps * radix))
+        del comps
         conj = self._conj_backward if backward else self.CONJ
         rows = max(1, _CHUNK_CELLS // max(frontier.size, 1))
+
+        def narrow(keep: np.ndarray | None) -> None:
+            nonlocal cols
+            if keep is not None:
+                cols = cols[:, keep]
+
         for i in range(k):
-            a, r = comps[i], self.radix[i]
-            base = frontier - a * r
+            r = self.radix[i]
             for j in range(k):
                 if j == i:
                     continue
-                b, b_inv = comps[j], self.NINV[comps[j]]
+                a, b, base = cols[i], cols[j], cols[k + i]
+                b_inv = self.NINV[b]
                 pos = np.stack(
                     (self.NMUL[a, b], self.NMUL[a, b_inv],
                      self.NMUL[b, a], self.NMUL[b_inv, a])
@@ -361,15 +389,16 @@ class GraphHandle:
                 pos *= r
                 pos += base
                 first = (i * k + j) * 4
-                yield np.arange(first, first + 4), pos
+                narrow((yield np.arange(first, first + 4), pos))
             if self.mode.has_inversion:
-                yield np.array([self._inv_base + i]), base + self.NINV[a][None, :] * r
+                codes = cols[k + i] + self.NINV[cols[i]][None, :] * r
+                narrow((yield np.array([self._inv_base + i]), codes))
             for start in range(0, len(conj), rows):
-                block = conj[start : start + rows, a]
+                block = conj[start : start + rows, cols[i]]
                 block *= r
-                block += base
+                block += cols[k + i]
                 ids = self._conj_base + np.arange(start, start + len(block)) * k + i
-                yield ids, block
+                narrow((yield ids, block))
 
     def _images_of(
         self, code: int, *, backward: bool = False
@@ -417,8 +446,18 @@ class GraphHandle:
     def bfs_distances(
         self, sources: Sequence[int], *, target: int | None = None
     ) -> np.ndarray:
-        """Distance array (int32, -1 unreached) from source codes; stops
-        early when ``target`` is reached."""
+        """Distance array (int32, -1 unreached) from source codes.
+
+        Each level pushes every move from the frontier into a hit map,
+        unless the unvisited vertices are no more than the frontier: then
+        it pulls, testing each unvisited code's preimages against the
+        frontier and dropping the code at its first hit.  Every code has
+        the same number of moves, so a pull never scans more cells than
+        the push it replaces.  With ``target``, the target's preimages
+        are read once, and the BFS stops before expanding the level that
+        holds one of them, with ``dist[target]`` set and every lower
+        level complete.
+        """
         dist = np.full(self.size, -1, dtype=np.int32)
         src = np.unique(np.asarray(sources, dtype=np.int64))
         if not self.vertex_mask[src].all():
@@ -426,21 +465,56 @@ class GraphHandle:
         dist[src] = 0
         unvisited = self.vertex_mask.copy()
         unvisited[src] = False
+        unvisited_count = self.vertex_count - src.size
+        # the frontier's codes, on entry to every level
         hit = np.zeros(self.size, dtype=bool)
+        hit[src] = True
         frontier = src
+        if target is not None:
+            if dist[target] == 0:
+                return dist
+            _, target_preds = self._images_of(target, backward=True)
         d = 0
-        while frontier.size:
-            if target is not None and dist[target] >= 0:
+        while frontier.size and unvisited_count:
+            if target is not None and hit[target_preds].any():
+                dist[target] = d + 1
                 return dist
             d += 1
-            for _, codes in self._move_images(frontier):
-                hit[codes] = True
-            # codes marked at earlier levels are visited, so this clears them
-            hit &= unvisited
-            frontier = np.flatnonzero(hit)
+            if unvisited_count <= frontier.size:
+                frontier = self._pull(np.flatnonzero(unvisited), hit)
+                hit[:] = False
+                hit[frontier] = True
+            else:
+                for _, codes in self._move_images(frontier):
+                    hit[codes] = True
+                # codes marked at earlier levels are visited, so this clears them
+                hit &= unvisited
+                frontier = np.flatnonzero(hit)
             unvisited[frontier] = False
+            unvisited_count -= frontier.size
             dist[frontier] = d
         return dist
+
+    def _pull(self, candidates: np.ndarray, in_frontier: np.ndarray) -> np.ndarray:
+        """The candidate codes that one move leads to from a code of the
+        ``in_frontier`` mask; each candidate is dropped from the scan at its
+        first hit."""
+        found = [candidates[:0]]
+        images = self._move_images(candidates, backward=True)
+        keep = None
+        while candidates.size:
+            try:
+                _, preds = images.send(keep)
+            except StopIteration:
+                break
+            hits = in_frontier[preds].any(axis=0)
+            keep = None
+            if hits.any():
+                found.append(candidates[hits])
+                keep = ~hits
+                candidates = candidates[keep]
+        images.close()
+        return np.concatenate(found)
 
     def geodesic(self, source: int, target: int) -> list[dict] | None:
         """Move sequence of one shortest path source -> target, or None.
@@ -520,14 +594,17 @@ def components(handle: GraphHandle) -> ComponentPartition:
     labels = np.full(handle.size, -1, dtype=np.int32)
     sizes: list[int] = []
     reps: list[int] = []
-    vertex_codes = np.flatnonzero(handle.vertex_mask)
-    for code in vertex_codes:
-        if labels[code] >= 0:
-            continue
-        comp = handle.bfs_distances([int(code)]) >= 0
+    unlabeled = handle.vertex_mask.copy()
+    code = 0  # a cursor that only moves forward: no code below it is unlabeled
+    while True:
+        code += int(np.argmax(unlabeled[code:]))
+        if not unlabeled[code]:
+            break
+        comp = handle.bfs_distances([code]) >= 0
         labels[comp] = len(sizes)
+        unlabeled[comp] = False
         sizes.append(int(np.count_nonzero(comp)))
-        reps.append(int(code))
+        reps.append(code)
     return ComponentPartition(handle, labels, tuple(sizes), tuple(reps))
 
 

@@ -313,22 +313,35 @@ def _small_handles(ctx: VerifyContext) -> list[GraphHandle]:
     return out
 
 
+def _neighbor_pairs(handle: GraphHandle) -> tuple[np.ndarray, np.ndarray]:
+    """Codes (v, u) of each vertex v and each of its neighbours u != v,
+    from one pass of the move table, ordered by v and then by u, as
+    ``neighbors`` lists them vertex by vertex."""
+    codes = np.flatnonzero(handle.vertex_mask)
+    images = np.concatenate([block for _, block in handle._move_images(codes)])
+    v, u = np.divmod(np.unique(codes * handle.size + images), handle.size)
+    loop = u == v
+    return v[~loop], u[~loop]
+
+
 def check_move_closure(ctx: VerifyContext) -> CheckResult:
     """Every neighbor of a vertex has the same (normal) closure."""
     edges = 0
     for handle in _small_handles(ctx):
-        oracle = handle.oracle
-        for code in np.flatnonzero(handle.vertex_mask):
-            v = handle.decode(int(code))
-            vid = oracle.join_of_indices(v)
-            for u in handle.neighbors(v):
-                edges += 1
-                if oracle.join_of_indices(u) != vid:
-                    return CheckResult(
-                        "moves_preserve_closure",
-                        False,
-                        f"{handle.group.name} {handle.mode.kind}: {v} -> {u}",
-                    )
+        v, u = _neighbor_pairs(handle)
+        edges += len(v)
+        seen, at = np.unique(np.concatenate((v, u)), return_inverse=True)
+        ids = np.array(
+            [handle.oracle.join_of_indices(handle.decode(int(c))) for c in seen]
+        )[at]
+        bad = np.flatnonzero(ids[: len(v)] != ids[len(v) :])
+        if bad.size:
+            v0, u0 = (handle.decode(int(c[bad[0]])) for c in (v, u))
+            return CheckResult(
+                "moves_preserve_closure",
+                False,
+                f"{handle.group.name} {handle.mode.kind}: {v0} -> {u0}",
+            )
     return CheckResult("moves_preserve_closure", True, f"{edges} edges")
 
 
@@ -336,16 +349,16 @@ def check_undirected(ctx: VerifyContext) -> CheckResult:
     """u in neighbors(v) iff v in neighbors(u)."""
     pairs = 0
     for handle in _small_handles(ctx):
-        for code in np.flatnonzero(handle.vertex_mask):
-            v = handle.decode(int(code))
-            for u in handle.neighbors(v):
-                pairs += 1
-                if v not in handle.neighbors(u):
-                    return CheckResult(
-                        "neighbors_symmetric",
-                        False,
-                        f"{handle.group.name} {handle.mode.kind}: {v} / {u}",
-                    )
+        v, u = _neighbor_pairs(handle)
+        pairs += len(v)
+        bad = np.flatnonzero(~np.isin(u * handle.size + v, v * handle.size + u))
+        if bad.size:
+            v0, u0 = (handle.decode(int(c[bad[0]])) for c in (v, u))
+            return CheckResult(
+                "neighbors_symmetric",
+                False,
+                f"{handle.group.name} {handle.mode.kind}: {v0} / {u0}",
+            )
     return CheckResult("neighbors_symmetric", True, f"{pairs} directed edges")
 
 

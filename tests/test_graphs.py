@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,136 @@ def test_bfs_distances_match_brute_force_in_every_mode():
             for v, d in brute_distances(adj, source).items():
                 expected[h.encode([g.index_of(e) for e in v])] = d
             assert np.array_equal(dist, expected), (g.name, k, mode)
+
+
+def _spy_move_images(monkeypatch, h):
+    """Record (backward, frontier size, cells yielded) for every
+    ``_move_images`` stream of ``h``, passing sent masks through."""
+    log = []
+    move_images = h._move_images
+
+    def spy(frontier, *, backward=False):
+        stream = move_images(frontier, backward=backward)
+        cells, keep = 0, None
+        try:
+            while True:
+                ids, codes = stream.send(keep)
+                cells += codes.size
+                keep = yield ids, codes
+        except StopIteration:
+            pass
+        finally:
+            log.append((backward, frontier.size, cells))
+
+    monkeypatch.setattr(h, "_move_images", spy)
+    return log
+
+
+def _move_table_adjacency(h):
+    """Out-neighbour sets of every vertex code from one forward pass of the
+    move table (itself checked against element-object moves above)."""
+    codes = np.flatnonzero(h.vertex_mask)
+    images = np.concatenate([block for _, block in h._move_images(codes)])
+    return {int(c): set(images[:, n].tolist()) for n, c in enumerate(codes)}
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [("alt:5", GraphMode.full_ac()), ("sl2:5", GraphMode.restricted_ac(directed=True))],
+)
+def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode):
+    h = GraphHandle(parse_group(spec), 2, mode)
+    adj = _move_table_adjacency(h)
+    moves = len(h._images_of(0)[0])
+    log = _spy_move_images(monkeypatch, h)
+    for source in np.flatnonzero(h.vertex_mask)[:: h.vertex_count // 3][:3]:
+        log.clear()
+        dist = h.bfs_distances([int(source)])
+        expected = np.full(h.size, -1, dtype=np.int32)
+        for v, d in brute_distances(adj, int(source)).items():
+            expected[v] = d
+        assert np.array_equal(dist, expected)
+        # one stream per level expanded, from the codes at distance `level`;
+        # the last level is not expanded once every vertex is reached
+        assert len(log) == dist.max() + (dist[h.vertex_mask] < 0).any()
+        pulls = 0
+        for level, (backward, width, cells) in enumerate(log):
+            frontier = int(np.count_nonzero(dist == level))
+            if backward:
+                pulls += 1
+                assert width <= frontier
+                assert cells <= frontier * moves
+            else:
+                assert width == frontier and cells == frontier * moves
+        assert pulls >= 2
+
+
+@pytest.mark.parametrize(
+    "spec, mode, stride",
+    # sl2:5 full AC has 14,396 vertices: every 10th one and one per level
+    [("sl2:5", GraphMode.full_ac(), 10), ("alt:5", GraphMode.nielsen(), 1)],
+)
+def test_bfs_stops_at_a_target_with_the_levels_below_it(spec, mode, stride):
+    h = GraphHandle(parse_group(spec), 2, mode)
+    codes = np.flatnonzero(h.vertex_mask)
+    source = int(codes[len(codes) // 2])
+    full = h.bfs_distances([source])
+    _, first_of_level = np.unique(full[codes], return_index=True)
+    targets = np.union1d(codes[::stride], codes[first_of_level])
+    for t in targets:
+        dist = h.bfs_distances([source], target=int(t))
+        assert dist[t] == full[t]
+        below = (full >= 0) & (full < full[t]) if full[t] >= 0 else full >= 0
+        assert np.array_equal(dist[below], full[below])
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_narrowed_move_stream_matches_a_fresh_stream(monkeypatch, backward):
+    monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", 400)
+    h = GraphHandle(parse_group("sym:4"), 2, GraphMode.full_ac())
+    frontier = np.flatnonzero(h.vertex_mask)[:40]
+    # ten blocks of at most 10 rows; drop every third column after block 2,
+    # then every second remaining column after block 6
+    drops = {2: 3, 6: 2}
+    stream = h._move_images(frontier, backward=backward)
+    later = []  # (frontier of the block, move id, image row)
+    mask = None
+    for n in itertools.count():
+        try:
+            ids, codes = stream.send(mask)
+        except StopIteration:
+            break
+        assert codes.shape == (len(ids), frontier.size)
+        if n > 2:
+            later += [(frontier, move, row) for move, row in zip(ids.tolist(), codes)]
+        mask = None
+        if n in drops:
+            mask = np.arange(frontier.size) % drops[n] != 0
+            frontier = frontier[mask]
+    assert len({f.size for f, _, _ in later}) == 2 and len(later) > 20
+    fresh = {}
+    for f in {f.size: f for f, _, _ in later}.values():
+        for ids, codes in h._move_images(f, backward=backward):
+            fresh.update(((f.size, move), row) for move, row in zip(ids.tolist(), codes))
+    for f, move, row in later:
+        assert np.array_equal(row, fresh[f.size, move]), (f.size, move)
+
+
+def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):
+    g = parse_group("sym:4")
+    h = GraphHandle(g, 1, GraphMode.full_ac())
+    assert h.NMUL is None
+    assert GraphHandle(g, 2, GraphMode.full_ac()).NMUL.shape == (24, 24)
+    # the identity and the transpositions: closed under inverse and
+    # conjugation, not under product
+    pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    transpositions = Subgroup(
+        g, tuple(sorted({0} | {idx(g, f"({a} {b})") for a, b in pairs})), True
+    )
+    monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", 14)  # two rows per block
+    for k in (1, 2):
+        with pytest.raises(PreconditionError, match="not closed under product"):
+            GraphHandle(g, k, GraphMode.full_ac(), transpositions)
 
 
 def test_distance_none_across_components():
