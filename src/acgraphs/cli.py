@@ -192,27 +192,13 @@ def _resolve_normal(group: FiniteGroup, spec: str) -> Subgroup:
     raise GroupSpecError(f"unknown normal-subgroup spec {spec!r}")
 
 
-def _graph_mode(name: str, *, directed: bool = False) -> GraphMode:
-    name = name.strip().lower()
-    if name == "full-ac":
-        return GraphMode.full_ac()
-    if name == "restricted-ac":
-        return GraphMode.restricted_ac(directed=directed)
-    if name == "nielsen":
-        return GraphMode.nielsen()
-    if name == "extended-nielsen":
-        return GraphMode.extended_nielsen()
-    raise GroupSpecError(f"unknown graph mode {name!r}")
-
-
 # -- analyze ------------------------------------------------------------------------
 
 
 def cmd_analyze(args, out) -> int:
     group = parse_group(args.group)
-    mode = _graph_mode(args.mode, directed=args.directed_conjugators)
-    normal = _resolve_normal(group, args.normal) if mode.is_ac else None
-    handle = GraphHandle(group, args.k, mode, normal)
+    mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
+    handle = GraphHandle(group, args.k, mode, _resolve_normal(group, args.normal))
     parts = components(handle)
     report = {
         "graph": handle.describe(),
@@ -315,6 +301,8 @@ def _run_walkers(kind, group, normal, init, cfg, seed, samples, threads):
 def cmd_walk(args, out) -> int:
     if args.samples < 1:
         raise GroupSpecError(f"--samples must be at least 1, got {args.samples}")
+    if args.threads < 1:
+        raise GroupSpecError(f"--threads must be at least 1, got {args.threads}")
     group = _resolve_walk_group(args.group)
     ambient = isinstance(group, SymmetricAmbient)
     if ambient and args.algorithm != "acr":
@@ -405,6 +393,8 @@ def cmd_stats(args, out) -> int:
     rows: list[dict] = []
     if args.stirling is not None:
         n = args.stirling
+        if n < 0:
+            raise GroupSpecError(f"--stirling must be at least 0, got {n}")
         rows = [
             {"n": n, "cycles": c, "value": stirling_first(n, c)}
             for c in range(0, n + 1)
@@ -469,7 +459,7 @@ def _resolve_pair(text: str) -> WordPair:
 
 def cmd_scan(args, out) -> int:
     pair = _resolve_pair(args.pair)
-    mode = _graph_mode(args.mode, directed=args.directed_conjugators)
+    mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
     if args.series:
         rows = distance_series(
             [s.strip() for s in args.series.split(",") if s.strip()],

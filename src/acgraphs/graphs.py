@@ -13,7 +13,7 @@ Four graph families share one vertex/edge machinery, selected by
 * Nielsen: generating k-tuples of the group, multiplication moves only;
 * extended Nielsen: Nielsen plus component inversion.
 
-Vertices are encoded as mixed-radix integers over the member positions
+Vertices are coded by ``np.ravel_multi_index`` over member positions
 of N.  Edges are never stored.  One move table yields the images of a
 frontier under every move, block by block, as numpy gathers over
 precomputed product, inverse and conjugation tables (one row per distinct
@@ -29,13 +29,12 @@ of the target's preimages.  Geodesics walk back from the target over the
 distance array through the inverse moves, so no parent pointers are
 stored.
 
-The vertex predicate depends only on the tuple of the entries'
-singleton-closure ids, and is invariant under position permutations and
-diagonal conjugation.  It is folded through the join oracle once per
-orbit of id tuples, then spread over the orbits and read off for the
-whole code space at once.  Exact diameters likewise sweep one BFS per
-orbit of a few code permutations that preserve the vertices and the moves
-(diagonal conjugation, position permutations, inversion of one
+The vertex mask is the table of ``subgroups.generating_tuples``, the
+census that also counts psi_k: it folds the join oracle once per orbit of
+the entries' singleton-closure id tuples, and is read off for the whole
+code space at once through each member's id.  Exact diameters sweep one
+BFS per orbit of a few code permutations that preserve the vertices and
+the moves (diagonal conjugation, position permutations, inversion of one
 component).  Both kinds of orbit come from ``groups.least_in_orbit``, the
 min-label propagation that also labels conjugacy classes; code orbit
 labels are cached per handle.  Every conjugation row is a column gather
@@ -52,11 +51,12 @@ import numpy as np
 
 from .elements import format_element
 from .errors import PreconditionError, ResourceCapError, VerificationError
-from .groups import FiniteGroup, env_cap, least_in_orbit
+from .groups import FiniteGroup, env_cap, least_in_orbit, tuple_maps
 from .subgroups import (
     DEFAULT_TUPLE_CAP,
     Subgroup,
     abelianization,
+    generating_tuples,
     get_join_oracle,
     is_soluble,
     min_generator_count,
@@ -65,26 +65,6 @@ from .subgroups import (
 )
 
 _CHUNK_CELLS = 2_000_000
-
-
-def _tuple_maps(perms: Sequence[np.ndarray], base: int, k: int) -> list[np.ndarray]:
-    """Permutations of the codes ``sum(t[i] * base**(k-1-i))`` of k-tuples
-    over ``range(base)``: each non-identity entry permutation of ``perms``
-    applied to every entry, the swap of positions 0 and 1 and, for k > 2,
-    the cycle of all positions."""
-    codes = np.arange(base**k, dtype=np.int64)
-    radix = [base ** (k - 1 - i) for i in range(k)]
-    digits = [codes // r % base for r in radix]
-    maps = [
-        sum(p[t] * r for t, r in zip(digits, radix))
-        for p in perms
-        if (p != np.arange(base)).any()
-    ]
-    if k > 1:
-        maps.append(codes + (digits[1] - digits[0]) * (radix[0] - radix[1]))
-    if k > 2:
-        maps.append(sum(digits[(i + 1) % k] * radix[i] for i in range(k)))
-    return maps
 
 
 @dataclass(frozen=True)
@@ -175,6 +155,7 @@ class GraphHandle:
         self.conjugator_indices, self.CONJ = self._conj_table(limit)
         self.NMUL, self.NINV = self._member_tables()
 
+        self.shape = (nm,) * k
         self.radix = np.array([nm ** (k - 1 - i) for i in range(k)], dtype=np.int64)
         self.size = nm**k
 
@@ -244,56 +225,28 @@ class GraphHandle:
         return tuple(ws[r] for r in keep), table[keep]
 
     def _vertex_mask(self) -> np.ndarray:
-        """Codes whose entries generate the target (normally, in AC modes).
-
-        That depends only on the entries' singleton-closure ids, and is
-        unchanged by permuting positions or by conjugating every entry by
-        one element of G, which permutes the ids.  So the join is folded
-        once per orbit of id tuples, at its least tuple, over the distinct
-        id pairs of each step, then spread over the orbit and read off per
-        code through the code's id tuple.
-        """
-        k, oracle = self.k, self.oracle
-        ids, first, local = np.unique(
-            oracle.singleton_ids[self.member_idx], return_index=True, return_inverse=True
+        """Codes whose entries generate the target (normally, in AC modes):
+        the census table read off per code through its members' ids."""
+        local, table = generating_tuples(
+            self.oracle, self.member_idx, self.k, self.target_id
         )
-        d = len(ids)
-        perms = local[self._conj_rows(self.group.generators)[:, first]]
-        lab = least_in_orbit(_tuple_maps(perms, d, k), d**k)
-        reps = np.flatnonzero(lab == np.arange(d**k))
-        acc = ids[reps // d ** (k - 1)]
-        for i in range(1, k):
-            pairs, back = np.unique(
-                np.stack((acc, ids[reps // d ** (k - 1 - i) % d]), axis=1),
-                axis=0, return_inverse=True,
-            )
-            joined = np.array([oracle.join(int(a), int(b)) for a, b in pairs])
-            acc = joined[back.reshape(-1)]
-        hit = np.zeros(d**k, dtype=bool)
-        hit[reps] = acc == self.target_id
-        return hit[lab].reshape((d,) * k)[np.ix_(*[local] * k)].ravel()
+        return table[np.ix_(*[local] * self.k)].ravel()
 
     # -- codec ------------------------------------------------------------------
 
     def encode(self, tup: Sequence[int]) -> int:
-        """Mixed-radix code of a tuple of group element indices."""
+        """Code of a tuple of group element indices."""
         if len(tup) != self.k:
             raise PreconditionError(f"tuple length {len(tup)} != k={self.k}")
-        code = 0
-        for i in tup:
-            p = int(self.pos_of[i])
-            if p < 0:
-                raise PreconditionError(f"element index {i} outside the member set")
-            code = code * self.nm + p
-        return code
+        pos = self.pos_of.take(tup)
+        if pos.min() < 0:
+            bad = tup[int(np.argmin(pos))]
+            raise PreconditionError(f"element index {bad} outside the member set")
+        return int(np.ravel_multi_index(pos, self.shape))
 
     def decode(self, code: int) -> tuple[int, ...]:
         """Tuple of group element indices for a vertex code."""
-        out = []
-        for _ in range(self.k):
-            code, p = divmod(code, self.nm)
-            out.append(int(self.member_idx[p]))
-        return tuple(reversed(out))
+        return tuple(self.member_idx.take(np.unravel_index(code, self.shape)).tolist())
 
     def is_vertex(self, tup: Sequence[int]) -> bool:
         return bool(self.vertex_mask[self.encode(tup)])
@@ -422,10 +375,10 @@ class GraphHandle:
         of component 0 (multiplication moves trade sides under it).
         """
         conjugators = () if self.mode.kind == "restricted-ac" else self.group.generators
-        maps = _tuple_maps(self._conj_rows(conjugators), self.nm, self.k)
-        codes = np.arange(self.size, dtype=np.int64)
-        c0 = codes // self.radix[0]
-        maps.append(codes + (self.NINV[c0] - c0) * self.radix[0])
+        maps = tuple_maps(self._conj_rows(conjugators), self.shape)
+        digits = np.unravel_index(np.arange(self.size), self.shape)
+        inverted = (self.NINV[digits[0]], *digits[1:])
+        maps.append(np.ravel_multi_index(inverted, self.shape))
         return maps
 
     @cached_property
@@ -721,10 +674,8 @@ def _component_map(
     vertex, VerificationError(``split``) if a component meets two targets."""
     codes = np.flatnonzero(src.vertex_mask)
     pi = np.asarray(projection, dtype=np.int64)
-    images = np.zeros(codes.shape, dtype=np.int64)
-    for i in range(src.k):
-        comp = src.member_idx[(codes // src.radix[i]) % src.nm]
-        images += dst.pos_of[pi[comp]] * dst.radix[i]
+    tuples = src.member_idx.take(np.unravel_index(codes, src.shape))
+    images = np.ravel_multi_index(dst.pos_of[pi[tuples]], dst.shape)
     if not dst.vertex_mask[images].all():
         raise VerificationError(not_vertex)
     src_parts = components(src)

@@ -6,8 +6,9 @@ and a dense numpy product table; all arithmetic on enumerated elements
 goes through these tables, and element objects serve parsing and
 printing.  Conjugation is one table gather (``conjugation_rows``);
 ``class_labels`` names each conjugacy class by its least member through
-``least_in_orbit``, the package's one orbit routine, and ``power_rows``
-tabulates every element's powers.  Groups are built by
+``least_in_orbit``, the package's one orbit routine (``tuple_maps``
+gives it the entry and position permutations of tuple codes), and
+``power_rows`` tabulates every element's powers.  Groups are built by
 ``parse_group`` from a small spec grammar:
 
     cyclic:n | abelian:e1,e2,... | sym:n | alt:n | dihedral:n | sl2:p
@@ -70,6 +71,24 @@ def least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
         lab = lab[lab]
         if np.array_equal(lab, prev):
             return lab
+
+
+def tuple_maps(perms: Sequence[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Permutations of the codes ``np.ravel_multi_index(t, shape)`` of
+    tuples t over ``range(shape[0])``: each non-identity entry permutation
+    of ``perms`` applied to every entry, the swap of positions 0 and 1
+    and, for more than two positions, the cycle of all positions."""
+    digits = np.unravel_index(np.arange(math.prod(shape)), shape)
+    maps = [
+        np.ravel_multi_index(tuple(p[t] for t in digits), shape)
+        for p in perms
+        if (p != np.arange(shape[0])).any()
+    ]
+    if len(shape) > 1:
+        maps.append(np.ravel_multi_index((digits[1], digits[0], *digits[2:]), shape))
+    if len(shape) > 2:
+        maps.append(np.ravel_multi_index(digits[1:] + digits[:1], shape))
+    return maps
 
 
 class FiniteGroup:

@@ -11,9 +11,10 @@ each element's coordinates are its position in the grid of the span.
 Heavy predicates (does this tuple normally generate?) go through a
 ``JoinOracle``: the distinct single-element closures form a small
 join-semilattice, closures of sets are joins of singleton closures, and
-the joins are memoized.  So a tuple census folds joins over the
-distribution or the symmetry orbits of singleton-closure id tuples,
-never saturating once per tuple.
+the joins are memoized.  So the one tuple census,
+``generating_tuples``, folds joins once per symmetry orbit of
+singleton-closure id tuples, never saturating once per tuple; graph
+vertex masks and psi_k both read its table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .elements import GroupElement, Permutation
 from .errors import PreconditionError, ResourceCapError
-from .groups import FiniteGroup, abelian_group
+from .groups import FiniteGroup, abelian_group, least_in_orbit, tuple_maps
 
 DEFAULT_ND_CAP = 200
 DEFAULT_TUPLE_CAP = 4_000_000
@@ -417,37 +418,61 @@ def min_generator_count(group: FiniteGroup, upto: int) -> int | None:
     return None
 
 
+def generating_tuples(
+    oracle: JoinOracle, members: np.ndarray, k: int, target: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which k-tuples of ``members`` join to subgroup id ``target``.
+
+    Returns each member's local id, its position among the members'
+    distinct singleton-closure ids, and a boolean table of shape
+    ``(d,) * k`` over tuples of local ids.  The join is unchanged by
+    permuting positions or by conjugating every entry by one element of
+    G, which permutes the ids of a member set closed under conjugation.
+    So it is folded once per orbit of id tuples, at its least tuple, over
+    the distinct id pairs of each step, then spread over the orbit.
+    """
+    group = oracle.group
+    ids, first, local = np.unique(
+        oracle.singleton_ids[members], return_index=True, return_inverse=True
+    )
+    d = len(ids)
+    shape = (d,) * k
+    local_of = np.zeros(ids[-1] + 1, dtype=np.int64)
+    local_of[ids] = np.arange(d)
+    conj = group.conjugation_rows(group.generators)[:, members[first]]
+    perms = local_of[oracle.singleton_ids[conj]]
+    lab = least_in_orbit(tuple_maps(perms, shape), d**k)
+    reps = np.flatnonzero(lab == np.arange(d**k))
+    digits = np.unravel_index(reps, shape)
+    acc = ids[digits[0]]
+    for digit in digits[1:]:
+        pairs, back = np.unique(
+            np.stack((acc, ids[digit]), axis=1), axis=0, return_inverse=True
+        )
+        joined = np.array([oracle.join(int(a), int(b)) for a, b in pairs])
+        acc = joined[back.reshape(-1)]
+    hit = np.zeros(d**k, dtype=bool)
+    hit[reps] = acc == target
+    return local, hit[lab].reshape(shape)
+
+
 def psi_k(
     group: FiniteGroup, k: int, *, cap: int = DEFAULT_TUPLE_CAP
 ) -> Fraction:
     """Exact probability that k independent uniform elements normally
-    generate the group: |V_k(G,G)| / |G|^k."""
+    generate the group: |V_k(G,G)| / |G|^k, the census table of
+    ``generating_tuples`` weighted by the multiplicity of each id."""
     if k < 1:
         raise PreconditionError("psi_k needs k >= 1")
     total = group.order**k
     if total > cap:
         raise ResourceCapError("tuple_census", total, cap)
     oracle = get_join_oracle(group, "normal")
-    count = _count_generating_tuples(oracle, k)
-    return Fraction(count, total)
-
-
-def _count_generating_tuples(oracle: JoinOracle, k: int) -> int:
-    """Census over G^k via the join semilattice: fold the id distribution."""
-    n = oracle.group.order
-    dist: dict[int, int] = {}
-    for i in range(n):
-        sid = oracle.singleton_id(i)
-        dist[sid] = dist.get(sid, 0) + 1
-    current = dict(dist)
-    for _ in range(k - 1):
-        nxt: dict[int, int] = {}
-        for a, ca in current.items():
-            for b, cb in dist.items():
-                j = oracle.join(a, b)
-                nxt[j] = nxt.get(j, 0) + ca * cb
-        current = nxt
-    return current.get(oracle.full_id, 0)
+    local, table = generating_tuples(oracle, np.arange(group.order), k, oracle.full_id)
+    count = table.astype(np.int64)
+    for _ in range(k):  # contract the last position against the id multiplicities
+        count = (count * np.bincount(local)).sum(axis=-1)
+    return Fraction(int(count), total)
 
 
 def mazurov_lift(

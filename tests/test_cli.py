@@ -188,12 +188,17 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
     # (environment overrides, argv)
     cases = [({}, argv) for argv in (
         ("analyze", "--group", "alt:5", "--k", "2", "--distance", "(0 1)|(0 1 2)"),
+        ("analyze", "--group", "sym:4", "--k", "2", "--mode", "nielsen",
+         "--normal", "derived"),
+        ("analyze", "--group", "sym:3", "--k", "2", "--mode", "bogus"),
         ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1)"),
         ("walk", "--group", "alt:5", "--normal", "ncl:(0 1)", "--init", "(0 1 2)"),
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--samples", "0"),
+        ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--threads", "0"),
         ("walk", "--group", "sym:9", "--algorithm", "pra", "--init", "(0 1 2)"),
         ("stats", "--observed", str(missing / "hist.json"), "--n", "4"),
         ("stats", "--observed", str(tmp_path / "hist.json")),
+        ("stats", "--stirling", "-1"),
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",
          "--output", str(missing / "out.csv")),

@@ -751,13 +751,16 @@ def test_soluble_component_check_rejects_insoluble():
 
 
 def test_codec_round_trip():
+    # codes are Horner's formula over member positions
     g = parse_group("sym:4")
     a4 = derived_subgroup(g)
-    h = GraphHandle(g, 2, GraphMode.full_ac(), a4)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        tup = tuple(int(a4.members[i]) for i in rng.integers(a4.order, size=2))
-        assert h.decode(h.encode(tup)) == tup
+    h = GraphHandle(g, 3, GraphMode.full_ac(), a4)
+    for tup in itertools.product(a4.members, repeat=3):
+        code = 0
+        for i in tup:
+            code = code * a4.order + a4.members.index(i)
+        assert h.encode(tup) == code
+        assert h.decode(code) == tup
 
 
 def test_encode_rejects_outside_members():
@@ -766,6 +769,11 @@ def test_encode_rejects_outside_members():
     h = GraphHandle(g, 2, GraphMode.full_ac(), a4)
     with pytest.raises(PreconditionError):
         h.encode((idx(g, "(0 1)"), 0))
+    with pytest.raises(PreconditionError):
+        h.encode((0, idx(g, "(0 1)")))
+    for wrong_length in ((0,), (0, 0, 0)):
+        with pytest.raises(PreconditionError):
+            h.encode(wrong_length)
 
 
 def apply_move(group, tup, move):

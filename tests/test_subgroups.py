@@ -26,7 +26,12 @@ from acgraphs.subgroups import (
 
 from acgraphs.verify import SMALL_CORPUS
 
-from helpers import brute_mulclose, brute_normal_closure, brute_span
+from helpers import (
+    brute_mulclose,
+    brute_normal_closure,
+    brute_normally_generates,
+    brute_span,
+)
 
 
 def idx(group, text):
@@ -207,16 +212,18 @@ def test_psi_examples():
 
 
 def test_psi_census_matches_exhaustive():
-    g = parse_group("sym:3")
-    oracle = JoinOracle(g, "normal")
-    for k in (1, 2):
-        count = sum(
-            1
-            for tup in product(range(g.order), repeat=k)
-            if oracle.members_of(oracle.join_of_indices(tup))
-            == frozenset(range(g.order))
-        )
-        assert psi_k(g, k) == Fraction(count, g.order**k)
+    for spec in ("sym:3", "dihedral:4", "alt:4", "abelian:2,4"):
+        g = parse_group(spec)
+        # normal generation depends only on the set of entries
+        generates = {}
+        for k in (1, 2, 3):
+            count = 0
+            for tup in product(g.elements, repeat=k):
+                seeds = frozenset(tup)
+                if seeds not in generates:
+                    generates[seeds] = brute_normally_generates(g.elements, seeds)
+                count += generates[seeds]
+            assert psi_k(g, k) == Fraction(count, g.order**k), (spec, k)
 
 
 def test_psi_soluble_identity():
