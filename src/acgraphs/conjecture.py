@@ -2,9 +2,9 @@
 
 Words over {x, y, ...} are stored as sequences of signed generator
 numbers (+1 = x, -1 = x^-1, +2 = y, ...) and free-reduced by default.
-A word pair acts on a tuple by substitution, each word a fold of product
-table gathers over the tuple's element indices (``eval_word`` is the
-element-object reference).  If the pair's exponent matrix is unimodular
+A word pair acts on a tuple by substitution: ``eval_word`` folds each
+word as product-table gathers over the tuple's element indices, or over
+arrays of them elementwise.  If the pair's exponent matrix is unimodular
 the image of a normally generating pair still normally generates, so the
 substitution maps vertices of the whole-group AC graph to vertices, and
 the interesting question is whether it can ever change the connected
@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import GroupElement, identity_like
 from .errors import GroupSpecError, PreconditionError, ResourceCapError, VerificationError
 from .graphs import GraphHandle, GraphMode, components
 from .groups import FiniteGroup, parse_group
@@ -119,20 +118,19 @@ def word_to_text(word: Word, alphabet: str = DEFAULT_ALPHABET) -> str:
     return " ".join(out)
 
 
-def eval_word(word: Word, images: Sequence[GroupElement]) -> GroupElement:
-    """Substitute group elements for the generators; empty word gives the
-    identity of the images' group."""
+def eval_word(word: Word, images: Sequence, group: FiniteGroup):
+    """Substitute element indices for the generators, or index arrays
+    elementwise; a fold of product-table gathers.  The empty word gives
+    the identity, index 0."""
     if len(images) != word.rank:
         raise PreconditionError(
             f"word of rank {word.rank} needs {word.rank} images, got {len(images)}"
         )
-    if not images:
-        raise PreconditionError("rank-0 words have no ambient identity")
-    acc = identity_like(images[0])
+    acc = np.zeros(np.broadcast_shapes(*map(np.shape, images)), dtype=np.int64)
     for l in word.letters:
-        g = images[abs(l) - 1]
-        acc = acc * (g if l > 0 else g.inverse())
-    return acc
+        x = images[abs(l) - 1]
+        acc = group.mul_table[acc, x if l > 0 else group.inv_array[x]]
+    return int(acc) if acc.ndim == 0 else acc
 
 
 @dataclass(frozen=True)
@@ -166,21 +164,10 @@ def exponent_matrix(pair: WordPair) -> tuple[tuple[tuple[int, int], tuple[int, i
 
 def apply_pair_map(pair: WordPair, tup: Sequence, group: FiniteGroup) -> tuple:
     """(x, y) -> (u(x, y), v(x, y)) on a 2-tuple of element indices, or
-    elementwise on two index arrays; each word is a fold of product-table
-    gathers."""
+    elementwise on two index arrays."""
     if len(tup) != 2 or pair.rank != 2:
         raise PreconditionError("the substitution map acts on 2-tuples")
-    x, y = np.asarray(tup[0]), np.asarray(tup[1])
-    letters = {1: x, -1: group.inv_array[x], 2: y, -2: group.inv_array[y]}
-
-    def fold(word: Word) -> np.ndarray:
-        acc = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        for l in word.letters:
-            acc = group.mul_table[acc, letters[l]]
-        return acc
-
-    u, v = fold(pair.u), fold(pair.v)
-    return (int(u), int(v)) if u.ndim == 0 else (u, v)
+    return eval_word(pair.u, tup, group), eval_word(pair.v, tup, group)
 
 
 # The shortest surviving potential counterexample to the Andrews-Curtis
@@ -210,7 +197,6 @@ class ScanReport:
     geodesic: list[dict] | None
 
     def to_json(self) -> dict:
-        handle_desc = {"kind": self.mode.kind}
         return {
             "groupSpec": self.group.name,
             "baseTuple": list(self.base),

@@ -77,6 +77,8 @@ class GraphMode:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown graph mode {self.kind!r}")
+        if self.directed_conjugators and self.kind != "restricted-ac":
+            raise ValueError(f"directed conjugators need restricted-ac, not {self.kind}")
 
     @classmethod
     def full_ac(cls) -> "GraphMode":

@@ -461,18 +461,20 @@ def psi_k(
 ) -> Fraction:
     """Exact probability that k independent uniform elements normally
     generate the group: |V_k(G,G)| / |G|^k, the census table of
-    ``generating_tuples`` weighted by the multiplicity of each id."""
+    ``generating_tuples`` weighted by the multiplicity of each id.  The cap
+    bounds the table's d^k cells, for d distinct singleton closures; the
+    weights multiply as Python ints, since |G|^k may pass 2^63."""
     if k < 1:
         raise PreconditionError("psi_k needs k >= 1")
-    total = group.order**k
-    if total > cap:
-        raise ResourceCapError("tuple_census", total, cap)
     oracle = get_join_oracle(group, "normal")
+    cells = len(np.unique(oracle.singleton_ids)) ** k
+    if cells > cap:
+        raise ResourceCapError("tuple_census", cells, cap)
     local, table = generating_tuples(oracle, np.arange(group.order), k, oracle.full_id)
-    count = table.astype(np.int64)
-    for _ in range(k):  # contract the last position against the id multiplicities
-        count = (count * np.bincount(local)).sum(axis=-1)
-    return Fraction(int(count), total)
+    weights = np.bincount(local).tolist()
+    hits = np.argwhere(table).tolist()
+    count = sum(math.prod(weights[i] for i in cell) for cell in hits)
+    return Fraction(count, group.order**k)
 
 
 def mazurov_lift(

@@ -57,7 +57,7 @@ from .stats import (
     stirling_first,
     tv_distance,
 )
-from .walkers import WalkConfig, acr_sample_many, acr_step, make_state
+from .walkers import WalkConfig, acr_sample_many
 
 SMALL_CORPUS = (
     "cyclic:1",
@@ -515,33 +515,36 @@ def check_abelian_component_counts(ctx: VerifyContext) -> CheckResult:
 
 
 def check_walk_vertex_preservation(ctx: VerifyContext) -> CheckResult:
-    """ACR trajectories never leave the vertex set (|N|^2 <= 10^4)."""
-    steps_checked = 0
+    """No ACR step leaves the vertex set, so no trajectory does: on every
+    vertex of the whole-group full-AC graph at k = 2 (|G|^2 <= 10^4),
+    x_i -> y x_i and x_i y with y = (x_j^w)^±1, for each i != j and each
+    conjugator w in G, lands on a vertex."""
+    images = 0
     for spec in ("sym:3", "sym:4", "abelian:3,3", "dihedral:6", "alt:5"):
         g = ctx.groups[spec]
-        oracle = get_join_oracle(g, "normal")
-        whole = ctx.whole(g)
-        if whole.order**2 > 10_000:
+        if g.order**2 > 10_000:
             continue
-        gens = g.generator_elements()
-        init = (gens[0], g.identity_element) if gens else (g.identity_element,) * 2
-        idx = [g.index_of(e) for e in init]
-        if not oracle.generates(idx):
-            init = (gens[0], gens[1] if len(gens) > 1 else g.identity_element)
-        target = oracle.members_of(oracle.join_of_indices(g.index_of(e) for e in init))
-        cfg = WalkConfig(k=2, step_budget=1)
-        state = make_state(init, ctx.rng(5))
-        for _ in range(200):
-            state = acr_step(state, cfg, g)
-            steps_checked += 1
-            now = oracle.members_of(
-                oracle.join_of_indices(g.index_of(e) for e in state.tuple_elements)
-            )
-            if now != target:
-                return CheckResult(
-                    "walk_preserves_normal_closure", False, f"{spec} step {state.steps}"
-                )
-    return CheckResult("walk_preserves_normal_closure", True, f"{steps_checked} steps")
+        handle = GraphHandle(g, 2, GraphMode.full_ac())
+        mt, mask = g.mul_table, handle.vertex_mask
+        codes = np.flatnonzero(mask)
+        digits = np.unravel_index(codes, handle.shape)
+        tup = handle.member_idx[np.stack(digits)]
+        for i, j in ((0, 1), (1, 0)):
+            rest, xi = codes - digits[i] * handle.radix[i], tup[i]
+            for row in g.conjugation_rows(range(g.order)):
+                y = row[tup[j]]
+                y = np.stack((y, g.inv_array[y]))  # both signs
+                new = np.stack((mt[y, xi], mt[xi, y]))  # both sides
+                image = rest + handle.pos_of[new] * handle.radix[i]
+                hit = mask[image]
+                images += hit.size
+                if not hit.all():
+                    miss = np.unravel_index(np.argmin(hit), hit.shape)
+                    v, u = (handle.decode(int(c)) for c in (codes[miss[-1]], image[miss]))
+                    return CheckResult(
+                        "walk_preserves_normal_closure", False, f"{spec}: {v} -> {u}"
+                    )
+    return CheckResult("walk_preserves_normal_closure", True, f"{images} step images")
 
 
 def check_walk_determinism(ctx: VerifyContext) -> CheckResult:
@@ -672,9 +675,9 @@ def check_eval_homomorphism(ctx: VerifyContext) -> CheckResult:
         l1 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=6))
         l2 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=6))
         w1, w2 = Word(l1, 2, False).reduce(), Word(l2, 2, False).reduce()
-        images = [g.random_element(rng), g.random_element(rng)]
-        lhs = eval_word(w1 * w2, images)
-        rhs = eval_word(w1, images) * eval_word(w2, images)
+        images = [g.random_index(rng), g.random_index(rng)]
+        lhs = eval_word(w1 * w2, images, g)
+        rhs = g.mul(eval_word(w1, images, g), eval_word(w2, images, g))
         if lhs != rhs:
             return CheckResult("eval_word_homomorphism", False, f"{l1} * {l2}")
     return CheckResult("eval_word_homomorphism", True, "100 random products")

@@ -8,19 +8,13 @@ that is returned instead of a tuple component.  The plain
 product-replacement walk (Nielsen moves only) and a Cayley-graph walk
 over a union of conjugacy classes are provided for comparison.
 
-Two implementations share the step distribution:
-
-* ``acr_step``/``acr_sample`` (and the PRA pair) - the scalar reference,
-  one walker on element objects;
-* ``_batch_walk`` - one vectorized loop for many independent walkers over
-  a small arithmetic: element indices and product-table gathers for
-  enumerated groups, rows of point images and flat gathers for Sym_n
-  ambients of any degree (no enumeration).
-
-The ``*_many`` samplers and ``cayley_class_walk`` return element indices
-for enumerated groups and image rows for the ambient.  The scalar path
-is the contract, the batch path exists because statistical validation
-wants tens of thousands of independent walkers.
+``_batch_walk`` runs many independent walkers at once over a small
+arithmetic: element indices and product-table gathers for enumerated
+groups, rows of point images and flat gathers for Sym_n ambients of any
+degree (no enumeration).  The ``*_many`` samplers and
+``cayley_class_walk`` return element indices for enumerated groups and
+image rows for the ambient.  The test suite keeps a scalar walker on
+element objects as the reference for the kernel's step law.
 
 All randomness flows through a caller-supplied ``numpy.random.Generator``
 (seedable, splittable via ``spawn``); nothing reads outside entropy.
@@ -29,13 +23,13 @@ All randomness flows through a caller-supplied ``numpy.random.Generator``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .elements import GroupElement, Permutation, identity_like
+from .elements import GroupElement, Permutation
 from .errors import PreconditionError
 from .groups import FiniteGroup, SymmetricAmbient
 from .stats import (
@@ -94,21 +88,6 @@ class WalkConfig:
         }
 
 
-@dataclass
-class WalkState:
-    tuple_elements: tuple[GroupElement, ...]
-    cumulative: GroupElement
-    steps: int
-    rng: np.random.Generator
-
-
-def make_state(
-    init: Sequence[GroupElement], rng: np.random.Generator
-) -> WalkState:
-    init = tuple(init)
-    return WalkState(init, identity_like(init[0]), 0, rng)
-
-
 def default_step_budget(
     k: int, *, degree: int | None = None, subgroup_order: int | None = None
 ) -> int:
@@ -122,76 +101,6 @@ def default_step_budget(
 
 
 GroupContext = FiniteGroup | SymmetricAmbient
-
-
-def _random_conjugator(
-    group: GroupContext, cfg: WalkConfig, rng: np.random.Generator
-) -> GroupElement:
-    if cfg.conjugator_word_length is None:
-        return group.random_element(rng)
-    if not isinstance(group, FiniteGroup):
-        raise PreconditionError("word-mode conjugators need an enumerated group")
-    gens = list(group.generator_elements())
-    gens += [g.inverse() for g in gens]
-    if not gens:
-        return group.identity_element
-    w = group.identity_element
-    for choice in rng.integers(len(gens), size=cfg.conjugator_word_length):
-        w = w * gens[int(choice)]
-    return w
-
-
-def _distinct_pair(k: int, rng: np.random.Generator) -> tuple[int, int]:
-    i = int(rng.integers(k))
-    j = int(rng.integers(k - 1))
-    if j >= i:
-        j += 1
-    return i, j
-
-
-def acr_step(
-    state: WalkState, cfg: WalkConfig, group: GroupContext | None, *,
-    nielsen_only: bool = False,
-) -> WalkState:
-    """One AC-replacement step, or a product-replacement step (plain
-    multiplication only) if ``nielsen_only``; mutates nothing, advances
-    the shared rng."""
-    rng = state.rng
-    t = list(state.tuple_elements)
-    move = int(rng.integers(4)) if cfg.full_move_set and not nielsen_only else None
-    if move is not None and move >= 2:
-        i = int(rng.integers(cfg.k))
-        if move == 2:
-            t[i] = t[i].inverse()
-        else:
-            t[i] = t[i].conjugate_by(_random_conjugator(group, cfg, rng))
-    else:
-        if move is None:
-            plain = nielsen_only or bool(rng.random() < cfg.plain_move_probability)
-        else:
-            plain = move == 0
-        i, j = _distinct_pair(cfg.k, rng)
-        left = bool(rng.integers(2))
-        invert = bool(rng.integers(2))
-        y = t[j]
-        if not plain:
-            y = y.conjugate_by(_random_conjugator(group, cfg, rng))
-        if invert:
-            y = y.inverse()
-        t[i] = (y * t[i]) if left else (t[i] * y)
-    cum = state.cumulative * t[i] if cfg.use_cumulative else state.cumulative
-    return replace(
-        state, tuple_elements=tuple(t), cumulative=cum, steps=state.steps + 1
-    )
-
-
-def _finish(state: WalkState, cfg: WalkConfig, step) -> GroupElement:
-    """Run ``step`` for the budget; the cumulative product or a random component."""
-    for _ in range(cfg.step_budget):
-        state = step(state)
-    if cfg.use_cumulative:
-        return state.cumulative
-    return state.tuple_elements[int(state.rng.integers(cfg.k))]
 
 
 def _check_acr_init(
@@ -222,39 +131,11 @@ def _check_acr_init(
             raise PreconditionError("the identity tuple is not a vertex")
 
 
-def acr_sample(
-    group: GroupContext,
-    normal: Subgroup | None,
-    init: Sequence[GroupElement],
-    cfg: WalkConfig,
-    rng: np.random.Generator,
-) -> GroupElement:
-    """One ACR walk: its cumulative product, or a random final component."""
-    _check_acr_init(group, normal, init, cfg)
-    return _finish(make_state(init, rng), cfg, lambda st: acr_step(st, cfg, group))
-
-
-def pra_step(state: WalkState, cfg: WalkConfig) -> WalkState:
-    """One product-replacement (plain Nielsen multiplication) step."""
-    return acr_step(state, cfg, None, nielsen_only=True)
-
-
 def _check_pra_init(group: FiniteGroup, init: Sequence[GroupElement]) -> list[int]:
     idx = [group.index_of(e) for e in init]
     if not get_join_oracle(group, "plain").generates(idx):
         raise PreconditionError("initial tuple does not generate the group")
     return idx
-
-
-def pra_sample(
-    group: FiniteGroup,
-    init: Sequence[GroupElement],
-    cfg: WalkConfig,
-    rng: np.random.Generator,
-) -> GroupElement:
-    """Product-replacement sampler over generating tuples of the group."""
-    _check_pra_init(group, init)
-    return _finish(make_state(init, rng), cfg, lambda st: pra_step(st, cfg))
 
 
 def cayley_class_walk(

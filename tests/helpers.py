@@ -3,11 +3,22 @@
 Everything here works directly on element objects with plain Python
 sets, bypassing the package's index tables, join memoization and numpy
 BFS, so the main machinery is always checked against a second route.
+The scalar ACR/PRA walker steps one walker on element objects; tests
+check the batch kernel's step law against it.  ``brute_eval_word`` folds
+a word over element objects.
 """
 
+from dataclasses import dataclass, replace
 from itertools import product
+from typing import Sequence
 
-from acgraphs.elements import identity_like
+import numpy as np
+
+from acgraphs.elements import GroupElement, identity_like
+from acgraphs.errors import PreconditionError
+from acgraphs.groups import FiniteGroup
+from acgraphs.subgroups import Subgroup
+from acgraphs.walkers import GroupContext, WalkConfig, _check_acr_init, _check_pra_init
 
 
 def brute_mulclose(elements):
@@ -208,3 +219,135 @@ def brute_distances(adj, u):
 
 def brute_diameter(adj, comp):
     return max(max(brute_distances(adj, u).values()) for u in comp)
+
+
+def brute_eval_word(word, images):
+    """Substitute group elements for the generators; empty word gives the
+    identity of the images' group."""
+    if len(images) != word.rank:
+        raise PreconditionError(
+            f"word of rank {word.rank} needs {word.rank} images, got {len(images)}"
+        )
+    if not images:
+        raise PreconditionError("rank-0 words have no ambient identity")
+    acc = identity_like(images[0])
+    for l in word.letters:
+        g = images[abs(l) - 1]
+        acc = acc * (g if l > 0 else g.inverse())
+    return acc
+
+
+# -- the scalar walker -------------------------------------------------------------------
+
+
+@dataclass
+class WalkState:
+    tuple_elements: tuple[GroupElement, ...]
+    cumulative: GroupElement
+    steps: int
+    rng: np.random.Generator
+
+
+def make_state(
+    init: Sequence[GroupElement], rng: np.random.Generator
+) -> WalkState:
+    init = tuple(init)
+    return WalkState(init, identity_like(init[0]), 0, rng)
+
+
+def _random_conjugator(
+    group: GroupContext, cfg: WalkConfig, rng: np.random.Generator
+) -> GroupElement:
+    if cfg.conjugator_word_length is None:
+        return group.random_element(rng)
+    if not isinstance(group, FiniteGroup):
+        raise PreconditionError("word-mode conjugators need an enumerated group")
+    gens = list(group.generator_elements())
+    gens += [g.inverse() for g in gens]
+    if not gens:
+        return group.identity_element
+    w = group.identity_element
+    for choice in rng.integers(len(gens), size=cfg.conjugator_word_length):
+        w = w * gens[int(choice)]
+    return w
+
+
+def _distinct_pair(k: int, rng: np.random.Generator) -> tuple[int, int]:
+    i = int(rng.integers(k))
+    j = int(rng.integers(k - 1))
+    if j >= i:
+        j += 1
+    return i, j
+
+
+def acr_step(
+    state: WalkState, cfg: WalkConfig, group: GroupContext | None, *,
+    nielsen_only: bool = False,
+) -> WalkState:
+    """One AC-replacement step, or a product-replacement step (plain
+    multiplication only) if ``nielsen_only``; mutates nothing, advances
+    the shared rng."""
+    rng = state.rng
+    t = list(state.tuple_elements)
+    move = int(rng.integers(4)) if cfg.full_move_set and not nielsen_only else None
+    if move is not None and move >= 2:
+        i = int(rng.integers(cfg.k))
+        if move == 2:
+            t[i] = t[i].inverse()
+        else:
+            t[i] = t[i].conjugate_by(_random_conjugator(group, cfg, rng))
+    else:
+        if move is None:
+            plain = nielsen_only or bool(rng.random() < cfg.plain_move_probability)
+        else:
+            plain = move == 0
+        i, j = _distinct_pair(cfg.k, rng)
+        left = bool(rng.integers(2))
+        invert = bool(rng.integers(2))
+        y = t[j]
+        if not plain:
+            y = y.conjugate_by(_random_conjugator(group, cfg, rng))
+        if invert:
+            y = y.inverse()
+        t[i] = (y * t[i]) if left else (t[i] * y)
+    cum = state.cumulative * t[i] if cfg.use_cumulative else state.cumulative
+    return replace(
+        state, tuple_elements=tuple(t), cumulative=cum, steps=state.steps + 1
+    )
+
+
+def _finish(state: WalkState, cfg: WalkConfig, step) -> GroupElement:
+    """Run ``step`` for the budget; the cumulative product or a random component."""
+    for _ in range(cfg.step_budget):
+        state = step(state)
+    if cfg.use_cumulative:
+        return state.cumulative
+    return state.tuple_elements[int(state.rng.integers(cfg.k))]
+
+
+def acr_sample(
+    group: GroupContext,
+    normal: Subgroup | None,
+    init: Sequence[GroupElement],
+    cfg: WalkConfig,
+    rng: np.random.Generator,
+) -> GroupElement:
+    """One ACR walk: its cumulative product, or a random final component."""
+    _check_acr_init(group, normal, init, cfg)
+    return _finish(make_state(init, rng), cfg, lambda st: acr_step(st, cfg, group))
+
+
+def pra_step(state: WalkState, cfg: WalkConfig) -> WalkState:
+    """One product-replacement (plain Nielsen multiplication) step."""
+    return acr_step(state, cfg, None, nielsen_only=True)
+
+
+def pra_sample(
+    group: FiniteGroup,
+    init: Sequence[GroupElement],
+    cfg: WalkConfig,
+    rng: np.random.Generator,
+) -> GroupElement:
+    """Product-replacement sampler over generating tuples of the group."""
+    _check_pra_init(group, init)
+    return _finish(make_state(init, rng), cfg, lambda st: pra_step(st, cfg))

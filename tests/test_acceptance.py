@@ -43,15 +43,9 @@ from acgraphs.subgroups import (
     psi_k,
     quotient_group,
 )
-from acgraphs.walkers import (
-    WalkConfig,
-    acr_step,
-    acr_sample_many,
-    default_step_budget,
-    make_state,
-)
+from acgraphs.walkers import WalkConfig, acr_sample_many, default_step_budget
 
-from helpers import brute_center, brute_normal_closure
+from helpers import acr_step, brute_center, brute_normal_closure, make_state
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:

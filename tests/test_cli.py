@@ -191,6 +191,9 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("analyze", "--group", "sym:4", "--k", "2", "--mode", "nielsen",
          "--normal", "derived"),
         ("analyze", "--group", "sym:3", "--k", "2", "--mode", "bogus"),
+        ("analyze", "--group", "sym:3", "--k", "2", "--mode", "full-ac",
+         "--directed-conjugators"),
+        ("scan", "--group", "sl2:3", "--mode", "nielsen", "--directed-conjugators"),
         ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1)"),
         ("walk", "--group", "alt:5", "--normal", "ncl:(0 1)", "--init", "(0 1 2)"),
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--samples", "0"),

@@ -20,7 +20,7 @@ from acgraphs.errors import PreconditionError
 from acgraphs.graphs import GraphMode
 from acgraphs.groups import parse_group
 
-from helpers import brute_normally_generates
+from helpers import brute_eval_word, brute_normally_generates
 
 
 def test_parse_word_forms():
@@ -53,10 +53,15 @@ def test_reduction_idempotent_random():
 
 def test_eval_word_basics():
     g = parse_group("sym:4")
-    x, y = parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)
-    assert eval_word(parse_word(""), [x, y]).is_identity()
-    assert eval_word(parse_word("x X"), [x, y]).is_identity()
-    assert eval_word(parse_word("x y"), [x, y]) == x * y
+    x, y = (g.index_of(parse_cycles(c, 4)) for c in ("(0 1)", "(0 1 2 3)"))
+    assert eval_word(parse_word(""), [x, y], g) == 0
+    assert eval_word(parse_word("x X"), [x, y], g) == 0
+    assert eval_word(parse_word("x y"), [x, y], g) == g.mul(x, y)
+    # index arrays evaluate elementwise, broadcast against scalars
+    ys = np.arange(g.order)
+    assert eval_word(parse_word("x y"), [x, ys], g).tolist() == [
+        g.mul(x, int(b)) for b in ys
+    ]
 
 
 def test_eval_word_homomorphism_random():
@@ -67,27 +72,32 @@ def test_eval_word_homomorphism_random():
         l2 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=7))
         w1 = Word(l1, 2, False).reduce()
         w2 = Word(l2, 2, False).reduce()
-        images = [g.random_element(rng), g.random_element(rng)]
-        assert eval_word(w1 * w2, images) == eval_word(w1, images) * eval_word(
-            w2, images
+        images = [g.random_index(rng), g.random_index(rng)]
+        assert eval_word(w1 * w2, images, g) == g.mul(
+            eval_word(w1, images, g), eval_word(w2, images, g)
         )
 
 
 def test_eval_word_sl2_matches_independent_product():
     # x^3 y^-4 on the sl2:5 transvections, by direct modular products
     p = 5
+    g = parse_group("sl2:5")
     x = MatrixGF((1, 0, 2, 1), p)
     y = MatrixGF((1, 2, 0, 1), p)
     expected = x * x * x
     yinv = y.inverse()
     for _ in range(4):
         expected = expected * yinv
-    assert eval_word(AK_PAIR.u, [x, y]) == expected
+    assert brute_eval_word(AK_PAIR.u, [x, y]) == expected
+    assert g.elements[eval_word(AK_PAIR.u, [g.index_of(x), g.index_of(y)], g)] == expected
 
 
 def test_eval_word_image_count_mismatch():
+    g = parse_group("sym:3")
     with pytest.raises(PreconditionError):
-        eval_word(parse_word("x"), [])
+        eval_word(parse_word("x"), [], g)
+    with pytest.raises(PreconditionError):
+        brute_eval_word(parse_word("x"), [])
 
 
 def test_exponent_matrix_examples():
@@ -117,7 +127,7 @@ def test_apply_pair_map_matches_eval_word_on_every_pair(spec):
     for pair in (AK_PAIR, parse_pair("y", "x"), parse_pair("x y", "y")):
         u, v = apply_pair_map(pair, (x, y), g)
         expected = [
-            [g.index_of(eval_word(w, [g.elements[a], g.elements[b]]))
+            [g.index_of(brute_eval_word(w, [g.elements[a], g.elements[b]]))
              for w in (pair.u, pair.v)]
             for a, b in zip(x.tolist(), y.tolist())
         ]
@@ -163,8 +173,8 @@ def test_scan_image_matches_direct_evaluation():
                            want_geodesic=False)
     x, y = (g.elements[i] for i in base)
     assert report.image == (
-        g.index_of(eval_word(AK_PAIR.u, [x, y])),
-        g.index_of(eval_word(AK_PAIR.v, [x, y])),
+        g.index_of(brute_eval_word(AK_PAIR.u, [x, y])),
+        g.index_of(brute_eval_word(AK_PAIR.v, [x, y])),
     )
 
 

@@ -235,8 +235,16 @@ def test_psi_soluble_identity():
 
 
 def test_psi_cap():
+    # the cap bounds the census table: sym:4 has 4 singleton closures, 4^2 cells
     with pytest.raises(ResourceCapError):
-        psi_k(parse_group("sym:4"), 2, cap=100)
+        psi_k(parse_group("sym:4"), 2, cap=10)
+
+
+def test_psi_past_the_tuple_count():
+    # three singleton closures each (1, Alt_n, Sym_n): 81 and 2,187 cells for
+    # 120^4 and 720^7 tuples, the second above 2^63; some entry must be odd
+    assert psi_k(parse_group("sym:5"), 4) == Fraction(15, 16)
+    assert psi_k(parse_group("sym:6"), 7) == Fraction(127, 128)
 
 
 def test_quotient_group_s4_mod_klein_is_s3():

@@ -1,5 +1,6 @@
 """Every name the benchmark's tracer wraps exists in the package, so a
-refactor that drops one fails here rather than in a traced bench run."""
+refactor that drops one fails here rather than in a traced bench run;
+and every name the package exports resolves."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,13 @@ def test_traced_names_exist():
         assert callable(getattr(acgraphs.elements, cls).__mul__), cls
     assert callable(acgraphs.subgroups.JoinOracle.join)
     assert all(callable(check) for check in acgraphs.verify.CHECKS)
+
+
+def test_exports_resolve():
+    for name in acgraphs.__all__:
+        assert hasattr(acgraphs, name), name
+    # the scalar walker is a test oracle (tests/helpers.py), not an export
+    for name in ("WalkState", "make_state", "acr_step", "acr_sample", "pra_step",
+                 "pra_sample"):
+        assert name not in acgraphs.__all__, name
+        assert not hasattr(acgraphs.walkers, name), name

@@ -4,7 +4,12 @@ import pytest
 import acgraphs.verify as verify_mod
 from acgraphs.graphs import GraphHandle, GraphMode
 from acgraphs.groups import parse_group
-from acgraphs.verify import VerifyContext, check_move_closure, check_undirected
+from acgraphs.verify import (
+    VerifyContext,
+    check_move_closure,
+    check_undirected,
+    check_walk_vertex_preservation,
+)
 
 
 def _per_edge_details(handles):
@@ -71,3 +76,20 @@ def test_neighbor_checks_match_per_edge_loops(ctx, monkeypatch):
         closure, undirected = check_move_closure(ctx), check_undirected(ctx)
         assert (closure.passed, undirected.passed) == passed
         assert (closure.detail, undirected.detail) == _per_edge_details([make()])
+
+
+def test_walk_check_fails_when_a_step_leaves_the_vertex_set(ctx, monkeypatch):
+    assert check_walk_vertex_preservation(ctx).detail == "1820400 step images"
+    vertex_mask = GraphHandle._vertex_mask
+
+    def holed(handle):
+        # drop sym:4's last vertex: ACR steps from its neighbours lead to it
+        mask = vertex_mask(handle)
+        if handle.group.name == "sym:4":
+            mask[np.flatnonzero(mask)[-1]] = False
+        return mask
+
+    monkeypatch.setattr(GraphHandle, "_vertex_mask", holed)
+    result = check_walk_vertex_preservation(ctx)
+    assert not result.passed
+    assert result.detail.startswith("sym:4: ")

@@ -8,18 +8,14 @@ from acgraphs.stats import histogram, tv_distance
 from acgraphs.subgroups import Subgroup, normal_closure
 from acgraphs.walkers import (
     WalkConfig,
-    acr_sample,
     acr_sample_many,
-    acr_step,
     cayley_class_walk,
     default_step_budget,
-    make_state,
     mixing_diagnostic,
-    pra_sample,
     pra_sample_many,
 )
 
-from helpers import brute_normal_closure
+from helpers import acr_sample, acr_step, brute_normal_closure, make_state, pra_sample
 
 
 def idx(group, text):
@@ -97,11 +93,11 @@ def test_invalid_init_rejected():
     cfg = WalkConfig(k=2, step_budget=5)
     bad = (parse_cycles("()", 4), parse_cycles("()", 4))
     with pytest.raises(PreconditionError):
-        acr_sample(g, a4, bad, cfg, np.random.default_rng(0))
+        acr_sample_many(g, a4, bad, cfg, np.random.default_rng(0), 5)
     # (0 1)(2 3) normally generates the Klein subgroup, not alt:4
     klein = (parse_cycles("(0 1)(2 3)", 4), parse_cycles("()", 4))
     with pytest.raises(PreconditionError):
-        acr_sample(g, a4, klein, cfg, np.random.default_rng(0))
+        acr_sample_many(g, a4, klein, cfg, np.random.default_rng(0), 5)
 
 
 def test_outputs_land_in_the_target_subgroup():
@@ -131,12 +127,12 @@ def test_ambient_rejects_small_degree_and_odd_components():
     amb = SymmetricAmbient(4)
     cfg = WalkConfig(k=2, step_budget=5)
     with pytest.raises(PreconditionError):
-        acr_sample(amb, None, (parse_cycles("(0 1)(2 3)", 4),) * 2, cfg,
-                   np.random.default_rng(0))
+        acr_sample_many(amb, None, (parse_cycles("(0 1)(2 3)", 4),) * 2, cfg,
+                        np.random.default_rng(0), 5)
     amb10 = SymmetricAmbient(10)
     with pytest.raises(PreconditionError):
-        acr_sample(amb10, None, (parse_cycles("(0 1)", 10),) * 2, cfg,
-                   np.random.default_rng(0))
+        acr_sample_many(amb10, None, (parse_cycles("(0 1)", 10),) * 2, cfg,
+                        np.random.default_rng(0), 5)
     # word-mode conjugators need generators: rejected before any step
     words = WalkConfig(k=2, step_budget=0, conjugator_word_length=3)
     with pytest.raises(PreconditionError):
@@ -195,8 +191,8 @@ def test_pra_determinism_and_membership():
     b = pra_sample(g, init, cfg, np.random.default_rng(8))
     assert a == b
     with pytest.raises(PreconditionError):
-        pra_sample(g, (parse_cycles("(0 1 2)", 4), parse_cycles("()", 4)), cfg,
-                   np.random.default_rng(0))
+        pra_sample_many(g, (parse_cycles("(0 1 2)", 4), parse_cycles("()", 4)), cfg,
+                        np.random.default_rng(0), 5)
 
 
 def test_pra_mixes_on_sym6():
