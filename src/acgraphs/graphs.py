@@ -32,17 +32,20 @@ stored.
 The vertex mask is the table of ``subgroups.generating_tuples``, the
 census that also counts psi_k: it folds the join oracle once per orbit of
 the entries' singleton-closure id tuples, and is read off for the whole
-code space at once through each member's id.  Exact diameters sweep one
-BFS per orbit of a few code permutations that preserve the vertices and
-the moves (diagonal conjugation, position permutations, inversion of one
-component).  Both kinds of orbit come from ``groups.least_in_orbit``, the
-min-label propagation that also labels conjugacy classes; code orbit
-labels are cached per handle.  Every conjugation row is a column gather
-of ``FiniteGroup.conjugation_rows``.
+code space at once through each member's id.  Exact diameters keep an
+eccentricity bound per code that every BFS tightens, and run each next
+BFS from the orbit with the largest bound, under a few code permutations
+that preserve the vertices and the moves (diagonal conjugation, position
+permutations, inversion of one component); they stop once no orbit's
+bound exceeds the largest eccentricity found.  Both kinds of orbit come
+from ``groups.least_in_orbit``, the min-label propagation that also
+labels conjugacy classes; code orbit labels are cached per handle.  Every
+conjugation row is a column gather of ``FiniteGroup.conjugation_rows``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Generator, Iterator, Sequence
@@ -62,6 +65,7 @@ from .subgroups import (
     min_generator_count,
     nd_pair,
     quotient_group,
+    word_lengths,
 )
 
 _CHUNK_CELLS = 2_000_000
@@ -580,73 +584,63 @@ def diameter(
     *,
     exact: bool = True,
 ) -> int:
-    """Max eccentricity of one component.
+    """Max eccentricity of one component, by bounds that tighten after
+    every BFS (Takes & Kosters, CIKM 2011).
 
-    A double sweep (BFS from the first code, then from a farthest one)
-    gives a lower bound and, by the triangle inequality, an upper bound
-    per vertex; ``exact=False`` returns the lower bound only.  Exact mode
-    then runs one BFS per orbit of the handle's symmetries within the
-    component, skipping orbits whose least upper bound cannot beat the
-    running lower bound.  Symmetries preserve eccentricity but may carry
-    one component onto another, so each orbit is represented by one of
-    its codes inside the component.
+    The lower bound is the largest eccentricity found.  A BFS from w
+    bounds each code v by ecc(w) + d(w, v), and each code keeps its least
+    bound.  The first two BFS are the double sweep, from the first code
+    and from a farthest one; ``exact=False`` returns after them.  Each
+    next BFS runs from the first code of the symmetry orbit whose least
+    bound is largest, until none exceeds the lower bound.  Symmetries
+    preserve eccentricity but may carry one component onto another, so an
+    orbit stands for its codes inside the component.  With directed
+    conjugators a BFS gives d(w, v), not the d(v, w) the bound needs, so
+    it bounds only w.
     """
     codes = np.asarray(component_codes, dtype=np.int64)
     if codes.size == 0:
         raise PreconditionError("empty component")
     if codes.size == 1:
         return 0
-
-    def ecc(dist: np.ndarray) -> int:
-        comp_d = dist[codes]
-        if (comp_d < 0).any():
+    upper = np.full(codes.size, codes.size, dtype=np.int32)  # above every eccentricity
+    lower, source = 0, 0
+    for sweep in itertools.count():
+        dist = handle.bfs_distances([int(codes[source])])[codes]
+        if (dist < 0).any():
             raise PreconditionError("codes are not a single component")
-        return int(comp_d.max())
-
-    d0 = handle.bfs_distances([int(codes[0])])
-    e0 = ecc(d0)
-    far = int(codes[np.argmax(d0[codes])])
-    d1 = handle.bfs_distances([far])
-    e1 = ecc(d1)
-    lb = max(e0, e1)
-    if not exact:
-        return lb
-    codes = codes[np.argsort(-d1[codes], kind="stable")]
-    upper = np.minimum(e0 + d0[codes], e1 + d1[codes])
-    # orbit groups in order of first appearance, each with its least bound
-    _, first, group = np.unique(
-        handle.orbit_labels[codes], return_index=True, return_inverse=True
-    )
-    group_upper = upper[first]
-    np.minimum.at(group_upper, group, upper)
-    for g in np.argsort(first):
-        if group_upper[g] <= lb:
+        ecc = int(dist.max())
+        lower = max(lower, ecc)
+        if not handle.mode.directed_conjugators:
+            np.minimum(upper, ecc + dist, out=upper)
+        upper[source] = ecc
+        if sweep == 0:
+            source = int(np.argmax(dist))
             continue
-        e = ecc(handle.bfs_distances([int(codes[first[g]])]))
-        lb = max(lb, e)
-    return lb
+        if not exact:
+            return lower
+        if sweep == 1:
+            # codes grouped by orbit, each group in code order
+            labels = handle.orbit_labels[codes]
+            by_orbit = np.argsort(labels, kind="stable")
+            _, starts = np.unique(labels[by_orbit], return_index=True)
+        bound = np.minimum.reduceat(upper[by_orbit], starts)
+        if bound.max() <= lower:
+            return lower
+        source = int(by_orbit[starts[np.argmax(bound)]])
 
 
 def cayley_diameter(group: FiniteGroup, generator_indices: Sequence[int]) -> int:
     """Diameter of the (undirected) Cayley graph of the group w.r.t. the
-    given generators.  Vertex-transitive, so one BFS from the identity,
-    over the product table's generator columns."""
+    given generators.  Vertex-transitive, so the longest word length in
+    the generators and their inverses."""
     gens = np.asarray(generator_indices, dtype=np.int64)
     if not gens.size:
         raise PreconditionError("Cayley graph needs generators")
-    right = group.mul_table[:, np.concatenate((gens, group.inv_array[gens]))]
-    dist = np.full(group.order, -1, dtype=np.int32)
-    dist[0] = 0
-    frontier = np.array([0])
-    d = 0
-    while frontier.size:
-        d += 1
-        frontier = np.unique(right[frontier])
-        frontier = frontier[dist[frontier] < 0]
-        dist[frontier] = d
-    if (dist < 0).any():
+    length = word_lengths(group, np.concatenate((gens, group.inv_array[gens])))
+    if (length < 0).any():
         raise PreconditionError("generators do not generate the group")
-    return int(dist.max())
+    return int(length.max())
 
 
 # -- quotient-compatibility checks ----------------------------------------------

@@ -211,10 +211,6 @@ class FiniteGroup:
         under conjugation by the generators."""
         return least_in_orbit(self.conjugation_rows(self.generators), self.order)
 
-    def comm(self, i: int, j: int) -> int:
-        """Index of the commutator x_i^-1 x_j^-1 x_i x_j."""
-        return self.mul(self.mul(self.inv(i), self.inv(j)), self.mul(i, j))
-
     def power_rows(self) -> np.ndarray:
         """Array whose row t holds every element's t-th power, for t from 0
         up to the largest element order, in the product table's dtype."""

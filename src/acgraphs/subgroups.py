@@ -63,28 +63,36 @@ class Subgroup:
         return f"Subgroup({self.group.name}, order={self.order}, normal={self.is_normal})"
 
 
-def _saturate(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Multiplicative saturation of a seed set (plus identity).
+def word_lengths(group: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
+    """Per element, the length of its shortest positive word in the seeds
+    (int32; 0 for the identity, -1 where unreached).
 
     BFS by right multiplication with the seeds: every product of seeds is
     reached, and in a finite group that semigroup closure is already the
     subgroup (inverses arise as powers).  Each level gathers the product
     table at (frontier, seeds), at most ``_SATURATE_CELLS`` cells at a
-    time, into a member mask.  Cost O(|result| * |seed|)."""
-    seeds = np.unique(np.fromiter(seed, dtype=np.int64))
-    member = np.zeros(group.order, dtype=bool)
-    member[0] = True
-    member[seeds] = True
-    frontier = np.flatnonzero(member)
+    time, into a hit mask.  Cost O(|result| * |seeds|)."""
+    seeds = np.unique(np.fromiter(seeds, dtype=np.int64))
+    length = np.full(group.order, -1, dtype=np.int32)
+    length[0] = 0
+    frontier = np.array([0])
     rows = max(1, _SATURATE_CELLS // max(seeds.size, 1))
+    level = 0
     while frontier.size and seeds.size:
         hit = np.zeros(group.order, dtype=bool)
         for start in range(0, frontier.size, rows):
             hit[group.mul_table[frontier[start : start + rows, None], seeds]] = True
-        hit &= ~member
+        hit &= length < 0
         frontier = np.flatnonzero(hit)
-        member |= hit
-    return frozenset(np.flatnonzero(member).tolist())
+        level += 1
+        length[frontier] = level
+    return length
+
+
+def _saturate(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
+    """Multiplicative saturation of a seed set (plus identity): the
+    elements that ``word_lengths`` reaches."""
+    return frozenset(np.flatnonzero(word_lengths(group, seed) >= 0).tolist())
 
 
 def closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -365,6 +373,16 @@ def abelianization(group: FiniteGroup) -> AbelianStructure:
 # -- normal generation statistics ------------------------------------------------
 
 
+def _smallest_family(oracle: JoinOracle, limit: int) -> int | None:
+    """Least size, at most ``limit``, of a family of distinct singleton
+    closures that joins to the whole group, or None."""
+    ids = np.unique(oracle.singleton_ids[1:]).tolist()
+    for size in range(1, limit + 1):
+        if any(oracle.join_all(fam) == oracle.full_id for fam in combinations(ids, size)):
+            return size
+    return None
+
+
 def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]:
     """(nd, nd_m): minimal number of normal generators, and maximal size of
     a minimal (irredundant) normal generating set.
@@ -372,35 +390,31 @@ def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]
     Works on the join-semilattice of distinct singleton normal closures:
     a set of elements is interchangeable with its family of closures, and
     a minimal set has pairwise distinct, jointly irredundant closures.
+    An irredundant set has at most log2 |G| elements, since each one at
+    least doubles the subgroup the ones before it generate.
     """
     if group.order > cap:
         raise ResourceCapError("nd_search", group.order, cap)
     if group.order == 1:
         return (0, 0)
     oracle = get_join_oracle(group, "normal")
-    ids = sorted({oracle.singleton_id(i) for i in range(1, group.order)} - {0})
-    full = oracle.full_id
-    nd = None
-    for size in range(1, len(ids) + 1):
-        if any(oracle.join_all(fam) == full for fam in combinations(ids, size)):
-            nd = size
-            break
+    max_size = max(1, math.floor(math.log2(group.order)))
+    nd = _smallest_family(oracle, max_size)
     if nd is None:
         raise AssertionError(f"{group.name}: no normal generating set found")
-    max_size = max(1, math.floor(math.log2(group.order)))
-    nd_m = nd
-    for size in range(nd, max_size + 1):
-        found = False
-        for fam in combinations(ids, size):
-            if oracle.join_all(fam) != full:
-                continue
-            if all(
-                oracle.join_all(fam[:i] + fam[i + 1:]) != full for i in range(size)
-            ):
-                found = True
-                break
-        if found:
-            nd_m = size
+    ids = np.unique(oracle.singleton_ids[1:]).tolist()
+    full = oracle.full_id
+
+    def irredundant(fam: tuple[int, ...]) -> bool:
+        return oracle.join_all(fam) == full and all(
+            oracle.join_all(fam[:i] + fam[i + 1:]) != full for i in range(len(fam))
+        )
+
+    nd_m = max(
+        size
+        for size in range(nd, max_size + 1)
+        if any(map(irredundant, combinations(ids, size)))
+    )
     return (nd, nd_m)
 
 
@@ -409,13 +423,7 @@ def min_generator_count(group: FiniteGroup, upto: int) -> int | None:
     generation), or None if every family up to that size falls short."""
     if group.order == 1:
         return 0
-    oracle = get_join_oracle(group, "plain")
-    ids = sorted({oracle.singleton_id(i) for i in range(1, group.order)} - {0})
-    for size in range(1, upto + 1):
-        for fam in combinations(ids, size):
-            if oracle.join_all(fam) == oracle.full_id:
-                return size
-    return None
+    return _smallest_family(get_join_oracle(group, "plain"), upto)
 
 
 def generating_tuples(

@@ -26,7 +26,7 @@ from .conjecture import (
     parse_word,
 )
 from .elements import parse_cycles
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .graphs import (
     GraphHandle,
     GraphMode,
@@ -38,7 +38,6 @@ from .graphs import (
 )
 from .groups import FiniteGroup, parse_group
 from .subgroups import (
-    Subgroup,
     abelianization,
     covering_numbers,
     get_join_oracle,
@@ -113,9 +112,6 @@ class VerifyContext:
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed * 1_000_003 + salt)
-
-    def whole(self, g: FiniteGroup) -> Subgroup:
-        return Subgroup(g, tuple(range(g.order)), True)
 
 
 # -- group-core ---------------------------------------------------------------------
@@ -473,14 +469,14 @@ def check_quotient_cover(ctx: VerifyContext) -> CheckResult:
             for k in (1, 2):
                 if nd > k or g.order**k > 250_000:
                     continue
-                report = cover_check(g, m_sub, k)
+                case = f"{spec}, M order {m_sub.order}, k={k}"
+                try:
+                    report = cover_check(g, m_sub, k)
+                except VerificationError as exc:
+                    return CheckResult("quotient_cover_surjective", False, f"{case}: {exc}")
                 cases += 1
                 if not report.surjective:
-                    return CheckResult(
-                        "quotient_cover_surjective",
-                        False,
-                        f"{spec}, M order {m_sub.order}, k={k}",
-                    )
+                    return CheckResult("quotient_cover_surjective", False, case)
     return CheckResult("quotient_cover_surjective", True, f"{cases} quotient maps")
 
 
@@ -489,7 +485,10 @@ def check_soluble_components(ctx: VerifyContext) -> CheckResult:
     rows = []
     for spec in ("sym:3", "sym:4", "dihedral:4", "dihedral:6", "abelian:3,3"):
         g = ctx.groups[spec]
-        report = soluble_component_check(g, 2)
+        try:
+            report = soluble_component_check(g, 2)
+        except VerificationError as exc:
+            return CheckResult("soluble_component_bijection", False, f"{spec}: {exc}")
         rows.append(f"{spec}: {report.group_components}")
     return CheckResult("soluble_component_bijection", True, "; ".join(rows))
 

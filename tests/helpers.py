@@ -221,6 +221,13 @@ def brute_diameter(adj, comp):
     return max(max(brute_distances(adj, u).values()) for u in comp)
 
 
+def all_vertex_diameter(handle, codes):
+    """Largest eccentricity in a component, by one BFS from every one of
+    its codes (out-eccentricities, for a directed graph)."""
+    codes = np.asarray(codes)
+    return max(int(handle.bfs_distances([int(c)])[codes].max()) for c in codes)
+
+
 def brute_eval_word(word, images):
     """Substitute group elements for the generators; empty word gives the
     identity of the images' group."""

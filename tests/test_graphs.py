@@ -22,9 +22,11 @@ from acgraphs.subgroups import (
     derived_subgroup,
     normal_closure,
     normal_subgroups,
+    word_lengths,
 )
 
 from helpers import (
+    all_vertex_diameter,
     brute_center,
     brute_components,
     brute_diameter,
@@ -664,15 +666,21 @@ def test_orbit_diameter_matches_brute_force_across_swapped_components():
             assert diameter(h, codes) == brute[frozenset(codes.tolist())], (spec, lab)
 
 
-def test_exact_diameter_runs_one_bfs_per_orbit(monkeypatch):
-    g = parse_group("alt:5")
-    h = GraphHandle(g, 2, GraphMode.full_ac())
-    codes = components(h).codes_of(0)
+def _count_bfs(monkeypatch, h):
+    """A list that grows by one entry per BFS run on ``h``."""
     calls = []
     bfs = h.bfs_distances
     monkeypatch.setattr(
         h, "bfs_distances", lambda *a, **kw: calls.append(1) or bfs(*a, **kw)
     )
+    return calls
+
+
+def test_exact_diameter_bounds_prune_orbits(monkeypatch):
+    g = parse_group("alt:5")
+    h = GraphHandle(g, 2, GraphMode.full_ac())
+    codes = components(h).codes_of(0)
+    calls = _count_bfs(monkeypatch, h)
     assert diameter(h, codes, exact=False) <= 8
     assert "orbit_labels" not in h.__dict__  # the estimate builds no orbits
     assert len(calls) == 2
@@ -680,7 +688,74 @@ def test_exact_diameter_runs_one_bfs_per_orbit(monkeypatch):
     assert diameter(h, codes) == 8
     # 3,599 vertices, 32 orbits under Inn(A5), the swap and the inversion
     assert len(np.unique(h.orbit_labels[codes])) == 32
-    assert len(calls) <= 2 + 32
+    assert len(calls) <= 8
+    # restricted AC has no diagonal conjugation: 117 orbits in 432 vertices
+    h = GraphHandle(parse_group("sym:4"), 2, GraphMode.restricted_ac())
+    codes = components(h).codes_of(0)
+    calls = _count_bfs(monkeypatch, h)
+    assert diameter(h, codes) == 8
+    assert len(np.unique(h.orbit_labels[codes])) == 117
+    assert len(calls) <= 20
+
+
+def test_exact_diameter_equals_all_vertex_maximum():
+    s4 = parse_group("sym:4")
+    modes = (
+        GraphMode.full_ac(),
+        GraphMode.restricted_ac(),
+        GraphMode.restricted_ac(directed=True),
+        GraphMode.nielsen(),
+        GraphMode.extended_nielsen(),
+    )
+    cases = [
+        (parse_group(spec), k, mode, None)
+        for spec, k in (("sym:3", 2), ("dihedral:4", 2), ("alt:4", 2),
+                        ("sym:3", 3), ("abelian:2,2", 3))
+        for mode in modes
+    ]
+    cases += [(s4, 2, mode, derived_subgroup(s4)) for mode in modes[:3]]
+    for g, k, mode, normal in cases:
+        h = GraphHandle(g, k, mode, normal)
+        parts = components(h)
+        for lab in range(parts.count):
+            codes = parts.codes_of(lab)
+            assert diameter(h, codes) == all_vertex_diameter(h, codes), (
+                g.name, k, mode, lab
+            )
+
+
+def test_directed_diameter_sweeps_every_orbit(monkeypatch):
+    # a forward BFS gives no bound on the eccentricities of other codes
+    h = GraphHandle(parse_group("sym:4"), 2, GraphMode.restricted_ac(directed=True))
+    codes = components(h).codes_of(0)
+    calls = _count_bfs(monkeypatch, h)
+    diam = diameter(h, codes)
+    assert len(calls) == len(np.unique(h.orbit_labels[codes])) == 117
+    assert diam == all_vertex_diameter(h, codes) == 8
+
+
+class _StubDigraph:
+    """Ten codes, each its own orbit.  0 leads to every code and codes 1-5
+    lead back to it, so both sweeps see eccentricities of at most 2, but
+    9 -> 8 -> 7 -> 6 -> 5 -> 0 -> 1 puts code 9 at eccentricity 6."""
+
+    mode = GraphMode.restricted_ac(directed=True)
+    orbit_labels = np.arange(10)
+    adj = {0: set(range(1, 10)), 6: {5}, 7: {6}, 8: {7}, 9: {8}}
+    adj.update({v: {0} for v in range(1, 6)})
+
+    def bfs_distances(self, sources):
+        dist = np.full(10, -1, dtype=np.int32)
+        for code, d in brute_distances(self.adj, sources[0]).items():
+            dist[code] = d
+        return dist
+
+
+def test_directed_diameter_needs_no_reverse_distances():
+    stub = _StubDigraph()
+    codes = np.arange(10)
+    assert diameter(stub, codes, exact=False) == 2
+    assert diameter(stub, codes) == all_vertex_diameter(stub, codes) == 6
 
 
 def test_cayley_diameter_cyclic():
@@ -697,6 +772,11 @@ def test_cayley_diameter_matches_element_bfs():
         dist = brute_distances(adj, g.elements[0])
         assert len(dist) == g.order
         assert cayley_diameter(g, g.generators) == max(dist.values()), spec
+        # positive words in the generators alone reach every element too
+        lengths = word_lengths(g, g.generators)
+        adj = {x: {x * g.elements[i] for i in g.generators} for x in g.elements}
+        dist = brute_distances(adj, g.elements[0])
+        assert lengths.tolist() == [dist[x] for x in g.elements], spec
 
 
 # -- quotient checks ---------------------------------------------------------------------

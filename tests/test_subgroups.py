@@ -108,7 +108,11 @@ def test_derived_subgroups():
 def test_derived_equals_all_pairs_commutator_closure():
     for spec in ("sym:4", "dihedral:6", "sl2:3"):
         g = parse_group(spec)
-        comms = {g.comm(a, b) for a in range(g.order) for b in range(g.order)}
+        comms = {
+            g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
+            for a in range(g.order)
+            for b in range(g.order)
+        }
         assert closure(g, comms).members == derived_subgroup(g).members
 
 

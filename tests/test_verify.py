@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import acgraphs.verify as verify_mod
+from acgraphs.cli import main
+from acgraphs.errors import VerificationError
 from acgraphs.graphs import GraphHandle, GraphMode
 from acgraphs.groups import parse_group
 from acgraphs.verify import (
@@ -93,3 +97,30 @@ def test_walk_check_fails_when_a_step_leaves_the_vertex_set(ctx, monkeypatch):
     result = check_walk_vertex_preservation(ctx)
     assert not result.passed
     assert result.detail.startswith("sym:4: ")
+
+
+@pytest.mark.parametrize(
+    "check, structure_check",
+    [
+        (verify_mod.check_quotient_cover, "cover_check"),
+        (verify_mod.check_soluble_components, "soluble_component_check"),
+    ],
+)
+def test_failed_structure_check_is_a_fail_row(
+    ctx, monkeypatch, tmp_path, check, structure_check
+):
+    def broken(*args):
+        raise VerificationError("a component maps into several components")
+
+    monkeypatch.setattr(verify_mod, structure_check, broken)
+    result = check(ctx)
+    assert result.status == "FAIL"
+    assert result.detail.startswith("sym:3")
+    assert result.detail.endswith(": a component maps into several components")
+
+    monkeypatch.setattr(verify_mod, "CHECKS", (verify_mod.check_parse_orders, check))
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--corpus", "small", "--output", str(path)]) == 2
+    report = json.loads(path.read_text())["report"]
+    assert report["failed"] == 1
+    assert [c["status"] for c in report["checks"]] == ["PASS", "FAIL"]
