@@ -9,7 +9,8 @@ Every report embeds its manifest, the package version and all resolved
 defaults; identical manifests produce byte-identical reports (there are
 no timestamps, and all randomness is seeded).  Exact quantities are
 emitted as numerator/denominator pairs.  Exit codes: 0 success, 1 usage
-error, 2 failed verification, 3 resource cap.
+error, 2 failed verification, 3 resource cap, 4 internal error (any other
+exception; stderr names its type and message).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 _WALKER_CHUNK = 4096  # fixed, so reports do not depend on --threads
 
@@ -611,6 +613,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except Exception as exc:  # a bug, not bad input: say what was raised
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit codes: usage/spec problems -> 1,
-failed verification -> 2, resource caps -> 3.
+failed verification -> 2, resource caps -> 3; any other exception is an
+internal error -> 4.
 """
 
 

@@ -18,16 +18,22 @@ of N.  Edges are never stored.  One move table yields the images of a
 frontier under every move, block by block, as numpy gathers over
 precomputed product, inverse and conjugation tables (one row per distinct
 non-identity conjugation); a caller may narrow the frontier between
-blocks.  BFS picks a direction per level.  A push level marks each block
-in a reusable hit map, masks the map by the unvisited vertices and scans
-it for the next frontier.  Once the unvisited vertices are no more than
-the frontier, a pull level instead reads the inverse moves of the
-unvisited codes and keeps those with a preimage in the frontier, dropping
-each code from the scan at its first hit (Beamer, Asanovic & Patterson,
-SC 2012).  A BFS toward a target stops before the level that holds one
-of the target's preimages.  Geodesics walk back from the target over the
-distance array through the inverse moves, so no parent pointers are
-stored.
+blocks.  The BFS runs in a bounded working set: beyond its arrays over the
+code space, what it allocates fits one budget of ``_CHUNK_CELLS`` int64
+cells (2 MiB, sized for the cache).  It streams each level in slices of
+``_CHUNK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
+the budget, and one block is alive at a time.  On the sl2:7 full-AC graph
+at k=2, ``components`` peaks 4.5 MB above its handle (tracemalloc), and
+``analyze`` at about 40 MB RSS.  BFS picks a direction per level.  A push
+level marks each block in a reusable hit map, masks the map by the
+unvisited vertices and scans it for the next frontier.  Once the
+unvisited vertices are no more than the frontier, a pull level instead
+reads the inverse moves of the unvisited codes and keeps those with a
+preimage in the frontier, dropping each code from the scan at its first
+hit (Beamer, Asanovic & Patterson, SC 2012).  A BFS toward a target
+stops before the level that holds one of the target's preimages.
+Geodesics walk back from the target over the distance array through the
+inverse moves, so no parent pointers are stored.
 
 The vertex mask is the table of ``subgroups.generating_tuples``, the
 census that also counts psi_k: it folds the join oracle once per orbit of
@@ -68,7 +74,17 @@ from .subgroups import (
     word_lengths,
 )
 
-_CHUNK_CELLS = 2_000_000
+_CHUNK_CELLS = 262_144  # int64 cells per move block: 2 MiB, one block alive at a time
+
+
+def _slices(codes: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of at most ``_CHUNK_CELLS // 16`` codes, the
+    frontier width of one move stream: its multiplication blocks and their
+    gathers then stay within the budget, and each conjugation block spans
+    at least 16 moves."""
+    width = max(1, _CHUNK_CELLS // 16)
+    for start in range(0, codes.size, width):
+        yield codes[start : start + width]
 
 
 @dataclass(frozen=True)
@@ -318,7 +334,10 @@ class GraphHandle:
         undone by conjugation by w^-1); their ids then do not name the
         moves that lead from them.  A caller may narrow the frontier
         between blocks by sending a boolean mask over the columns of the
-        last block: later blocks hold the kept columns only.
+        last block: later blocks hold the kept columns only.  The stream
+        drops each block when resumed, so a caller that drops its own
+        reference too keeps one block alive; the BFS bounds the frontier
+        width by feeding it ``_slices``.
         """
         k, nm = self.k, self.nm
         radix = self.radix[:, None]
@@ -349,15 +368,18 @@ class GraphHandle:
                 pos += base
                 first = (i * k + j) * 4
                 narrow((yield np.arange(first, first + 4), pos))
+                del pos
             if self.mode.has_inversion:
                 codes = cols[k + i] + self.NINV[cols[i]][None, :] * r
                 narrow((yield np.array([self._inv_base + i]), codes))
+                del codes
             for start in range(0, len(conj), rows):
                 block = conj[start : start + rows, cols[i]]
                 block *= r
                 block += cols[k + i]
                 ids = self._conj_base + np.arange(start, start + len(block)) * k + i
                 narrow((yield ids, block))
+                del block  # before the next block is built
 
     def _images_of(
         self, code: int, *, backward: bool = False
@@ -408,26 +430,27 @@ class GraphHandle:
         """Distance array (int32, -1 unreached) from source codes.
 
         Each level pushes every move from the frontier into a hit map,
-        unless the unvisited vertices are no more than the frontier: then
-        it pulls, testing each unvisited code's preimages against the
-        frontier and dropping the code at its first hit.  Every code has
+        one slice of the frontier at a time, unless the unvisited vertices
+        are no more than the frontier: then it pulls, testing each
+        unvisited code's preimages against the frontier and dropping the
+        code at its first hit.  Every code has
         the same number of moves, so a pull never scans more cells than
         the push it replaces.  With ``target``, the target's preimages
         are read once, and the BFS stops before expanding the level that
         holds one of them, with ``dist[target]`` set and every lower
         level complete.
         """
-        dist = np.full(self.size, -1, dtype=np.int32)
-        src = np.unique(np.asarray(sources, dtype=np.int64))
+        # the frontier's codes, on entry to every level
+        hit = np.zeros(self.size, dtype=bool)
+        hit[np.asarray(sources, dtype=np.int64)] = True
+        src = np.flatnonzero(hit)
         if not self.vertex_mask[src].all():
             raise PreconditionError("BFS source is not a vertex")
+        dist = np.full(self.size, -1, dtype=np.int32)
         dist[src] = 0
         unvisited = self.vertex_mask.copy()
         unvisited[src] = False
         unvisited_count = self.vertex_count - src.size
-        # the frontier's codes, on entry to every level
-        hit = np.zeros(self.size, dtype=bool)
-        hit[src] = True
         frontier = src
         if target is not None:
             if dist[target] == 0:
@@ -444,8 +467,10 @@ class GraphHandle:
                 hit[:] = False
                 hit[frontier] = True
             else:
-                for _, codes in self._move_images(frontier):
-                    hit[codes] = True
+                for part in _slices(frontier):
+                    for _, codes in self._move_images(part):
+                        hit[codes] = True
+                        del codes  # before the stream builds the next block
                 # codes marked at earlier levels are visited, so this clears them
                 hit &= unvisited
                 frontier = np.flatnonzero(hit)
@@ -457,22 +482,24 @@ class GraphHandle:
     def _pull(self, candidates: np.ndarray, in_frontier: np.ndarray) -> np.ndarray:
         """The candidate codes that one move leads to from a code of the
         ``in_frontier`` mask; each candidate is dropped from the scan at its
-        first hit."""
+        first hit.  Each slice of the candidates is a stream of its own."""
         found = [candidates[:0]]
-        images = self._move_images(candidates, backward=True)
-        keep = None
-        while candidates.size:
-            try:
-                _, preds = images.send(keep)
-            except StopIteration:
-                break
-            hits = in_frontier[preds].any(axis=0)
+        for part in _slices(candidates):
+            images = self._move_images(part, backward=True)
             keep = None
-            if hits.any():
-                found.append(candidates[hits])
-                keep = ~hits
-                candidates = candidates[keep]
-        images.close()
+            while part.size:
+                try:
+                    _, preds = images.send(keep)
+                except StopIteration:
+                    break
+                hits = in_frontier[preds].any(axis=0)
+                del preds
+                keep = None
+                if hits.any():
+                    found.append(part[hits])
+                    keep = ~hits
+                    part = part[keep]
+            images.close()
         return np.concatenate(found)
 
     def geodesic(self, source: int, target: int) -> list[dict] | None:

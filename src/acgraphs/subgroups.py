@@ -72,7 +72,9 @@ def word_lengths(group: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
     subgroup (inverses arise as powers).  Each level gathers the product
     table at (frontier, seeds), at most ``_SATURATE_CELLS`` cells at a
     time, into a hit mask.  Cost O(|result| * |seeds|)."""
-    seeds = np.unique(np.fromiter(seeds, dtype=np.int64))
+    is_seed = np.zeros(group.order, dtype=bool)
+    is_seed[np.fromiter(seeds, dtype=np.int64)] = True
+    seeds = np.flatnonzero(is_seed)
     length = np.full(group.order, -1, dtype=np.int32)
     length[0] = 0
     frontier = np.array([0])
@@ -180,9 +182,10 @@ class JoinOracle:
         group = self.group
         ids = np.zeros(group.order, dtype=np.int64)
         if self.mode == "normal":
-            # same class -> same normal closure
+            # same class -> same normal closure; a class is labelled by its
+            # least member
             labels = group.class_labels
-            for rep in np.unique(labels).tolist():
+            for rep in np.flatnonzero(labels == np.arange(group.order)).tolist():
                 sub = normal_closure(group, [rep]).member_set
                 ids[labels == rep] = self._intern(sub)
         else:

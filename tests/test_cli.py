@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import acgraphs
 from acgraphs.cli import main
+from acgraphs.errors import VerificationError
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +184,47 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "scan")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (AssertionError("abelian basis is not independent"), 4,
+         "internal error: AssertionError: abelian basis is not independent\n"),
+        (KeyError(7), 4, "internal error: KeyError: 7\n"),
+        # a failed invariant on concrete data keeps its own code
+        (VerificationError("component split"), 2,
+         "verification failure: component split\n"),
+    ],
+)
+def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, raised, code,
+                                                  message):
+    def layer(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr("acgraphs.cli.components", layer)
+    assert run_cli(capsys, "analyze", "--group", "sym:3", "--k", "2") == (code, "", message)
+
+
+def test_analyze_and_scan_do_not_import_numpy_ma():
+    # numpy's flagless 1-D unique imports numpy.ma (14 ms, 1.3 MB) on first use
+    script = (
+        "import contextlib, io, sys\n"
+        "from acgraphs.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    jobs = [f"analyze --group sl2:5 --k 2 --mode {mode}" for mode in ("full-ac", "nielsen")]
+    jobs.append("scan --group sl2:5 --pair ak --mode full-ac")
+    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *jobs], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path):

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from acgraphs import graphs
 from acgraphs.elements import parse_cycles
 from acgraphs.errors import PreconditionError, ResourceCapError
 from acgraphs.graphs import (
@@ -424,6 +426,12 @@ def _move_table_adjacency(h):
     return {int(c): set(images[:, n].tolist()) for n, c in enumerate(codes)}
 
 
+def _slice_widths(n):
+    """Widths of the slices that a BFS level cuts ``n`` codes into."""
+    width = graphs._CHUNK_CELLS // 16
+    return [min(width, n - start) for start in range(0, n, width)]
+
+
 @pytest.mark.parametrize(
     "spec, mode",
     [("alt:5", GraphMode.full_ac()), ("sl2:5", GraphMode.restricted_ac(directed=True))],
@@ -433,25 +441,38 @@ def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode
     adj = _move_table_adjacency(h)
     moves = len(h._images_of(0)[0])
     log = _spy_move_images(monkeypatch, h)
-    for source in np.flatnonzero(h.vertex_mask)[:: h.vertex_count // 3][:3]:
+    # the default budget, under which every level of these graphs is one
+    # slice, and 64-code slices with 16-row conjugation blocks, under which
+    # their large levels span several
+    sources = np.flatnonzero(h.vertex_mask)[:: h.vertex_count // 3][:3]
+    for chunk, source in itertools.product((graphs._CHUNK_CELLS, 1024), sources):
+        monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", chunk)
         log.clear()
         dist = h.bfs_distances([int(source)])
         expected = np.full(h.size, -1, dtype=np.int32)
         for v, d in brute_distances(adj, int(source)).items():
             expected[v] = d
         assert np.array_equal(dist, expected)
-        # one stream per level expanded, from the codes at distance `level`;
-        # the last level is not expanded once every vertex is reached
-        assert len(log) == dist.max() + (dist[h.vertex_mask] < 0).any()
-        pulls = 0
-        for level, (backward, width, cells) in enumerate(log):
+        # one stream per slice of each level expanded: slices of the codes at
+        # distance `level` when it pushes, of the unvisited vertices when it
+        # pulls; the last level is not expanded once every vertex is reached
+        at = pulls = 0
+        for level in range(dist.max() + (dist[h.vertex_mask] < 0).any()):
             frontier = int(np.count_nonzero(dist == level))
+            backward = log[at][0]
+            unvisited = int(np.count_nonzero(h.vertex_mask & ((dist > level) | (dist < 0))))
+            widths = _slice_widths(unvisited if backward else frontier)
+            streams = log[at : at + len(widths)]
+            at += len(widths)
+            assert [(b, n) for b, n, _ in streams] == [(backward, n) for n in widths]
+            cells = sum(c for _, _, c in streams)
             if backward:
                 pulls += 1
-                assert width <= frontier
+                assert unvisited <= frontier
                 assert cells <= frontier * moves
             else:
-                assert width == frontier and cells == frontier * moves
+                assert cells == frontier * moves
+        assert at == len(log)
         assert pulls >= 2
 
 
@@ -504,6 +525,98 @@ def test_narrowed_move_stream_matches_a_fresh_stream(monkeypatch, backward):
             fresh.update(((f.size, move), row) for move, row in zip(ids.tolist(), codes))
     for f, move, row in later:
         assert np.array_equal(row, fresh[f.size, move]), (f.size, move)
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [
+        ("alt:5", GraphMode.full_ac()),
+        ("sl2:5", GraphMode.restricted_ac(directed=True)),
+        ("abelian:3,3", GraphMode.nielsen()),  # two components
+    ],
+)
+def test_sliced_bfs_matches_the_oracles(monkeypatch, spec, mode):
+    h = GraphHandle(parse_group(spec), 2, mode)
+    adj = _move_table_adjacency(h)
+    # 16-code slices and 16-row conjugation blocks: every level of more than
+    # 16 codes is several streams, and alt:5's 59 conjugation rows four blocks
+    monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", 256)
+    log = _spy_move_images(monkeypatch, h)
+    parts = components(h)
+    assert {frozenset(parts.codes_of(lab).tolist()) for lab in range(parts.count)} == {
+        frozenset(comp) for comp in brute_components(list(adj), adj)
+    }
+    code_of = {h.format_tuple(t): h.encode(t) for t in h.vertices()}
+    codes = np.flatnonzero(h.vertex_mask)
+    for source in codes[:: len(codes) // 2][:2].tolist():
+        expected = np.full(h.size, -1, dtype=np.int32)
+        for v, d in brute_distances(adj, source).items():
+            expected[v] = d
+        assert np.array_equal(h.bfs_distances([source]), expected)
+        # one target per level, and one vertex out of reach
+        reached = np.flatnonzero(expected >= 0)
+        _, first_of_level = np.unique(expected[reached], return_index=True)
+        targets = reached[first_of_level].tolist()
+        targets += codes[expected[codes] < 0][:1].tolist()
+        for t in targets:
+            dist = h.bfs_distances([source], target=t)
+            assert dist[t] == expected[t]
+            # every level below the target's, or all of them when it is out of reach
+            below = (expected >= 0) & ((expected < expected[t]) | (expected[t] < 0))
+            assert np.array_equal(dist[below], expected[below])
+            path = h.geodesic(source, t)
+            if expected[t] < 0:
+                assert path is None
+                continue
+            steps = [(code_of[step["from"]], code_of[step["to"]]) for step in path]
+            assert [u for u, _ in steps] + [t] == [source] + [v for _, v in steps]
+            assert all(v in adj[u] for u, v in steps)
+            assert len(steps) == expected[t]
+    if not mode.directed_conjugators:  # a directed sweep runs one BFS per orbit
+        for lab in range(parts.count):
+            comp = parts.codes_of(lab)
+            # eccentricity is constant on the orbits of the symmetry maps
+            _, first = np.unique(h.orbit_labels[comp], return_index=True)
+            assert diameter(h, comp) == max(
+                max(brute_distances(adj, int(c)).values()) for c in comp[first]
+            ), lab
+    if parts.count == 1:
+        assert any(backward for backward, _, _ in log)
+    assert max(width for _, width, _ in log) <= 16
+
+
+@pytest.fixture(scope="module")
+def sl2_7():
+    return parse_group("sl2:7")
+
+
+# (mode, run, budget): the restricted graph's four conjugation rows never fill
+# a default block, so a smaller budget is what shows that the frontier slices
+# also bound its multiplication blocks
+@pytest.mark.parametrize(
+    "mode, run, chunk",
+    [
+        (GraphMode.full_ac(), components, None),
+        (GraphMode.restricted_ac(),
+         lambda h: diameter(h, np.flatnonzero(h.vertex_mask), exact=False), 32_768),
+    ],
+    ids=["full-ac-components", "restricted-ac-double-sweep"],
+)
+def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, mode,
+                                                          run, chunk):
+    if chunk is not None:
+        monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", chunk)
+    h = GraphHandle(sl2_7, 2, mode)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run(h)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # one int64 block, and 40 bytes per code for the distance, visited, hit
+    # and component arrays, the frontier and the sweep's bounds
+    assert peak <= 8 * graphs._CHUNK_CELLS + 40 * h.size
 
 
 def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):
