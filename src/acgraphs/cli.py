@@ -322,7 +322,10 @@ def cmd_walk(args, out) -> int:
         order = None if ambient else normal.order
         budget = default_step_budget(args.k, degree=degree, subgroup_order=order)
     else:
-        budget = int(args.budget)
+        try:
+            budget = int(args.budget)
+        except ValueError:
+            raise GroupSpecError(f"--budget {args.budget!r} is not 'auto' or an integer") from None
 
     if args.algorithm == "cayley":
         seeds_idx = [group.index_of(e) for e in init]
@@ -419,7 +422,12 @@ def cmd_stats(args, out) -> int:
             raise GroupSpecError(
                 f"cannot read --observed {args.observed!r}: {exc.strerror}"
             ) from exc
-        observed = {int(k): int(v) for k, v in json.loads(text).items()}
+        try:
+            observed = {int(k): int(v) for k, v in dict(json.loads(text)).items()}
+        except (TypeError, ValueError) as exc:
+            raise GroupSpecError(
+                f"--observed {args.observed!r} is not a JSON histogram: {exc}"
+            ) from None
         dist = cycle_distribution(args.n, args.parity)
         report["chiSquared"] = chi_squared_test(observed, dist).to_json()
     else:
@@ -604,7 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "scan" and not args.series and not args.group:
             raise GroupSpecError("scan needs --group or --series")
         return args.func(args, sys.stdout)
-    except (GroupSpecError, PreconditionError, ValueError) as exc:
+    except (GroupSpecError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:

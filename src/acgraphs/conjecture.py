@@ -86,11 +86,11 @@ def parse_word(text: str, alphabet: str = DEFAULT_ALPHABET) -> Word:
     letters: list[int] = []
     for m in _TOKEN.finditer(text):
         if m.group(1) is None:
-            raise ValueError(f"bad token {m.group(0)!r} in word {text!r}")
+            raise GroupSpecError(f"bad token {m.group(0)!r} in word {text!r}")
         ch = m.group(1)
         base = alphabet.find(ch.lower())
         if base < 0:
-            raise ValueError(f"letter {ch!r} outside alphabet {alphabet!r}")
+            raise GroupSpecError(f"letter {ch!r} outside alphabet {alphabet!r}")
         exp = int(m.group(2)) if m.group(2) is not None else 1
         if ch.isupper():
             exp = -exp

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
+from .errors import GroupSpecError
+
 
 class Permutation:
     """A permutation of {0..n-1} stored as the tuple of point images."""
@@ -258,7 +260,7 @@ def cycle_count(a: GroupElement) -> int:
     return a.cycle_count()
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -274,7 +276,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     body = _CYCLE_RE.findall(text)
     leftover = _CYCLE_RE.sub("", text).strip()
     if not body or leftover:
-        raise ValueError(f"bad cycle notation: {text!r}")
+        raise GroupSpecError(f"bad cycle notation: {text!r}")
     cycles = []
     for chunk in body:
         pts = [int(t) for t in re.split(r"[,\s]+", chunk.strip()) if t]
@@ -287,9 +289,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     for cyc in cycles:
         pts = [p - base for p in cyc]
         if any(not (0 <= p < degree) for p in pts) or len(set(pts)) != len(pts):
-            raise ValueError(f"cycle out of range or repeated point: {cyc}")
+            raise GroupSpecError(f"cycle out of range or repeated point: {cyc}")
         if seen.intersection(pts):
-            raise ValueError(f"cycles are not disjoint: {text!r}")
+            raise GroupSpecError(f"cycles are not disjoint: {text!r}")
         seen.update(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
@@ -317,7 +319,9 @@ def parse_matrix(text: str, modulus: int) -> MatrixGF:
     """Parse ``[[a,b],[c,d]]`` (whitespace tolerated)."""
     nums = [int(t) for t in re.findall(r"-?\d+", text)]
     if len(nums) != 4:
-        raise ValueError(f"bad matrix literal: {text!r}")
+        raise GroupSpecError(f"bad matrix literal: {text!r}")
+    if (nums[0] * nums[3] - nums[1] * nums[2]) % modulus != 1:
+        raise GroupSpecError(f"determinant of {text!r} is not 1 mod {modulus}")
     return MatrixGF(nums, modulus)
 
 
@@ -325,5 +329,5 @@ def parse_residues(text: str, moduli: Sequence[int]) -> AbelianTuple:
     """Parse ``(r1,r2,...)`` against the given moduli."""
     nums = [int(t) for t in re.findall(r"-?\d+", text)]
     if len(nums) != len(moduli):
-        raise ValueError(f"expected {len(moduli)} residues in {text!r}")
+        raise GroupSpecError(f"expected {len(moduli)} residues in {text!r}")
     return AbelianTuple(nums, moduli)

@@ -19,12 +19,12 @@ frontier under every move, block by block, as numpy gathers over
 precomputed product, inverse and conjugation tables (one row per distinct
 non-identity conjugation); a caller may narrow the frontier between
 blocks.  The BFS runs in a bounded working set: beyond its arrays over the
-code space, what it allocates fits one budget of ``_CHUNK_CELLS`` int64
-cells (2 MiB, sized for the cache).  It streams each level in slices of
-``_CHUNK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
+code space, what it allocates fits one budget of ``BLOCK_CELLS`` int64
+cells (1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
+``BLOCK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
 the budget, and one block is alive at a time.  On the sl2:7 full-AC graph
-at k=2, ``components`` peaks 4.5 MB above its handle (tracemalloc), and
-``analyze`` at about 40 MB RSS.  BFS picks a direction per level.  A push
+at k=2, ``components`` peaks 3.7 MB above its handle (tracemalloc), and
+``analyze`` at about 38 MB RSS.  BFS picks a direction per level.  A push
 level marks each block in a reusable hit map, masks the map by the
 unvisited vertices and scans it for the next frontier.  Once the
 unvisited vertices are no more than the frontier, a pull level instead
@@ -59,9 +59,10 @@ from typing import Generator, Iterator, Sequence
 import numpy as np
 
 from .elements import format_element
-from .errors import PreconditionError, ResourceCapError, VerificationError
-from .groups import FiniteGroup, env_cap, least_in_orbit, tuple_maps
+from .errors import GroupSpecError, PreconditionError, ResourceCapError, VerificationError
+from .groups import FiniteGroup, distinct, env_cap, least_in_orbit, tuple_maps
 from .subgroups import (
+    BLOCK_CELLS,
     DEFAULT_TUPLE_CAP,
     Subgroup,
     abelianization,
@@ -74,15 +75,12 @@ from .subgroups import (
     word_lengths,
 )
 
-_CHUNK_CELLS = 262_144  # int64 cells per move block: 2 MiB, one block alive at a time
-
-
 def _slices(codes: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive views of at most ``_CHUNK_CELLS // 16`` codes, the
+    """Consecutive views of at most ``BLOCK_CELLS // 16`` codes, the
     frontier width of one move stream: its multiplication blocks and their
     gathers then stay within the budget, and each conjugation block spans
     at least 16 moves."""
-    width = max(1, _CHUNK_CELLS // 16)
+    width = max(1, BLOCK_CELLS // 16)
     for start in range(0, codes.size, width):
         yield codes[start : start + width]
 
@@ -96,9 +94,9 @@ class GraphMode:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown graph mode {self.kind!r}")
+            raise GroupSpecError(f"unknown graph mode {self.kind!r}")
         if self.directed_conjugators and self.kind != "restricted-ac":
-            raise ValueError(f"directed conjugators need restricted-ac, not {self.kind}")
+            raise GroupSpecError(f"directed conjugators need restricted-ac, not {self.kind}")
 
     @classmethod
     def full_ac(cls) -> "GraphMode":
@@ -196,14 +194,14 @@ class GraphHandle:
         """Product table (None at k = 1, where no multiplication move
         exists) and inverse array over member positions.  Closure under
         product is checked at every k, in row blocks of at most
-        ``_CHUNK_CELLS`` cells."""
+        ``BLOCK_CELLS`` cells."""
         g, m, nm = self.group, self.member_idx, self.nm
         ninv = self.pos_of[g.inv_array[m]]
         if (ninv < 0).any():
             raise PreconditionError("member set not closed under inverse")
         nmul = np.empty((nm, nm), dtype=np.int64) if self.k > 1 else None
         member = self.pos_of >= 0
-        rows = max(1, _CHUNK_CELLS // nm)
+        rows = max(1, BLOCK_CELLS // nm)
         for start in range(0, nm, rows):
             block = g.mul_table[np.ix_(m[start : start + rows], m)]
             if not member[block].all():
@@ -231,20 +229,29 @@ class GraphHandle:
         return self.pos_of[self.group.conjugation_rows(ws)[:, self.member_idx]]
 
     def _conj_table(self, limit: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Conjugators and their rows over member positions, keeping the
-        first conjugator of each distinct row and no identity row (w and
-        wz act alike for central z).  The table's cells count against the
-        tuple cap ``limit``."""
-        ws = self._conjugator_list()
-        if len(ws) * self.nm > limit:
-            raise ResourceCapError("conjugation_table", len(ws) * self.nm, limit)
-        table = self._conj_rows(ws)
+        """Conjugators and their rows over member positions: the first
+        conjugator of each coset Cw of the centralizer C of N, named by its
+        least member, and none from C itself, since conjugations by w and
+        w' agree on N iff w' is in Cw.  The cells of all conjugators' rows
+        count against the tuple cap ``limit``."""
+        ws = np.array(self._conjugator_list(), dtype=np.int64)
+        if ws.size * self.nm > limit:
+            raise ResourceCapError("conjugation_table", ws.size * self.nm, limit)
+        mt, m = self.group.mul_table, self.member_idx
+        central = np.ones(self.group.order, dtype=bool)
+        rows = max(1, BLOCK_CELLS // self.group.order)
+        for start in range(0, self.nm, rows):
+            block = m[start : start + rows]
+            central &= (mt[:, block] == mt[block].T).all(axis=1)
+        names = ws.copy()
+        for c in np.flatnonzero(central):
+            np.minimum(names, mt[c, ws], out=names)
+        _, first = np.unique(names, return_index=True)
+        keep = ws[np.sort(first[names[first] > 0])]
+        table = self._conj_rows(keep)
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
-        _, first = np.unique(table, axis=0, return_index=True)
-        keep = np.sort(first)
-        keep = keep[(table[keep] != np.arange(self.nm)).any(axis=1)]
-        return tuple(ws[r] for r in keep), table[keep]
+        return tuple(keep.tolist()), table
 
     def _vertex_mask(self) -> np.ndarray:
         """Codes whose entries generate the target (normally, in AC modes):
@@ -327,7 +334,7 @@ class GraphHandle:
         """Every move applied to every frontier code, in move-id order.
 
         Yields ``(move ids, codes)`` blocks, ``codes`` of shape
-        ``(len(ids), len(frontier))`` and at most ``_CHUNK_CELLS`` cells per
+        ``(len(ids), len(frontier))`` and at most ``BLOCK_CELLS`` cells per
         conjugation block.  With ``backward`` the blocks hold instead the
         codes that one move takes to each frontier code (multiplication and
         inversion moves are closed under inverses, and conjugation by w is
@@ -346,7 +353,7 @@ class GraphHandle:
         cols = np.concatenate((comps, frontier - comps * radix))
         del comps
         conj = self._conj_backward if backward else self.CONJ
-        rows = max(1, _CHUNK_CELLS // max(frontier.size, 1))
+        rows = max(1, BLOCK_CELLS // max(frontier.size, 1))
 
         def narrow(keep: np.ndarray | None) -> None:
             nonlocal cols
@@ -420,7 +427,7 @@ class GraphHandle:
         if not self.vertex_mask[code]:
             raise PreconditionError(f"not a vertex: {tuple(tup)}")
         _, images = self._images_of(code)
-        return [self.decode(int(c)) for c in np.unique(images) if c != code]
+        return [self.decode(int(c)) for c in distinct(images) if c != code]
 
     # -- BFS and geodesics -----------------------------------------------------------
 
@@ -703,7 +710,7 @@ def _component_map(
         raise VerificationError(not_vertex)
     src_parts = components(src)
     dst_parts = components(dst)
-    keys = np.unique(
+    keys = distinct(
         src_parts.labels[codes].astype(np.int64) * dst_parts.count
         + dst_parts.labels[images]
     )
@@ -734,7 +741,7 @@ def cover_check(group: FiniteGroup, modulo: Subgroup, k: int) -> CoverCheckRepor
         "image of a vertex is not a vertex in the quotient",
         "a connected component maps into several quotient components",
     )
-    surjective = len(np.unique(images)) == dst.vertex_count
+    surjective = len(distinct(images)) == dst.vertex_count
     return CoverCheckReport(
         group,
         modulo.order,

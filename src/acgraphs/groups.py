@@ -1,7 +1,7 @@
 """Fully enumerated finite groups with canonical element indexing.
 
 A ``FiniteGroup`` owns an immutable, canonically ordered element list
-(index 0 is the identity, the rest sorted by payload), an inverse table
+(index 0 is the identity, the rest sorted by payload), an inverse array
 and a dense numpy product table; all arithmetic on enumerated elements
 goes through these tables, and element objects serve parsing and
 printing.  Conjugation is one table gather (``conjugation_rows``);
@@ -13,10 +13,14 @@ gives it the entry and position permutations of tuple codes), and
 
     cyclic:n | abelian:e1,e2,... | sym:n | alt:n | dihedral:n | sl2:p
 
-The table is built from the generators (n object products each), which
-checks both closure of the element list and that the generators generate
-it.  ``ACGRAPHS_MAX_ELEMENTS`` (default 8,192) bounds the order before
-enumeration, and so the table (at most 128 MiB).
+Each family names only its identity, its generators and its order.  The
+group is their breadth-first closure: the identity under left
+multiplication by the generators (the orbit algorithm, Seress,
+*Permutation Group Algorithms*, 2003, section 2.1), n object products
+per generator, which also records the rows the product table is filled
+from.  A closure that passes the order, or ends short of it, is a
+``ValueError``.  ``ACGRAPHS_MAX_ELEMENTS`` (default 8,192) bounds the
+order before enumeration, and so the table (at most 128 MiB).
 
 ``SymmetricAmbient`` is the non-enumerated escape hatch for random walks
 over Sym_n at degrees whose order is far beyond any element cap; it does
@@ -28,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 from functools import cached_property
-from itertools import permutations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +41,6 @@ from .elements import (
     GroupElement,
     MatrixGF,
     Permutation,
-    identity_like,
 )
 from .errors import GroupSpecError, ResourceCapError
 
@@ -73,6 +75,16 @@ def least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
             return lab
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array, flattened: a sort
+    and a neighbour-difference mask, as numpy's flagless ``unique`` would
+    give them without its first-use import of ``numpy.ma``."""
+    v = np.sort(values, axis=None)
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 def tuple_maps(perms: Sequence[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
     """Permutations of the codes ``np.ravel_multi_index(t, shape)`` of
     tuples t over ``range(shape[0])``: each non-identity entry permutation
@@ -100,67 +112,51 @@ class FiniteGroup:
     def __init__(
         self,
         name: str,
-        elements: Sequence[GroupElement],
+        identity: GroupElement,
         generators: Iterable[GroupElement],
+        order: int,
     ):
+        """Enumerate the group of ``order`` elements that the generators
+        generate; ValueError if their closure is larger or smaller."""
         self.name = name
-        elements = list(elements)
-        if not elements:
-            raise ValueError("a group has at least the identity")
-        elements.sort(key=lambda e: e.sort_key())
-        iden = identity_like(elements[0])
-        pos = next(i for i, e in enumerate(elements) if e == iden)
-        elements[0], elements[pos] = elements[pos], elements[0]
-        self.elements: tuple[GroupElement, ...] = tuple(elements)
+        gens = list(dict.fromkeys(generators))
+        found = [identity]
+        index = {identity: 0}
+        left = [[] for _ in gens]  # left[s][j]: discovery index of gens[s] * found[j]
+        parent = [(0, 0)]  # (j, s) with found[c] = gens[s] * found[j]
+        for j, e in enumerate(found):  # grows while scanned: breadth-first order
+            for s, (g, row) in enumerate(zip(gens, left)):
+                x = g * e
+                c = index.setdefault(x, len(found))
+                if c == len(found):
+                    if c == order:
+                        raise ValueError(f"{name}: generators span more than {order} elements")
+                    found.append(x)
+                    parent.append((j, s))
+                row.append(c)
+        if len(found) != order:
+            raise ValueError(f"{name}: generators span {len(found)} of {order} elements")
+        # canonical numbering: sorted by payload, the identity swapped to 0
+        rank = sorted(range(order), key=lambda c: found[c].sort_key())
+        pos = rank.index(0)
+        rank[0], rank[pos] = 0, rank[0]
+        new = np.empty(order, dtype=np.int64)
+        new[rank] = np.arange(order)
+        self.elements: tuple[GroupElement, ...] = tuple(found[c] for c in rank)
         self._index: dict[GroupElement, int] = {
             e: i for i, e in enumerate(self.elements)
         }
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements in listing")
-        self.generators: tuple[int, ...] = tuple(
-            sorted({self._index[g] for g in generators})
-        )
-        self.mul_table: np.ndarray = self._build_table()
-        self.inverse_table: tuple[int, ...] = tuple(
-            self._index[e.inverse()] for e in self.elements
-        )
-        self.inv_array: np.ndarray = np.array(self.inverse_table, dtype=np.int64)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_table(self) -> np.ndarray:
-        """Product table from the generators' left multiplications
-        ``L_s[i] = index(s * e_i)``, spread by BFS from the identity: row c
-        is ``L_s[row j]`` when ``e_c = s * e_j``.  A product off the
-        listing proves it not closed; an unreached row proves that the
-        generators do not span it."""
-        n = len(self.elements)
-        dtype = np.uint16 if n < 2**16 else np.uint32
-        try:
-            left = [
-                np.array([self._index[self.elements[s] * e] for e in self.elements],
-                         dtype=dtype)
-                for s in self.generators
-            ]
-        except KeyError:
-            raise ValueError(f"{self.name}: product escapes the element list") from None
-        table = np.empty((n, n), dtype=dtype)
-        table[0] = np.arange(n)
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
-        queue = [0]
-        for j in queue:  # grows while scanned: breadth-first order
-            for ls in left:
-                c = int(ls[j])
-                if not reached[c]:
-                    reached[c] = True
-                    table[c] = ls[table[j]]
-                    queue.append(c)
-        if len(queue) != n:
-            raise ValueError(
-                f"{self.name}: generators span {len(queue)} of {n} listed elements"
-            )
-        return table
+        self.generators: tuple[int, ...] = tuple(sorted({int(new[index[g]]) for g in gens}))
+        # product table from the left multiplications L_s[i] = index(s * e_i),
+        # filled in discovery order: row c is L_s[row j] when e_c = s * e_j
+        rows = np.empty((len(gens), order), dtype=np.int64)
+        rows[:, new] = new[np.array(left, dtype=np.int64).reshape(rows.shape)]
+        table = np.empty((order, order), dtype=np.uint16 if order < 2**16 else np.uint32)
+        table[0] = np.arange(order)
+        for c, (j, s) in enumerate(parent[1:], 1):
+            table[new[c]] = rows[s][table[new[j]]]
+        self.mul_table: np.ndarray = table
+        self.inv_array: np.ndarray = np.argmin(table, axis=1)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -192,7 +188,7 @@ class FiniteGroup:
         return int(self.mul_table[i, j])
 
     def inv(self, i: int) -> int:
-        return self.inverse_table[i]
+        return int(self.inv_array[i])
 
     def conj(self, i: int, w: int) -> int:
         """Index of w^-1 * x_i * w."""
@@ -293,30 +289,22 @@ def _cycle_perm(n: int, points: Sequence[int]) -> Permutation:
 
 
 def _sym_group(n: int, cap: int) -> FiniteGroup:
-    _check_cap(math.factorial(n), cap)
-    els = [Permutation(p) for p in permutations(range(n))]
-    if n < 2:
-        gens: list[Permutation] = []
-    elif n == 2:
-        gens = [_cycle_perm(n, [0, 1])]
-    else:
-        gens = [_cycle_perm(n, [0, 1]), _cycle_perm(n, list(range(n)))]
-    return FiniteGroup(f"sym:{n}", els, gens)
+    order = math.factorial(n)
+    _check_cap(order, cap)
+    gens = [_cycle_perm(n, [0, 1]), _cycle_perm(n, list(range(n)))] if n > 1 else []
+    return FiniteGroup(f"sym:{n}", Permutation(range(n)), gens, order)
 
 
 def _alt_group(n: int, cap: int) -> FiniteGroup:
     order = max(math.factorial(n) // 2, 1)
     _check_cap(order, cap)
-    els = [Permutation(p) for p in permutations(range(n)) if Permutation(p).sign() > 0]
     if n < 3:
         gens: list[Permutation] = []
-    elif n == 3:
-        gens = [_cycle_perm(n, [0, 1, 2])]
     elif n % 2 == 1:
         gens = [_cycle_perm(n, [0, 1, 2]), _cycle_perm(n, list(range(n)))]
     else:
         gens = [_cycle_perm(n, [0, 1, 2]), _cycle_perm(n, list(range(1, n)))]
-    return FiniteGroup(f"alt:{n}", els, gens)
+    return FiniteGroup(f"alt:{n}", Permutation(range(n)), gens, order)
 
 
 def _sl2_group(p: int, cap: int) -> FiniteGroup:
@@ -327,30 +315,19 @@ def _sl2_group(p: int, cap: int) -> FiniteGroup:
             "sl2:2 is unsupported: the standard transvections with entry 2 "
             "collapse to the identity mod 2"
         )
-    _check_cap(p * (p * p - 1), cap)
-    els = [
-        MatrixGF((a, b, c, d), p)
-        for a, b, c, d in product(range(p), repeat=4)
-        if (a * d - b * c) % p == 1
-    ]
+    order = p * (p * p - 1)
+    _check_cap(order, cap)
     gens = [MatrixGF((1, 0, 2, 1), p), MatrixGF((1, 2, 0, 1), p)]
-    return FiniteGroup(f"sl2:{p}", els, gens)
+    return FiniteGroup(f"sl2:{p}", MatrixGF((1, 0, 0, 1), p), gens, order)
 
 
 def abelian_group(moduli: Sequence[int], name: str, cap: int) -> FiniteGroup:
-    order = math.prod(moduli) if moduli else 1
+    order = math.prod(moduli)
     _check_cap(order, cap)
-    els = [
-        AbelianTuple(r, moduli)
-        for r in product(*[range(m) for m in moduli])
-    ] or [AbelianTuple((), ())]
-    gens = []
-    for i, m in enumerate(moduli):
-        if m > 1:
-            unit = [0] * len(moduli)
-            unit[i] = 1
-            gens.append(AbelianTuple(unit, moduli))
-    return FiniteGroup(name, els, gens)
+    r = len(moduli)
+    gens = [AbelianTuple([int(i == j) for j in range(r)], moduli)
+            for i, m in enumerate(moduli) if m > 1]
+    return FiniteGroup(name, AbelianTuple([0] * r, moduli), gens, order)
 
 
 def _dihedral_group(n: int, cap: int) -> FiniteGroup:
@@ -359,14 +336,7 @@ def _dihedral_group(n: int, cap: int) -> FiniteGroup:
     _check_cap(2 * n, cap)
     rot = _cycle_perm(n, list(range(n)))
     ref = Permutation((n - i) % n for i in range(n))
-    els: set[Permutation] = set()
-    for k in range(n):
-        r = Permutation(range(n))
-        for _ in range(k):
-            r = r * rot
-        els.add(r)
-        els.add(r * ref)
-    return FiniteGroup(f"dihedral:{n}", sorted(els, key=lambda e: e.sort_key()), [rot, ref])
+    return FiniteGroup(f"dihedral:{n}", Permutation(range(n)), [rot, ref], 2 * n)
 
 
 def parse_group(spec: str, *, max_elements: int | None = None) -> FiniteGroup:
@@ -379,40 +349,30 @@ def parse_group(spec: str, *, max_elements: int | None = None) -> FiniteGroup:
     before enumeration; grammar violations raise ``GroupSpecError``.
     """
     spec = spec.strip().lower()
-    kind, sep, arg = spec.partition(":")
-    if not sep or not arg:
-        raise GroupSpecError(f"malformed group spec: {spec!r}")
+    kind, _, arg = spec.partition(":")
+    if kind not in ("cyclic", "abelian", "sym", "alt", "dihedral", "sl2"):
+        raise GroupSpecError(f"unknown group kind {kind!r} in {spec!r}")
+    try:
+        nums = tuple(int(t) for t in arg.split(","))
+        (n,) = nums[:1] if kind == "abelian" else nums
+    except ValueError:
+        raise GroupSpecError(f"malformed group spec: {spec!r}") from None
     if max_elements is None:
         max_elements = env_cap("ACGRAPHS_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
-    try:
-        if kind == "cyclic":
-            n = int(arg)
-            if n < 1:
-                raise GroupSpecError(f"cyclic:{arg}: order must be >= 1")
-            moduli = () if n == 1 else (n,)
-            return abelian_group(moduli, f"cyclic:{n}", max_elements)
-        if kind == "abelian":
-            moduli = tuple(int(t) for t in arg.split(","))
-            if not moduli or any(m < 2 for m in moduli):
-                raise GroupSpecError(f"abelian moduli must all be >= 2: {arg!r}")
-            return abelian_group(moduli, f"abelian:{arg}", max_elements)
-        if kind == "sym":
-            n = int(arg)
-            if not (1 <= n <= 10):
-                raise GroupSpecError(f"sym:{arg}: degree must be 1..10 for enumeration")
-            return _sym_group(n, max_elements)
-        if kind == "alt":
-            n = int(arg)
-            if not (1 <= n <= 10):
-                raise GroupSpecError(f"alt:{arg}: degree must be 1..10 for enumeration")
-            return _alt_group(n, max_elements)
-        if kind == "dihedral":
-            return _dihedral_group(int(arg), max_elements)
-        if kind == "sl2":
-            p = int(arg)
-            if p > 13:
-                raise GroupSpecError(f"sl2:{arg}: modulus above the desk-scale cap 13")
-            return _sl2_group(p, max_elements)
-    except ValueError as exc:
-        raise GroupSpecError(f"malformed group spec {spec!r}: {exc}") from exc
-    raise GroupSpecError(f"unknown group kind {kind!r} in {spec!r}")
+    if kind == "cyclic":
+        if n < 1:
+            raise GroupSpecError(f"{spec}: order must be >= 1")
+        return abelian_group(() if n == 1 else (n,), f"cyclic:{n}", max_elements)
+    if kind == "abelian":
+        if any(m < 2 for m in nums):
+            raise GroupSpecError(f"abelian moduli must all be >= 2: {arg!r}")
+        return abelian_group(nums, f"abelian:{arg}", max_elements)
+    if kind in ("sym", "alt"):
+        if not (1 <= n <= 10):
+            raise GroupSpecError(f"{spec}: degree must be 1..10 for enumeration")
+        return (_sym_group if kind == "sym" else _alt_group)(n, max_elements)
+    if kind == "dihedral":
+        return _dihedral_group(n, max_elements)
+    if n > 13:
+        raise GroupSpecError(f"{spec}: modulus above the desk-scale cap 13")
+    return _sl2_group(n, max_elements)

@@ -36,7 +36,7 @@ from .groups import FiniteGroup, abelian_group, least_in_orbit, tuple_maps
 
 DEFAULT_ND_CAP = 200
 DEFAULT_TUPLE_CAP = 4_000_000
-_SATURATE_CELLS = 1_000_000
+BLOCK_CELLS = 131_072  # cells per gathered block: 1 MiB of int64, half a 2 MiB L2 cache
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def word_lengths(group: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
     BFS by right multiplication with the seeds: every product of seeds is
     reached, and in a finite group that semigroup closure is already the
     subgroup (inverses arise as powers).  Each level gathers the product
-    table at (frontier, seeds), at most ``_SATURATE_CELLS`` cells at a
+    table at (frontier, seeds), at most ``BLOCK_CELLS`` cells at a
     time, into a hit mask.  Cost O(|result| * |seeds|)."""
     is_seed = np.zeros(group.order, dtype=bool)
     is_seed[np.fromiter(seeds, dtype=np.int64)] = True
@@ -78,7 +78,7 @@ def word_lengths(group: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
     length = np.full(group.order, -1, dtype=np.int32)
     length[0] = 0
     frontier = np.array([0])
-    rows = max(1, _SATURATE_CELLS // max(seeds.size, 1))
+    rows = max(1, BLOCK_CELLS // max(seeds.size, 1))
     level = 0
     while frontier.size and seeds.size:
         hit = np.zeros(group.order, dtype=bool)
@@ -127,11 +127,11 @@ def normal_closure(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
 
 def _commutators(group: FiniteGroup, elements: Sequence[int]) -> np.ndarray:
     """Ascending indices of the commutators a^-1 b^-1 a b over all pairs
-    of the elements, gathered at most ``_SATURATE_CELLS`` cells at a time."""
+    of the elements, gathered at most ``BLOCK_CELLS`` cells at a time."""
     a = np.asarray(elements, dtype=np.int64)
     mt, a_inv = group.mul_table, group.inv_array[a]
     hit = np.zeros(group.order, dtype=bool)
-    rows = max(1, _SATURATE_CELLS // max(a.size, 1))
+    rows = max(1, BLOCK_CELLS // max(a.size, 1))
     for s in range(0, a.size, rows):
         block = slice(s, s + rows)
         hit[mt[mt[a_inv[block, None], a_inv], mt[a[block, None], a]]] = True
@@ -292,10 +292,12 @@ def quotient_group(
 
     Cosets act on themselves by right multiplication; each coset becomes a
     permutation of the coset indices (the regular representation, faithful
-    and compatible with the left-to-right composition convention).
-    Returns ``(Q, pi)`` with ``pi[g] = index in Q of gM``: cosets are
-    numbered by their least element, and the permutation of coset c sends
-    coset 0 to c, so Q's canonical order keeps that numbering.
+    and compatible with the left-to-right composition convention).  Only
+    the generators' cosets are built; ``FiniteGroup`` enumerates the rest
+    as their closure.  Returns ``(Q, pi)`` with ``pi[g] = index in Q of
+    gM``: cosets are numbered by their least element, and the permutation
+    of coset c sends coset 0 to c, so Q's canonical order keeps that
+    numbering.
     """
     if modulo.group is not group:
         raise PreconditionError("subgroup belongs to a different group")
@@ -304,13 +306,14 @@ def quotient_group(
     # each coset iM is named by its least element; cosets ordered by it
     least = group.mul_table[:, list(modulo.members)].min(axis=1)
     reps, coset_id = np.unique(least, return_inverse=True)
-    # column c: the cosets (iM)(cM) for every coset iM
-    perms = [
-        Permutation(col)
-        for col in coset_id[group.mul_table[np.ix_(reps, reps)]].T.tolist()
+    # generator g: the cosets (iM)(gM) for every coset iM
+    gen_perms = [
+        Permutation(coset_id[group.mul_table[reps, g]].tolist()) for g in group.generators
     ]
-    gen_perms = [perms[coset_id[g]] for g in group.generators]
-    quotient = FiniteGroup(f"{group.name}/[order {modulo.order}]", perms, gen_perms)
+    quotient = FiniteGroup(
+        f"{group.name}/[order {modulo.order}]", Permutation(range(len(reps))),
+        gen_perms, len(reps),
+    )
     return quotient, tuple(coset_id.tolist())
 
 
@@ -379,7 +382,7 @@ def abelianization(group: FiniteGroup) -> AbelianStructure:
 def _smallest_family(oracle: JoinOracle, limit: int) -> int | None:
     """Least size, at most ``limit``, of a family of distinct singleton
     closures that joins to the whole group, or None."""
-    ids = np.unique(oracle.singleton_ids[1:]).tolist()
+    ids = np.flatnonzero(np.bincount(oracle.singleton_ids[1:])).tolist()
     for size in range(1, limit + 1):
         if any(oracle.join_all(fam) == oracle.full_id for fam in combinations(ids, size)):
             return size
@@ -405,7 +408,7 @@ def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]
     nd = _smallest_family(oracle, max_size)
     if nd is None:
         raise AssertionError(f"{group.name}: no normal generating set found")
-    ids = np.unique(oracle.singleton_ids[1:]).tolist()
+    ids = np.flatnonzero(np.bincount(oracle.singleton_ids[1:])).tolist()
     full = oracle.full_id
 
     def irredundant(fam: tuple[int, ...]) -> bool:
@@ -478,7 +481,7 @@ def psi_k(
     if k < 1:
         raise PreconditionError("psi_k needs k >= 1")
     oracle = get_join_oracle(group, "normal")
-    cells = len(np.unique(oracle.singleton_ids)) ** k
+    cells = np.count_nonzero(np.bincount(oracle.singleton_ids)) ** k
     if cells > cap:
         raise ResourceCapError("tuple_census", cells, cap)
     local, table = generating_tuples(oracle, np.arange(group.order), k, oracle.full_id)

@@ -36,7 +36,7 @@ from .graphs import (
     diameter,
     soluble_component_check,
 )
-from .groups import FiniteGroup, parse_group
+from .groups import FiniteGroup, distinct, parse_group
 from .subgroups import (
     abelianization,
     covering_numbers,
@@ -315,7 +315,7 @@ def _neighbor_pairs(handle: GraphHandle) -> tuple[np.ndarray, np.ndarray]:
     ``neighbors`` lists them vertex by vertex."""
     codes = np.flatnonzero(handle.vertex_mask)
     images = np.concatenate([block for _, block in handle._move_images(codes)])
-    v, u = np.divmod(np.unique(codes * handle.size + images), handle.size)
+    v, u = np.divmod(distinct(codes * handle.size + images), handle.size)
     loop = u == v
     return v[~loop], u[~loop]
 
@@ -347,7 +347,10 @@ def check_undirected(ctx: VerifyContext) -> CheckResult:
     for handle in _small_handles(ctx):
         v, u = _neighbor_pairs(handle)
         pairs += len(v)
-        bad = np.flatnonzero(~np.isin(u * handle.size + v, v * handle.size + u))
+        # both key arrays are distinct, as the pairs are
+        bad = np.flatnonzero(
+            ~np.isin(u * handle.size + v, v * handle.size + u, assume_unique=True)
+        )
         if bad.size:
             v0, u0 = (handle.decode(int(c[bad[0]])) for c in (v, u))
             return CheckResult(

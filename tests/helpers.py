@@ -9,16 +9,36 @@ a word over element objects.
 """
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
 
-from acgraphs.elements import GroupElement, identity_like
+from acgraphs.elements import AbelianTuple, GroupElement, MatrixGF, Permutation, identity_like
 from acgraphs.errors import PreconditionError
 from acgraphs.groups import FiniteGroup
 from acgraphs.subgroups import Subgroup
 from acgraphs.walkers import GroupContext, WalkConfig, _check_acr_init, _check_pra_init
+
+
+def brute_listing(spec: str) -> list[GroupElement]:
+    """Every element of a family's group, listed from its definition: the
+    even or all permutations, the determinant-1 matrices, the residue
+    tuples, or the 2n symmetries i -> r + i and i -> r - i of the n-gon."""
+    kind, _, arg = spec.partition(":")
+    nums = [int(t) for t in arg.split(",")]
+    n = nums[0]
+    if kind in ("sym", "alt"):
+        perms = [Permutation(p) for p in permutations(range(n))]
+        return [p for p in perms if kind == "sym" or p.sign() > 0]
+    if kind == "sl2":
+        return [MatrixGF(m, n) for m in product(range(n), repeat=4)
+                if (m[0] * m[3] - m[1] * m[2]) % n == 1]
+    if kind == "dihedral":
+        return [Permutation((r + s * i) % n for i in range(n))
+                for r in range(n) for s in (1, -1)]
+    moduli = [] if spec == "cyclic:1" else nums
+    return [AbelianTuple(r, moduli) for r in product(*map(range, moduli))]
 
 
 def brute_mulclose(elements):

@@ -195,6 +195,9 @@ def test_exit_codes(capsys):
         # a failed invariant on concrete data keeps its own code
         (VerificationError("component split"), 2,
          "verification failure: component split\n"),
+        # a bare ValueError is a bug too: usage errors have their own types
+        (ValueError("generators span 2 of 6"), 4,
+         "internal error: ValueError: generators span 2 of 6\n"),
     ],
 )
 def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, raised, code,
@@ -217,7 +220,7 @@ def test_analyze_and_scan_do_not_import_numpy_ma():
         "print('numpy.ma' in sys.modules)\n"
     )
     jobs = [f"analyze --group sl2:5 --k 2 --mode {mode}" for mode in ("full-ac", "nielsen")]
-    jobs.append("scan --group sl2:5 --pair ak --mode full-ac")
+    jobs += ["scan --group sl2:5 --pair ak --mode full-ac", "verify --corpus small"]
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", script, *jobs], capture_output=True, text=True,
@@ -243,6 +246,10 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--samples", "0"),
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--threads", "0"),
         ("walk", "--group", "sym:9", "--algorithm", "pra", "--init", "(0 1 2)"),
+        ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--budget", "x"),
+        ("walk", "--group", "sl2:5", "--normal", "whole", "--init", "[[1,1],[1,1]]"),
+        ("scan", "--group", "sl2:5", "--pair", "x;z"),
+        ("stats", "--observed", str(tmp_path / "bad.json"), "--n", "4"),
         ("stats", "--observed", str(missing / "hist.json"), "--n", "4"),
         ("stats", "--observed", str(tmp_path / "hist.json")),
         ("stats", "--stirling", "-1"),
@@ -254,6 +261,7 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ({"ACGRAPHS_MAX_ELEMENTS": "lots"}, ("analyze", "--group", "sym:3", "--k", "2")),
     ]
     (tmp_path / "hist.json").write_text('{"1": 3, "2": 5}')
+    (tmp_path / "bad.json").write_text('{"1": 3, "2": ')
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
     for overrides, argv in cases:
         proc = subprocess.run(

@@ -428,7 +428,7 @@ def _move_table_adjacency(h):
 
 def _slice_widths(n):
     """Widths of the slices that a BFS level cuts ``n`` codes into."""
-    width = graphs._CHUNK_CELLS // 16
+    width = graphs.BLOCK_CELLS // 16
     return [min(width, n - start) for start in range(0, n, width)]
 
 
@@ -445,8 +445,8 @@ def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode
     # slice, and 64-code slices with 16-row conjugation blocks, under which
     # their large levels span several
     sources = np.flatnonzero(h.vertex_mask)[:: h.vertex_count // 3][:3]
-    for chunk, source in itertools.product((graphs._CHUNK_CELLS, 1024), sources):
-        monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", chunk)
+    for chunk, source in itertools.product((graphs.BLOCK_CELLS, 1024), sources):
+        monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", chunk)
         log.clear()
         dist = h.bfs_distances([int(source)])
         expected = np.full(h.size, -1, dtype=np.int32)
@@ -497,7 +497,7 @@ def test_bfs_stops_at_a_target_with_the_levels_below_it(spec, mode, stride):
 
 @pytest.mark.parametrize("backward", [False, True])
 def test_narrowed_move_stream_matches_a_fresh_stream(monkeypatch, backward):
-    monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", 400)
+    monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", 400)
     h = GraphHandle(parse_group("sym:4"), 2, GraphMode.full_ac())
     frontier = np.flatnonzero(h.vertex_mask)[:40]
     # ten blocks of at most 10 rows; drop every third column after block 2,
@@ -540,7 +540,7 @@ def test_sliced_bfs_matches_the_oracles(monkeypatch, spec, mode):
     adj = _move_table_adjacency(h)
     # 16-code slices and 16-row conjugation blocks: every level of more than
     # 16 codes is several streams, and alt:5's 59 conjugation rows four blocks
-    monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", 256)
+    monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", 256)
     log = _spy_move_images(monkeypatch, h)
     parts = components(h)
     assert {frozenset(parts.codes_of(lab).tolist()) for lab in range(parts.count)} == {
@@ -605,7 +605,7 @@ def sl2_7():
 def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, mode,
                                                           run, chunk):
     if chunk is not None:
-        monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", chunk)
+        monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", chunk)
     h = GraphHandle(sl2_7, 2, mode)
     tracemalloc.start()
     try:
@@ -616,7 +616,7 @@ def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, m
         tracemalloc.stop()
     # one int64 block, and 40 bytes per code for the distance, visited, hit
     # and component arrays, the frontier and the sweep's bounds
-    assert peak <= 8 * graphs._CHUNK_CELLS + 40 * h.size
+    assert peak <= 8 * graphs.BLOCK_CELLS + 40 * h.size
 
 
 def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):
@@ -630,7 +630,7 @@ def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):
     transpositions = Subgroup(
         g, tuple(sorted({0} | {idx(g, f"({a} {b})") for a, b in pairs})), True
     )
-    monkeypatch.setattr("acgraphs.graphs._CHUNK_CELLS", 14)  # two rows per block
+    monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", 14)  # two rows per block
     for k in (1, 2):
         with pytest.raises(PreconditionError, match="not closed under product"):
             GraphHandle(g, k, GraphMode.full_ac(), transpositions)

@@ -14,7 +14,7 @@ from acgraphs.groups import (
 from acgraphs.subgroups import conjugacy_classes
 from acgraphs.verify import SMALL_CORPUS
 
-from helpers import brute_classes, brute_mulclose
+from helpers import brute_classes, brute_listing, brute_mulclose
 
 
 def test_trivial_group():
@@ -60,7 +60,7 @@ def test_identity_is_index_zero():
 def test_inverse_table_involutive():
     g = parse_group("sym:4")
     for i in range(g.order):
-        assert g.inverse_table[g.inverse_table[i]] == i
+        assert g.inv_array[g.inv_array[i]] == i
 
 
 def test_closure_exhaustive_small():
@@ -107,20 +107,27 @@ def test_mul_table_matches_element_products():
             assert els[g.mul(i, j)] == els[i] * els[j], (spec, i, j)
 
 
-def test_unclosed_listing_is_rejected():
-    g = parse_group("sym:3")
-    gens = g.generator_elements()
-    missing = next(e for e in g.elements[1:] if e not in gens)
-    listing = [e for e in g.elements if e != missing]
-    with pytest.raises(ValueError, match="escapes the element list"):
-        FiniteGroup("sym:3 minus one", listing, gens)
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:1", "cyclic:6", "abelian:2,4", "abelian:3,3", "dihedral:4", "dihedral:7"]
+    + [f"{kind}:{n}" for kind in ("sym", "alt") for n in range(1, 6)]
+    + ["sl2:3", "sl2:5", "sl2:7"],
+)
+def test_closure_lists_the_family_in_canonical_order(spec):
+    # payload order with the identity swapped to the front
+    listing = sorted(brute_listing(spec), key=lambda e: e.sort_key())
+    at = next(i for i, e in enumerate(listing) if e.is_identity())
+    listing[0], listing[at] = listing[at], listing[0]
+    assert parse_group(spec).elements == tuple(listing)
 
 
 def test_generators_that_do_not_span_are_rejected():
     g = parse_group("sym:3")
     transposition = next(e for e in g.generator_elements() if e.sign() < 0)
     with pytest.raises(ValueError, match="generators span 2 of 6"):
-        FiniteGroup("sym:3", g.elements, [transposition])
+        FiniteGroup("sym:3", g.identity_element, [transposition], 6)
+    with pytest.raises(ValueError, match="generators span more than 5"):
+        FiniteGroup("sym:3", g.identity_element, g.generator_elements(), 5)
 
 
 def test_element_cap_applies_before_enumeration(monkeypatch):
