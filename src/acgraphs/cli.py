@@ -423,11 +423,16 @@ def cmd_stats(args, out) -> int:
                 f"cannot read --observed {args.observed!r}: {exc.strerror}"
             ) from exc
         try:
-            observed = {int(k): int(v) for k, v in dict(json.loads(text)).items()}
+            observed = {int(k): v for k, v in dict(json.loads(text)).items()}
         except (TypeError, ValueError) as exc:
             raise GroupSpecError(
                 f"--observed {args.observed!r} is not a JSON histogram: {exc}"
             ) from None
+        bad = [v for v in observed.values() if type(v) is not int]
+        if bad:
+            raise GroupSpecError(
+                f"--observed {args.observed!r} holds a count that is not an integer: {bad[0]!r}"
+            )
         dist = cycle_distribution(args.n, args.parity)
         report["chiSquared"] = chi_squared_test(observed, dist).to_json()
     else:

@@ -18,19 +18,27 @@ of N.  Edges are never stored.  One move table yields the images of a
 frontier under every move, block by block, as numpy gathers over
 precomputed product, inverse and conjugation tables (one row per distinct
 non-identity conjugation); a caller may narrow the frontier between
-blocks.  The BFS runs in a bounded working set: beyond its arrays over the
-code space, what it allocates fits one budget of ``BLOCK_CELLS`` int64
-cells (1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
+blocks, or leave the conjugation blocks out.  The full-AC BFS leaves them
+out and takes the class step, the level form of the conjugation moves:
+the conjugates of x_i by all of G are its G-class, so along each axis it
+ORs the frontier mask over each class (one ``reduceat`` over a
+class-sorted order) and broadcasts the result back over the class, the
+frontier times a block-diagonal matrix of all-ones class blocks (Kepner &
+Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011).
+The BFS runs in a bounded working set: beyond its arrays over the code
+space, what it allocates fits one budget of ``BLOCK_CELLS`` int64 cells
+(1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
 ``BLOCK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
 the budget, and one block is alive at a time.  On the sl2:7 full-AC graph
-at k=2, ``components`` peaks 3.7 MB above its handle (tracemalloc), and
-``analyze`` at about 38 MB RSS.  BFS picks a direction per level.  A push
+at k=2, ``components`` peaks 2.4 MB above its handle (tracemalloc), and
+``analyze`` at about 36 MB RSS.  BFS picks a direction per level.  A push
 level marks each block in a reusable hit map, masks the map by the
 unvisited vertices and scans it for the next frontier.  Once the
 unvisited vertices are no more than the frontier, a pull level instead
 reads the inverse moves of the unvisited codes and keeps those with a
 preimage in the frontier, dropping each code from the scan at its first
-hit (Beamer, Asanovic & Patterson, SC 2012).  A BFS toward a target
+hit (Beamer, Asanovic & Patterson, SC 2012); in full AC the class step's
+hits join the level first and leave the scan.  A BFS toward a target
 stops before the level that holds one of the target's preimages.
 Geodesics walk back from the target over the distance array through the
 inverse moves, so no parent pointers are stored.
@@ -46,7 +54,9 @@ permutations, inversion of one component); they stop once no orbit's
 bound exceeds the largest eccentricity found.  Both kinds of orbit come
 from ``groups.least_in_orbit``, the min-label propagation that also
 labels conjugacy classes; code orbit labels are cached per handle.  Every
-conjugation row is a column gather of ``FiniteGroup.conjugation_rows``.
+conjugation row is a column gather of ``FiniteGroup.conjugation_rows``,
+and every backward conjugation block gathers w y w^-1 from the product
+table.
 """
 
 from __future__ import annotations
@@ -174,6 +184,7 @@ class GraphHandle:
 
         self.conjugator_indices, self.CONJ = self._conj_table(limit)
         self.NMUL, self.NINV = self._member_tables()
+        self._classes = self._class_layout() if mode.kind == "full-ac" else None
 
         self.shape = (nm,) * k
         self.radix = np.array([nm ** (k - 1 - i) for i in range(k)], dtype=np.int64)
@@ -253,6 +264,18 @@ class GraphHandle:
             raise PreconditionError("member set not closed under conjugation")
         return tuple(keep.tolist()), table
 
+    def _class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The member positions grouped by G-class, for the class step: a
+        stable order that sorts them by class, the start of each class in
+        it, and each position's dense class id."""
+        labels = self.group.class_labels[self.member_idx]
+        order = np.argsort(labels, kind="stable")
+        first = np.ones(self.nm, dtype=bool)
+        first[1:] = labels[order[1:]] != labels[order[:-1]]
+        class_of = np.empty(self.nm, dtype=np.int64)
+        class_of[order] = np.cumsum(first) - 1
+        return order, np.flatnonzero(first), class_of
+
     def _vertex_mask(self) -> np.ndarray:
         """Codes whose entries generate the target (normally, in AC modes):
         the census table read off per code through its members' ids."""
@@ -323,13 +346,8 @@ class GraphHandle:
 
     # -- the move table ------------------------------------------------------------
 
-    @cached_property
-    def _conj_backward(self) -> np.ndarray:
-        """Rows undoing ``CONJ``: conjugation by w^-1 for each kept w."""
-        return self.CONJ.argsort(axis=1)
-
     def _move_images(
-        self, frontier: np.ndarray, *, backward: bool = False
+        self, frontier: np.ndarray, *, backward: bool = False, conjugation: bool = True
     ) -> Generator[tuple[np.ndarray, np.ndarray], np.ndarray | None, None]:
         """Every move applied to every frontier code, in move-id order.
 
@@ -338,13 +356,14 @@ class GraphHandle:
         conjugation block.  With ``backward`` the blocks hold instead the
         codes that one move takes to each frontier code (multiplication and
         inversion moves are closed under inverses, and conjugation by w is
-        undone by conjugation by w^-1); their ids then do not name the
-        moves that lead from them.  A caller may narrow the frontier
-        between blocks by sending a boolean mask over the columns of the
-        last block: later blocks hold the kept columns only.  The stream
-        drops each block when resumed, so a caller that drops its own
-        reference too keeps one block alive; the BFS bounds the frontier
-        width by feeding it ``_slices``.
+        undone by conjugation by w^-1, gathered from the product table);
+        their ids then do not name the moves that lead from them.  Without
+        ``conjugation`` the conjugation blocks are left out.  A caller may
+        narrow the frontier between blocks by sending a boolean mask over
+        the columns of the last block: later blocks hold the kept columns
+        only.  The stream drops each block when resumed, so a caller that
+        drops its own reference too keeps one block alive; the BFS bounds
+        the frontier width by feeding it ``_slices``.
         """
         k, nm = self.k, self.nm
         radix = self.radix[:, None]
@@ -352,7 +371,8 @@ class GraphHandle:
         # rows 0..k-1: the components; rows k..2k-1: the code less component i
         cols = np.concatenate((comps, frontier - comps * radix))
         del comps
-        conj = self._conj_backward if backward else self.CONJ
+        conj = self.CONJ if conjugation else self.CONJ[:0]
+        g = self.group
         rows = max(1, BLOCK_CELLS // max(frontier.size, 1))
 
         def narrow(keep: np.ndarray | None) -> None:
@@ -381,7 +401,13 @@ class GraphHandle:
                 narrow((yield np.array([self._inv_base + i]), codes))
                 del codes
             for start in range(0, len(conj), rows):
-                block = conj[start : start + rows, cols[i]]
+                if backward:  # w y w^-1 for the members y of component i
+                    w = np.array(self.conjugator_indices[start : start + rows])[:, None]
+                    wy = g.mul_table[w, self.member_idx[cols[i]]]
+                    block = self.pos_of[g.mul_table[wy, g.inv_array[w]]]
+                    del wy
+                else:
+                    block = conj[start : start + rows, cols[i]]
                 block *= r
                 block += cols[k + i]
                 ids = self._conj_base + np.arange(start, start + len(block)) * k + i
@@ -440,12 +466,15 @@ class GraphHandle:
         one slice of the frontier at a time, unless the unvisited vertices
         are no more than the frontier: then it pulls, testing each
         unvisited code's preimages against the frontier and dropping the
-        code at its first hit.  Every code has
-        the same number of moves, so a pull never scans more cells than
-        the push it replaces.  With ``target``, the target's preimages
-        are read once, and the BFS stops before expanding the level that
-        holds one of them, with ``dist[target]`` set and every lower
-        level complete.
+        code at its first hit.  Every code has the same number of moves, so
+        a pull never scans more cells than the push it replaces.  In full
+        AC the conjugation moves take their level form instead, the class
+        step: its hits join the level at once, and both directions stream
+        only the multiplication and inversion moves, a pull over the
+        candidates the class step left.  With ``target``, the target's
+        preimages are read once, and the BFS stops before expanding the
+        level that holds one of them, with ``dist[target]`` set and every
+        lower level complete.
         """
         # the frontier's codes, on entry to every level
         hit = np.zeros(self.size, dtype=bool)
@@ -463,36 +492,69 @@ class GraphHandle:
             if dist[target] == 0:
                 return dist
             _, target_preds = self._images_of(target, backward=True)
+        streamed = self._classes is None  # whether the move streams carry conjugation
         d = 0
         while frontier.size and unvisited_count:
             if target is not None and hit[target_preds].any():
                 dist[target] = d + 1
                 return dist
             d += 1
+            reached = None  # the class step's new codes, read before the hit map is reused
+            if not streamed:
+                reached = self._class_step(hit)
+                reached &= unvisited
             if unvisited_count <= frontier.size:
-                frontier = self._pull(np.flatnonzero(unvisited), hit)
-                hit[:] = False
-                hit[frontier] = True
+                candidates = unvisited if reached is None else unvisited & ~reached
+                pulled = self._pull(np.flatnonzero(candidates), hit, conjugation=streamed)
+                if reached is None:
+                    hit[:] = False
+                else:
+                    hit = reached
+                hit[pulled] = True
             else:
                 for part in _slices(frontier):
-                    for _, codes in self._move_images(part):
+                    for _, codes in self._move_images(part, conjugation=streamed):
                         hit[codes] = True
                         del codes  # before the stream builds the next block
                 # codes marked at earlier levels are visited, so this clears them
                 hit &= unvisited
-                frontier = np.flatnonzero(hit)
+                if reached is not None:
+                    hit |= reached
+            del reached
+            frontier = np.flatnonzero(hit)
             unvisited[frontier] = False
             unvisited_count -= frontier.size
             dist[frontier] = d
         return dist
 
-    def _pull(self, candidates: np.ndarray, in_frontier: np.ndarray) -> np.ndarray:
+    def _class_step(self, mask: np.ndarray) -> np.ndarray:
+        """The codes that a full-AC conjugation move leads to from a code
+        of ``mask``, and the codes of ``mask`` themselves: the conjugates
+        of x_i by all of G are x_i's G-class, so along each axis the step
+        ORs the mask over each class and broadcasts the result back over
+        the class.  It is the frontier times a block-diagonal matrix of
+        all-ones class blocks (Kepner & Gilbert, *Graph Algorithms in the
+        Language of Linear Algebra*, 2011)."""
+        order, starts, class_of = self._classes
+        out = np.zeros(self.size, dtype=bool)
+        for i in range(self.k):
+            shape = (self.nm**i, self.nm, -1)
+            by_class = mask.reshape(shape).take(order, axis=1)
+            hits = np.logical_or.reduceat(by_class, starts, axis=1)
+            del by_class
+            view = out.reshape(shape)
+            view |= hits.take(class_of, axis=1)
+        return out
+
+    def _pull(
+        self, candidates: np.ndarray, in_frontier: np.ndarray, *, conjugation: bool
+    ) -> np.ndarray:
         """The candidate codes that one move leads to from a code of the
         ``in_frontier`` mask; each candidate is dropped from the scan at its
         first hit.  Each slice of the candidates is a stream of its own."""
         found = [candidates[:0]]
         for part in _slices(candidates):
-            images = self._move_images(part, backward=True)
+            images = self._move_images(part, backward=True, conjugation=conjugation)
             keep = None
             while part.size:
                 try:
@@ -637,7 +699,8 @@ def diameter(
         raise PreconditionError("empty component")
     if codes.size == 1:
         return 0
-    upper = np.full(codes.size, codes.size, dtype=np.int32)  # above every eccentricity
+    # an estimate keeps no bounds: it returns after the double sweep
+    upper = np.full(codes.size, codes.size, dtype=np.int32) if exact else None
     lower, source = 0, 0
     for sweep in itertools.count():
         dist = handle.bfs_distances([int(codes[source])])[codes]
@@ -645,13 +708,14 @@ def diameter(
             raise PreconditionError("codes are not a single component")
         ecc = int(dist.max())
         lower = max(lower, ecc)
-        if not handle.mode.directed_conjugators:
-            np.minimum(upper, ecc + dist, out=upper)
-        upper[source] = ecc
+        if upper is not None:
+            if not handle.mode.directed_conjugators:
+                np.minimum(upper, ecc + dist, out=upper)
+            upper[source] = ecc
         if sweep == 0:
             source = int(np.argmax(dist))
             continue
-        if not exact:
+        if upper is None:
             return lower
         if sweep == 1:
             # codes grouped by orbit, each group in code order

@@ -252,6 +252,7 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("stats", "--observed", str(tmp_path / "bad.json"), "--n", "4"),
         ("stats", "--observed", str(missing / "hist.json"), "--n", "4"),
         ("stats", "--observed", str(tmp_path / "hist.json")),
+        ("stats", "--observed", str(tmp_path / "fractional.json"), "--n", "3"),
         ("stats", "--stirling", "-1"),
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",
@@ -262,6 +263,7 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
     ]
     (tmp_path / "hist.json").write_text('{"1": 3, "2": 5}')
     (tmp_path / "bad.json").write_text('{"1": 3, "2": ')
+    (tmp_path / "fractional.json").write_text('{"1": 20.7, "2": 30, "3": 10.9}')
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
     for overrides, argv in cases:
         proc = subprocess.run(

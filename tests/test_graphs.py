@@ -26,6 +26,7 @@ from acgraphs.subgroups import (
     normal_subgroups,
     word_lengths,
 )
+from acgraphs.verify import SMALL_CORPUS
 
 from helpers import (
     all_vertex_diameter,
@@ -401,8 +402,8 @@ def _spy_move_images(monkeypatch, h):
     log = []
     move_images = h._move_images
 
-    def spy(frontier, *, backward=False):
-        stream = move_images(frontier, backward=backward)
+    def spy(frontier, *, backward=False, conjugation=True):
+        stream = move_images(frontier, backward=backward, conjugation=conjugation)
         cells, keep = 0, None
         try:
             while True:
@@ -416,6 +417,37 @@ def _spy_move_images(monkeypatch, h):
 
     monkeypatch.setattr(h, "_move_images", spy)
     return log
+
+
+def _conjugation_images(h, codes):
+    """Per code of ``codes``, the sorted codes of its conjugation blocks in
+    the move table, with the code itself."""
+    images = [codes[None, :]] + [
+        block for ids, block in h._move_images(codes) if ids[0] >= h._conj_base
+    ]
+    return [np.unique(col) for col in np.concatenate(images).T]
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS)
+def test_class_step_is_the_union_of_the_conjugation_blocks(spec):
+    """Over every code (a seeded sample of 64 beyond 20,000 codes), the
+    class step of that one code is its conjugation moves' images and
+    itself; and the step of a set of codes is the union of theirs."""
+    g = parse_group(spec)
+    rng = np.random.default_rng(16)
+    for normal, k in itertools.product((None, derived_subgroup(g)), (1, 2, 3)):
+        h = GraphHandle(g, k, GraphMode.full_ac(), normal)
+        codes = np.arange(h.size)
+        if h.size > 20_000:
+            codes = np.sort(rng.choice(h.size, size=64, replace=False))
+        for code, want in zip(codes.tolist(), _conjugation_images(h, codes)):
+            one = np.zeros(h.size, dtype=bool)
+            one[code] = True
+            assert np.array_equal(np.flatnonzero(h._class_step(one)), want), (spec, k, code)
+        some = np.zeros(h.size, dtype=bool)
+        some[codes[::3]] = True
+        union = np.concatenate(_conjugation_images(h, codes[::3]))
+        assert np.array_equal(np.flatnonzero(h._class_step(some)), np.unique(union))
 
 
 def _move_table_adjacency(h):
@@ -439,7 +471,10 @@ def _slice_widths(n):
 def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode):
     h = GraphHandle(parse_group(spec), 2, mode)
     adj = _move_table_adjacency(h)
-    moves = len(h._images_of(0)[0])
+    # the moves a BFS stream carries per code: in full AC the class step
+    # stands for the conjugation moves
+    streamed = h._move_images(np.array([0]), conjugation=h._classes is None)
+    moves = sum(len(ids) for ids, _ in streamed)
     log = _spy_move_images(monkeypatch, h)
     # the default budget, under which every level of these graphs is one
     # slice, and 64-code slices with 16-row conjugation blocks, under which
@@ -460,8 +495,11 @@ def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode
         for level in range(dist.max() + (dist[h.vertex_mask] < 0).any()):
             frontier = int(np.count_nonzero(dist == level))
             backward = log[at][0]
-            unvisited = int(np.count_nonzero(h.vertex_mask & ((dist > level) | (dist < 0))))
-            widths = _slice_widths(unvisited if backward else frontier)
+            candidates = h.vertex_mask & ((dist > level) | (dist < 0))
+            unvisited = int(np.count_nonzero(candidates))
+            if h._classes is not None:  # a pull leaves out the class step's hits
+                candidates &= ~h._class_step(dist == level)
+            widths = _slice_widths(np.count_nonzero(candidates) if backward else frontier)
             streams = log[at : at + len(widths)]
             at += len(widths)
             assert [(b, n) for b, n, _ in streams] == [(backward, n) for n in widths]
@@ -536,7 +574,26 @@ def test_narrowed_move_stream_matches_a_fresh_stream(monkeypatch, backward):
     ],
 )
 def test_sliced_bfs_matches_the_oracles(monkeypatch, spec, mode):
-    h = GraphHandle(parse_group(spec), 2, mode)
+    _check_sliced_bfs(monkeypatch, GraphHandle(parse_group(spec), 2, mode))
+
+
+@pytest.mark.parametrize(
+    "spec, k, derived",
+    [("sym:4", 2, True), ("alt:4", 3, False), ("dihedral:6", 3, False),
+     ("abelian:3,3", 2, False)],
+)
+def test_class_step_bfs_matches_the_oracles(monkeypatch, spec, k, derived):
+    """Full-AC BFS, whose conjugation moves are the class step, against
+    the oracles over the move table, which streams them as blocks."""
+    g = parse_group(spec)
+    h = GraphHandle(g, k, GraphMode.full_ac(), derived_subgroup(g) if derived else None)
+    _check_sliced_bfs(monkeypatch, h)
+
+
+def _check_sliced_bfs(monkeypatch, h):
+    """Components, distances, targeted BFS, geodesics and diameters of
+    ``h`` equal the oracles', at 16-code slices."""
+    mode = h.mode
     adj = _move_table_adjacency(h)
     # 16-code slices and 16-row conjugation blocks: every level of more than
     # 16 codes is several streams, and alt:5's 59 conjugation rows four blocks
