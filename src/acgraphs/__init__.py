@@ -9,11 +9,7 @@ from .elements import (
     GroupElement,
     MatrixGF,
     Permutation,
-    conj,
-    cycle_count,
     format_cycles,
-    inv,
-    mul,
     parse_cycles,
 )
 from .errors import (
@@ -79,20 +75,16 @@ __all__ = [
     "cayley_diameter",
     "closure",
     "components",
-    "conj",
     "cover_check",
     "covering_numbers",
-    "cycle_count",
     "default_step_budget",
     "derived_subgroup",
     "diameter",
     "distance",
     "format_cycles",
-    "inv",
     "is_soluble",
     "mazurov_lift",
     "mixing_diagnostic",
-    "mul",
     "nd_pair",
     "normal_closure",
     "normal_subgroups",
@@ -104,3 +96,13 @@ __all__ = [
     "random_even_permutation",
     "soluble_component_check",
 ]
+
+
+def __getattr__(name: str):
+    # ``verify`` loads on first use, so commands that do not run the
+    # checks never import it (PEP 562)
+    if name == "verify":
+        import importlib
+
+        return importlib.import_module(".verify", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

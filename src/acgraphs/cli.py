@@ -16,12 +16,10 @@ exception; stderr names its type and message).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -64,7 +62,6 @@ from .stats import (
     stirling_first,
 )
 from .subgroups import Subgroup, derived_subgroup, normal_closure
-from .verify import run_all
 from .walkers import (
     WalkConfig,
     acr_sample_many,
@@ -135,6 +132,8 @@ def emit_report(manifest: RunManifest, report: dict, out) -> None:
 
 
 def _emit_csv(manifest: RunManifest, rows: list[dict], out) -> None:
+    import csv
+
     buf = io.StringIO()
     if rows:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -293,6 +292,8 @@ def _run_walkers(kind, group, normal, init, cfg, seed, samples, threads):
         return pra_sample_many(group, init, cfg, rng, chunks[i])
 
     if threads > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, range(len(chunks))))
     else:
@@ -516,6 +517,8 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .verify import run_all
+
     results = run_all(args.corpus, args.seed)
     failed = [r for r in results if r.passed is False]
     report = {

@@ -10,7 +10,8 @@ Conventions, fixed once:
   (a 0 in the input marks it as 0-based).
 
 Elements are immutable and hashable; mixing variants (or degrees/moduli)
-in arithmetic raises ``TypeError``.
+in arithmetic raises ``TypeError``.  Objects only multiply: inversion and
+conjugation run through the group's index tables (``groups.FiniteGroup``).
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ class Permutation:
             raise TypeError(f"degree mismatch: {self.degree} vs {other.degree}")
         b = other.images
         return Permutation(b[i] for i in self.images)
-
-    def inverse(self) -> "Permutation":
-        r = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            r[j] = i
-        return Permutation(r)
-
-    def conjugate_by(self, w: "Permutation") -> "Permutation":
-        return w.inverse() * self * w
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -142,14 +134,6 @@ class MatrixGF:
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), p
         )
 
-    def inverse(self) -> "MatrixGF":
-        # det == 1, so the inverse is the adjugate
-        a, b, c, d = self.entries
-        return MatrixGF((d, -b, -c, a), self.modulus)
-
-    def conjugate_by(self, w: "MatrixGF") -> "MatrixGF":
-        return w.inverse() * self * w
-
     def is_identity(self) -> bool:
         return self.entries == (1, 0, 0, 1)
 
@@ -199,14 +183,6 @@ class AbelianTuple:
             (x + y for x, y in zip(self.residues, other.residues)), self.moduli
         )
 
-    def inverse(self) -> "AbelianTuple":
-        return AbelianTuple((-x for x in self.residues), self.moduli)
-
-    def conjugate_by(self, w: "AbelianTuple") -> "AbelianTuple":
-        if not isinstance(w, AbelianTuple) or w.moduli != self.moduli:
-            raise TypeError("conjugator from a different group")
-        return self  # abelian
-
     def is_identity(self) -> bool:
         return all(x == 0 for x in self.residues)
 
@@ -228,36 +204,6 @@ class AbelianTuple:
 
 
 GroupElement = Permutation | MatrixGF | AbelianTuple
-
-
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def inv(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def conj(a: GroupElement, w: GroupElement) -> GroupElement:
-    """Conjugate a by w: returns w^-1 * a * w."""
-    return a.conjugate_by(w)
-
-
-def identity_like(a: GroupElement) -> GroupElement:
-    if isinstance(a, Permutation):
-        return Permutation(range(a.degree))
-    if isinstance(a, MatrixGF):
-        return MatrixGF((1, 0, 0, 1), a.modulus)
-    if isinstance(a, AbelianTuple):
-        return AbelianTuple((0,) * len(a.moduli), a.moduli)
-    raise TypeError(f"not a group element: {type(a).__name__}")
-
-
-def cycle_count(a: GroupElement) -> int:
-    """Cycle count of a permutation (fixed points count as 1-cycles)."""
-    if not isinstance(a, Permutation):
-        raise TypeError(f"cycle_count needs a permutation, got {type(a).__name__}")
-    return a.cycle_count()
 
 
 _CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")

@@ -17,24 +17,28 @@ Vertices are coded by ``np.ravel_multi_index`` over member positions
 of N.  Edges are never stored.  One move table yields the images of a
 frontier under every move, block by block, as numpy gathers over
 precomputed product, inverse and conjugation tables (one row per distinct
-non-identity conjugation); a caller may narrow the frontier between
-blocks, or leave the conjugation blocks out.  The full-AC BFS leaves them
-out and takes the class step, the level form of the conjugation moves:
-the conjugates of x_i by all of G are its G-class, so along each axis it
-ORs the frontier mask over each class (one ``reduceat`` over a
-class-sorted order) and broadcasts the result back over the class, the
-frontier times a block-diagonal matrix of all-ones class blocks (Kepner &
-Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011).
+non-identity conjugation).  The product and conjugation tables keep the
+group's index dtype (uint16 below 65,536 elements, a quarter of int64);
+each block is widened to int64 as it is gathered or scaled by the radix.
+A caller may narrow the frontier between blocks, or leave the conjugation
+blocks out.  The full-AC BFS leaves them out and takes the class step,
+the level form of the conjugation moves: the conjugates of x_i by all of
+G are its G-class, so along each axis it ORs the frontier mask over each
+class (one ``reduceat`` over a class-sorted order) and broadcasts the
+result back over the class, the frontier times a block-diagonal matrix of
+all-ones class blocks (Kepner & Gilbert, *Graph Algorithms in the
+Language of Linear Algebra*, 2011).
 The BFS runs in a bounded working set: beyond its arrays over the code
 space, what it allocates fits one budget of ``BLOCK_CELLS`` int64 cells
 (1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
 ``BLOCK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
 the budget, and one block is alive at a time.  On the sl2:7 full-AC graph
-at k=2, ``components`` peaks 2.4 MB above its handle (tracemalloc), and
-``analyze`` at about 36 MB RSS.  BFS picks a direction per level.  A push
-level marks each block in a reusable hit map, masks the map by the
-unvisited vertices and scans it for the next frontier.  Once the
-unvisited vertices are no more than the frontier, a pull level instead
+at k=2, the handle holds 0.6 MB, ``components`` peaks 2.2 MB above it
+(tracemalloc), and ``analyze`` at about 34 MB RSS, 30 MB of which is the
+interpreter with numpy and the CLI imported.  BFS picks a direction per
+level.  A push level marks each block in a reusable hit map, masks the
+map by the unvisited vertices and scans it for the next frontier.  Once
+the unvisited vertices are no more than the frontier, a pull level instead
 reads the inverse moves of the unvisited codes and keeps those with a
 preimage in the frontier, dropping each code from the scan at its first
 hit (Beamer, Asanovic & Patterson, SC 2012); in full AC the class step's
@@ -202,15 +206,15 @@ class GraphHandle:
     # -- tables -----------------------------------------------------------------
 
     def _member_tables(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """Product table (None at k = 1, where no multiplication move
-        exists) and inverse array over member positions.  Closure under
-        product is checked at every k, in row blocks of at most
-        ``BLOCK_CELLS`` cells."""
+        """Product table in the group's index dtype (None at k = 1, where
+        no multiplication move exists) and inverse array over member
+        positions.  Closure under product is checked at every k, in row
+        blocks of at most ``BLOCK_CELLS`` cells."""
         g, m, nm = self.group, self.member_idx, self.nm
         ninv = self.pos_of[g.inv_array[m]]
         if (ninv < 0).any():
             raise PreconditionError("member set not closed under inverse")
-        nmul = np.empty((nm, nm), dtype=np.int64) if self.k > 1 else None
+        nmul = np.empty((nm, nm), dtype=g.mul_table.dtype) if self.k > 1 else None
         member = self.pos_of >= 0
         rows = max(1, BLOCK_CELLS // nm)
         for start in range(0, nm, rows):
@@ -243,8 +247,9 @@ class GraphHandle:
         """Conjugators and their rows over member positions: the first
         conjugator of each coset Cw of the centralizer C of N, named by its
         least member, and none from C itself, since conjugations by w and
-        w' agree on N iff w' is in Cw.  The cells of all conjugators' rows
-        count against the tuple cap ``limit``."""
+        w' agree on N iff w' is in Cw.  The rows are kept in the group's
+        index dtype.  The cells of all conjugators' rows count against the
+        tuple cap ``limit``."""
         ws = np.array(self._conjugator_list(), dtype=np.int64)
         if ws.size * self.nm > limit:
             raise ResourceCapError("conjugation_table", ws.size * self.nm, limit)
@@ -262,7 +267,7 @@ class GraphHandle:
         table = self._conj_rows(keep)
         if (table < 0).any():
             raise PreconditionError("member set not closed under conjugation")
-        return tuple(keep.tolist()), table
+        return tuple(keep.tolist()), table.astype(mt.dtype)
 
     def _class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The member positions grouped by G-class, for the class step: a
@@ -389,7 +394,8 @@ class GraphHandle:
                 b_inv = self.NINV[b]
                 pos = np.stack(
                     (self.NMUL[a, b], self.NMUL[a, b_inv],
-                     self.NMUL[b, a], self.NMUL[b_inv, a])
+                     self.NMUL[b, a], self.NMUL[b_inv, a]),
+                    dtype=np.int64,
                 )
                 pos *= r
                 pos += base
@@ -406,9 +412,10 @@ class GraphHandle:
                     wy = g.mul_table[w, self.member_idx[cols[i]]]
                     block = self.pos_of[g.mul_table[wy, g.inv_array[w]]]
                     del wy
+                    block *= r
                 else:
-                    block = conj[start : start + rows, cols[i]]
-                block *= r
+                    block = np.multiply(conj[start : start + rows, cols[i]], r,
+                                        dtype=np.int64)
                 block += cols[k + i]
                 ids = self._conj_base + np.arange(start, start + len(block)) * k + i
                 narrow((yield ids, block))
@@ -706,14 +713,16 @@ def diameter(
         dist = handle.bfs_distances([int(codes[source])])[codes]
         if (dist < 0).any():
             raise PreconditionError("codes are not a single component")
-        ecc = int(dist.max())
+        far = int(np.argmax(dist))
+        ecc = int(dist[far])
         lower = max(lower, ecc)
         if upper is not None:
             if not handle.mode.directed_conjugators:
                 np.minimum(upper, ecc + dist, out=upper)
             upper[source] = ecc
+        del dist  # before the next BFS
         if sweep == 0:
-            source = int(np.argmax(dist))
+            source = far
             continue
         if upper is None:
             return lower

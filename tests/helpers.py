@@ -3,6 +3,8 @@
 Everything here works directly on element objects with plain Python
 sets, bypassing the package's index tables, join memoization and numpy
 BFS, so the main machinery is always checked against a second route.
+Element objects only multiply in the package, so their inverses and
+conjugates are computed here.
 The scalar ACR/PRA walker steps one walker on element objects; tests
 check the batch kernel's step law against it.  ``brute_eval_word`` folds
 a word over element objects.
@@ -14,11 +16,51 @@ from typing import Sequence
 
 import numpy as np
 
-from acgraphs.elements import AbelianTuple, GroupElement, MatrixGF, Permutation, identity_like
+from acgraphs.elements import AbelianTuple, GroupElement, MatrixGF, Permutation
 from acgraphs.errors import PreconditionError
 from acgraphs.groups import FiniteGroup
 from acgraphs.subgroups import Subgroup
 from acgraphs.walkers import GroupContext, WalkConfig, _check_acr_init, _check_pra_init
+
+
+# -- element arithmetic on objects ---------------------------------------------------
+
+
+def inverse(a: GroupElement) -> GroupElement:
+    if isinstance(a, Permutation):
+        r = [0] * a.degree
+        for i, j in enumerate(a.images):
+            r[j] = i
+        return Permutation(r)
+    if isinstance(a, MatrixGF):
+        # det == 1, so the inverse is the adjugate
+        x, y, z, t = a.entries
+        return MatrixGF((t, -y, -z, x), a.modulus)
+    if isinstance(a, AbelianTuple):
+        return AbelianTuple((-x for x in a.residues), a.moduli)
+    raise TypeError(f"not a group element: {type(a).__name__}")
+
+
+def conj(a: GroupElement, w: GroupElement) -> GroupElement:
+    """Conjugate a by w: returns w^-1 * a * w."""
+    return inverse(w) * a * w
+
+
+def identity_like(a: GroupElement) -> GroupElement:
+    if isinstance(a, Permutation):
+        return Permutation(range(a.degree))
+    if isinstance(a, MatrixGF):
+        return MatrixGF((1, 0, 0, 1), a.modulus)
+    if isinstance(a, AbelianTuple):
+        return AbelianTuple((0,) * len(a.moduli), a.moduli)
+    raise TypeError(f"not a group element: {type(a).__name__}")
+
+
+def cycle_count(a: GroupElement) -> int:
+    """Cycle count of a permutation (fixed points count as 1-cycles)."""
+    if not isinstance(a, Permutation):
+        raise TypeError(f"cycle_count needs a permutation, got {type(a).__name__}")
+    return a.cycle_count()
 
 
 def brute_listing(spec: str) -> list[GroupElement]:
@@ -81,7 +123,7 @@ def brute_span(identity, seeds):
 
 def brute_normal_closure(group_elements, seeds):
     """Closure of all conjugates of the seeds, conjugating by everything."""
-    conjugates = {s.conjugate_by(g) for s in seeds for g in group_elements}
+    conjugates = {conj(s, g) for s in seeds for g in group_elements}
     conjugates.add(identity_like(group_elements[0]))
     return brute_mulclose(conjugates)
 
@@ -92,7 +134,7 @@ def brute_classes(group_elements):
     classes, seen = [], set()
     for x in group_elements:
         if x not in seen:
-            cls = {x.conjugate_by(w) for w in group_elements}
+            cls = {conj(x, w) for w in group_elements}
             seen |= cls
             classes.append(cls)
     return classes
@@ -137,7 +179,7 @@ def ac_move_images(tup, group_elements, mode="full-ac", conjugators=None,
         for j in range(k):
             if i == j:
                 continue
-            for y in (tup[j], tup[j].inverse()):
+            for y in (tup[j], inverse(tup[j])):
                 left = list(tup)
                 left[i] = y * tup[i]
                 out.add(tuple(left))
@@ -146,21 +188,21 @@ def ac_move_images(tup, group_elements, mode="full-ac", conjugators=None,
                 out.add(tuple(right))
         if mode != "nielsen":
             inv = list(tup)
-            inv[i] = tup[i].inverse()
+            inv[i] = inverse(tup[i])
             out.add(tuple(inv))
         if mode == "full-ac":
             for w in group_elements:
-                conj = list(tup)
-                conj[i] = tup[i].conjugate_by(w)
-                out.add(tuple(conj))
+                moved = list(tup)
+                moved[i] = conj(tup[i], w)
+                out.add(tuple(moved))
         elif mode == "restricted-ac":
             ws = list(conjugators)
             if not directed:
-                ws += [w.inverse() for w in conjugators]
+                ws += [inverse(w) for w in conjugators]
             for w in ws:
-                conj = list(tup)
-                conj[i] = tup[i].conjugate_by(w)
-                out.add(tuple(conj))
+                moved = list(tup)
+                moved[i] = conj(tup[i], w)
+                out.add(tuple(moved))
     out.discard(tuple(tup))
     return out
 
@@ -260,7 +302,7 @@ def brute_eval_word(word, images):
     acc = identity_like(images[0])
     for l in word.letters:
         g = images[abs(l) - 1]
-        acc = acc * (g if l > 0 else g.inverse())
+        acc = acc * (g if l > 0 else inverse(g))
     return acc
 
 
@@ -290,7 +332,7 @@ def _random_conjugator(
     if not isinstance(group, FiniteGroup):
         raise PreconditionError("word-mode conjugators need an enumerated group")
     gens = list(group.generator_elements())
-    gens += [g.inverse() for g in gens]
+    gens += [inverse(g) for g in gens]
     if not gens:
         return group.identity_element
     w = group.identity_element
@@ -320,9 +362,9 @@ def acr_step(
     if move is not None and move >= 2:
         i = int(rng.integers(cfg.k))
         if move == 2:
-            t[i] = t[i].inverse()
+            t[i] = inverse(t[i])
         else:
-            t[i] = t[i].conjugate_by(_random_conjugator(group, cfg, rng))
+            t[i] = conj(t[i], _random_conjugator(group, cfg, rng))
     else:
         if move is None:
             plain = nielsen_only or bool(rng.random() < cfg.plain_move_probability)
@@ -333,9 +375,9 @@ def acr_step(
         invert = bool(rng.integers(2))
         y = t[j]
         if not plain:
-            y = y.conjugate_by(_random_conjugator(group, cfg, rng))
+            y = conj(y, _random_conjugator(group, cfg, rng))
         if invert:
-            y = y.inverse()
+            y = inverse(y)
         t[i] = (y * t[i]) if left else (t[i] * y)
     cum = state.cumulative * t[i] if cfg.use_cumulative else state.cumulative
     return replace(

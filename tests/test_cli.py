@@ -209,25 +209,54 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, raised, c
     assert run_cli(capsys, "analyze", "--group", "sym:3", "--k", "2") == (code, "", message)
 
 
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def test_analyze_and_scan_do_not_import_numpy_ma():
-    # numpy's flagless 1-D unique imports numpy.ma (14 ms, 1.3 MB) on first use
+    # a CLI child compiles every module it imports, so analyze and scan load
+    # none of the check catalog, the thread pool and csv; numpy's flagless
+    # 1-D unique would import numpy.ma (14 ms, 1.3 MB) on first use
     script = (
         "import contextlib, io, sys\n"
         "from acgraphs.cli import main\n"
-        "for argv in sys.argv[1:]:\n"
+        "def run(argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv.split()) == 0, argv\n"
+        "for argv in sys.argv[1:]:\n"
+        "    run(argv)\n"
+        "unused = ('acgraphs.verify', 'concurrent.futures', 'csv', 'numpy.ma')\n"
+        "print([name for name in unused if name in sys.modules])\n"
+        "run('verify --corpus small')\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     jobs = [f"analyze --group sl2:5 --k 2 --mode {mode}" for mode in ("full-ac", "nielsen")]
-    jobs += ["scan --group sl2:5 --pair ak --mode full-ac", "verify --corpus small"]
-    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *jobs], capture_output=True, text=True,
-        timeout=120, env={**os.environ, "PYTHONPATH": src},
-    )
+    jobs += ["analyze --group sl2:5 --k 2 --mode restricted-ac --diameter estimate",
+             "scan --group sl2:5 --pair ak --mode full-ac"]
+    proc = _fresh_python(script, *jobs)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\nFalse\n"
+
+
+def test_verify_loads_on_first_access():
+    script = (
+        "import sys\n"
+        "import acgraphs\n"
+        "assert 'acgraphs.verify' not in sys.modules\n"
+        "assert all(callable(check) for check in acgraphs.verify.CHECKS)\n"
+        "assert acgraphs.verify is sys.modules['acgraphs.verify']\n"
+        "try:\n"
+        "    acgraphs.no_such_layer\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'acgraphs' has no attribute 'no_such_layer'\n"
 
 
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path):

@@ -2,18 +2,9 @@ import pickle
 
 import pytest
 
-from acgraphs.elements import (
-    AbelianTuple,
-    MatrixGF,
-    Permutation,
-    conj,
-    cycle_count,
-    format_cycles,
-    identity_like,
-    parse_cycles,
-)
+from acgraphs.elements import AbelianTuple, MatrixGF, Permutation, format_cycles, parse_cycles
 
-from helpers import brute_cycle_count
+from helpers import brute_cycle_count, conj, cycle_count, identity_like, inverse
 
 
 def test_permutation_composition_is_left_to_right():
@@ -41,7 +32,7 @@ def test_sl2_conjugation_matches_independent_product():
 
 def test_matrix_inverse_and_det():
     m = MatrixGF((2, 1, 3, 2), 5)
-    assert (m * m.inverse()).is_identity()
+    assert (m * inverse(m)).is_identity()
     with pytest.raises(ValueError):
         MatrixGF((1, 1, 1, 1), 5)  # det 0
 
@@ -81,8 +72,8 @@ def test_inverse_antihomomorphism_sampled():
     for _ in range(100):
         a = Permutation(int(i) for i in rng.permutation(6))
         b = Permutation(int(i) for i in rng.permutation(6))
-        assert (a * b).inverse() == b.inverse() * a.inverse()
-        assert (a * a.inverse()).is_identity()
+        assert inverse(a * b) == inverse(b) * inverse(a)
+        assert (a * inverse(a)).is_identity()
 
 
 def test_conjugation_distributes_over_product():
@@ -98,8 +89,8 @@ def test_abelian_arithmetic():
     x = AbelianTuple((1, 3), (2, 4))
     y = AbelianTuple((1, 2), (2, 4))
     assert (x * y).residues == (0, 1)
-    assert (x * x.inverse()).is_identity()
-    assert x.conjugate_by(y) == x
+    assert (x * inverse(x)).is_identity()
+    assert conj(x, y) == x
 
 
 def test_cycle_notation_round_trip():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import tracemalloc
 
@@ -40,6 +41,8 @@ from helpers import (
     brute_normally_generates,
     brute_generates,
     brute_span,
+    conj,
+    inverse,
 )
 
 
@@ -102,7 +105,7 @@ def _brute_vertex_predicate(group, normal, mode):
     conjugacy classes, since that is all the span depends on."""
     els = list(group.elements)
     target = {group.elements[i] for i in normal.members}
-    classes = {x: frozenset(x.conjugate_by(w) for w in els) for x in els}
+    classes = {x: frozenset(conj(x, w) for w in els) for x in els}
     memo = {}
 
     def pred(tup):
@@ -565,6 +568,33 @@ def test_narrowed_move_stream_matches_a_fresh_stream(monkeypatch, backward):
         assert np.array_equal(row, fresh[f.size, move]), (f.size, move)
 
 
+@pytest.mark.parametrize("spec, k", [("alt:5", 3), ("sl2:7", 2)])
+def test_narrow_move_tables_give_the_int64_blocks(spec, k):
+    # both graphs have more than 2^16 codes, so a block scaled by the radix
+    # in the tables' own dtype would wrap
+    g = parse_group(spec)
+    for mode in (GraphMode.full_ac(), GraphMode.restricted_ac()):
+        h = GraphHandle(g, k, mode)
+        assert h.size > 2**16
+        assert h.NMUL.dtype == h.CONJ.dtype == g.mul_table.dtype
+        wide = copy.copy(h)
+        wide.NMUL, wide.CONJ = h.NMUL.astype(np.int64), h.CONJ.astype(np.int64)
+        rng = np.random.default_rng(17)
+        frontier = np.concatenate((rng.choice(h.size, 300), np.arange(h.size - 30, h.size)))
+        for backward, conjugation in itertools.product((False, True), repeat=2):
+            narrow = list(h._move_images(frontier, backward=backward,
+                                         conjugation=conjugation))
+            reference = list(wide._move_images(frontier, backward=backward,
+                                               conjugation=conjugation))
+            assert len(narrow) == len(reference)
+            assert conjugation == any(ids[0] >= h._conj_base for ids, _ in narrow)
+            for (ids, codes), (ref_ids, ref_codes) in zip(narrow, reference):
+                assert codes.dtype == np.int64
+                assert np.array_equal(ids, ref_ids)
+                assert np.array_equal(codes, ref_codes), (spec, mode, backward, ids[0])
+            assert max(codes.max() for _, codes in narrow) >= 2**16
+
+
 @pytest.mark.parametrize(
     "spec, mode",
     [
@@ -776,10 +806,10 @@ def test_symmetry_maps_are_graph_automorphisms():
             gens = [s3.elements[i] for i in s3.generators]
             cases.append((s3, k, mode, None, s3_els, mode.kind, pred, gens, False,
                           conj_maps + k))
-    for g, k, mode, normal, members, mode_name, pred, conj, directed, n_maps in cases:
+    for g, k, mode, normal, members, mode_name, pred, ws, directed, n_maps in cases:
         h = GraphHandle(g, k, mode, normal)
         verts, adj = brute_graph(list(g.elements), members, k, pred, mode_name,
-                                 conj, directed)
+                                 ws, directed)
         code_of = {v: h.encode([g.index_of(e) for e in v]) for v in verts}
         tuple_of = {c: v for v, c in code_of.items()}
         assert sorted(tuple_of) == list(np.flatnonzero(h.vertex_mask))
@@ -937,7 +967,7 @@ def test_cayley_diameter_matches_element_bfs():
     for spec in ("sym:4", "alt:5", "dihedral:6", "sl2:5"):
         g = parse_group(spec)
         gens = [g.elements[i] for i in g.generators]
-        gens += [s.inverse() for s in gens]
+        gens += [inverse(s) for s in gens]
         adj = {x: {x * s for s in gens} for x in g.elements}
         dist = brute_distances(adj, g.elements[0])
         assert len(dist) == g.order

@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import acgraphs
-import acgraphs.cli  # noqa: F401  (imports every layer)
+import acgraphs.cli  # noqa: F401  (every layer but verify, loaded on first access)
 
 
 def load_tracer():
