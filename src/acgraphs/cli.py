@@ -313,7 +313,8 @@ def cmd_walk(args, out) -> int:
         raise GroupSpecError(f"the {label} walk needs an enumerated group")
     if ambient and args.normal != "derived":
         raise GroupSpecError("ambient symmetric walks support --normal derived only")
-    normal = None if ambient else _resolve_normal(group, args.normal)
+    target = "whole" if args.algorithm == "pra" else args.normal
+    normal = None if ambient else _resolve_normal(group, target)
     init = parse_tuple(group, args.init, args.k)
 
     degree = group.degree if ambient else None
@@ -429,10 +430,10 @@ def cmd_stats(args, out) -> int:
             raise GroupSpecError(
                 f"--observed {args.observed!r} is not a JSON histogram: {exc}"
             ) from None
-        bad = [v for v in observed.values() if type(v) is not int]
+        bad = [v for v in observed.values() if type(v) is not int or v < 0]
         if bad:
             raise GroupSpecError(
-                f"--observed {args.observed!r} holds a count that is not an integer: {bad[0]!r}"
+                f"--observed {args.observed!r} holds a negative or non-integer count: {bad[0]!r}"
             )
         dist = cycle_distribution(args.n, args.parity)
         report["chiSquared"] = chi_squared_test(observed, dist).to_json()
@@ -568,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="sampler run + diagnostics")
     p.add_argument("--group", required=True)
-    p.add_argument("--normal", default="derived")
+    p.add_argument("--normal", default="derived",
+                   help="target subgroup of ACR and Cayley walks; PRA samples the whole group")
     p.add_argument("--algorithm", choices=["acr", "pra", "cayley"], default="acr")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--init", default="", help="semicolon-separated element literals")

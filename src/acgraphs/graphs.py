@@ -15,11 +15,12 @@ Four graph families share one vertex/edge machinery, selected by
 
 Vertices are coded by ``np.ravel_multi_index`` over member positions
 of N.  Edges are never stored.  One move table yields the images of a
-frontier under every move, block by block, as numpy gathers over
-precomputed product, inverse and conjugation tables (one row per distinct
-non-identity conjugation).  The product and conjugation tables keep the
-group's index dtype (uint16 below 65,536 elements, a quarter of int64);
-each block is widened to int64 as it is gathered or scaled by the radix.
+frontier under every move, block by block, as numpy gathers over product
+and inverse tables; conjugation by w gathers w^-1 y w (backward w y w^-1)
+from the group's product table, one row per w with a distinct
+non-identity action on N.  Product tables keep the group's index dtype
+(uint16 below 65,536 elements, a quarter of int64); each block is widened
+to int64 as it is gathered or scaled by the radix.
 A caller may narrow the frontier between blocks, or leave the conjugation
 blocks out.  The full-AC BFS leaves them out and takes the class step,
 the level form of the conjugation moves: the conjugates of x_i by all of
@@ -33,7 +34,7 @@ space, what it allocates fits one budget of ``BLOCK_CELLS`` int64 cells
 (1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
 ``BLOCK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
 the budget, and one block is alive at a time.  On the sl2:7 full-AC graph
-at k=2, the handle holds 0.6 MB, ``components`` peaks 2.2 MB above it
+at k=2, the handle holds 0.4 MB, ``components`` peaks 2.1 MB above it
 (tracemalloc), and ``analyze`` at about 34 MB RSS, 30 MB of which is the
 interpreter with numpy and the CLI imported.  BFS picks a direction per
 level.  A push level marks each block in a reusable hit map, masks the
@@ -57,10 +58,9 @@ that preserve the vertices and the moves (diagonal conjugation, position
 permutations, inversion of one component); they stop once no orbit's
 bound exceeds the largest eccentricity found.  Both kinds of orbit come
 from ``groups.least_in_orbit``, the min-label propagation that also
-labels conjugacy classes; code orbit labels are cached per handle.  Every
-conjugation row is a column gather of ``FiniteGroup.conjugation_rows``,
-and every backward conjugation block gathers w y w^-1 from the product
-table.
+labels conjugacy classes; code orbit labels are cached per handle.  The
+symmetry maps' conjugation rows and the check that N is closed under
+conjugation are column gathers of ``FiniteGroup.conjugation_rows``.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class GraphHandle:
         pos_of[members] = np.arange(nm)
         self.pos_of = pos_of
 
-        self.conjugator_indices, self.CONJ = self._conj_table(limit)
+        self.conjugator_indices = self._conjugators()
         self.NMUL, self.NINV = self._member_tables()
         self._classes = self._class_layout() if mode.kind == "full-ac" else None
 
@@ -225,37 +225,35 @@ class GraphHandle:
                 nmul[start : start + rows] = self.pos_of[block]
         return nmul, ninv
 
-    def _conjugator_list(self) -> tuple[int, ...]:
-        mode = self.mode
-        if mode.kind == "full-ac":
-            return tuple(range(self.group.order))
-        if mode.kind == "restricted-ac":
-            base = self.group.generators
-            if not base:
-                raise PreconditionError("restricted AC needs a nonempty conjugator set")
-            if mode.directed_conjugators:
-                return tuple(base)
-            return tuple(base) + tuple(self.group.inv(s) for s in base)
-        return ()
-
     def _conj_rows(self, ws: Sequence[int]) -> np.ndarray:
         """Row r: conjugation by ws[r] over member positions (-1 where it
         leaves N)."""
         return self.pos_of[self.group.conjugation_rows(ws)[:, self.member_idx]]
 
-    def _conj_table(self, limit: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """Conjugators and their rows over member positions: the first
-        conjugator of each coset Cw of the centralizer C of N, named by its
-        least member, and none from C itself, since conjugations by w and
-        w' agree on N iff w' is in Cw.  The rows are kept in the group's
-        index dtype.  The cells of all conjugators' rows count against the
-        tuple cap ``limit``."""
-        ws = np.array(self._conjugator_list(), dtype=np.int64)
-        if ws.size * self.nm > limit:
-            raise ResourceCapError("conjugation_table", ws.size * self.nm, limit)
-        mt, m = self.group.mul_table, self.member_idx
-        central = np.ones(self.group.order, dtype=bool)
-        rows = max(1, BLOCK_CELLS // self.group.order)
+    def _conjugators(self) -> np.ndarray:
+        """The conjugation moves' group elements: all of G in full AC, the
+        generators and (unless directed) their inverses in restricted AC,
+        none in Nielsen modes.  Of these it keeps the first of each coset
+        Cw of the centralizer C of N, named by its least member, and none
+        from C itself, since conjugations by w and w' agree on N iff w' is
+        in Cw.  N must be closed under conjugation by the generators of G,
+        hence by all of G."""
+        g, mode = self.group, self.mode
+        if not mode.is_ac:
+            return np.zeros(0, dtype=np.int64)
+        if (self._conj_rows(g.generators) < 0).any():
+            raise PreconditionError("member set not closed under conjugation")
+        if mode.kind == "full-ac":
+            ws = np.arange(g.order, dtype=np.int64)
+        else:
+            ws = np.array(g.generators, dtype=np.int64)
+            if not ws.size:
+                raise PreconditionError("restricted AC needs a nonempty conjugator set")
+            if not mode.directed_conjugators:
+                ws = np.concatenate((ws, g.inv_array[ws]))
+        mt, m = g.mul_table, self.member_idx
+        central = np.ones(g.order, dtype=bool)
+        rows = max(1, BLOCK_CELLS // g.order)
         for start in range(0, self.nm, rows):
             block = m[start : start + rows]
             central &= (mt[:, block] == mt[block].T).all(axis=1)
@@ -263,11 +261,7 @@ class GraphHandle:
         for c in np.flatnonzero(central):
             np.minimum(names, mt[c, ws], out=names)
         _, first = np.unique(names, return_index=True)
-        keep = ws[np.sort(first[names[first] > 0])]
-        table = self._conj_rows(keep)
-        if (table < 0).any():
-            raise PreconditionError("member set not closed under conjugation")
-        return tuple(keep.tolist()), table.astype(mt.dtype)
+        return ws[np.sort(first[names[first] > 0])]
 
     def _class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The member positions grouped by G-class, for the class step: a
@@ -341,7 +335,7 @@ class GraphHandle:
         if move_id < self._conj_base:
             return {"type": "invert", "i": move_id - self._inv_base}
         row, i = divmod(move_id - self._conj_base, k)
-        w = self.conjugator_indices[row]
+        w = int(self.conjugator_indices[row])
         return {
             "type": "conjugate",
             "i": i,
@@ -358,17 +352,17 @@ class GraphHandle:
 
         Yields ``(move ids, codes)`` blocks, ``codes`` of shape
         ``(len(ids), len(frontier))`` and at most ``BLOCK_CELLS`` cells per
-        conjugation block.  With ``backward`` the blocks hold instead the
-        codes that one move takes to each frontier code (multiplication and
-        inversion moves are closed under inverses, and conjugation by w is
-        undone by conjugation by w^-1, gathered from the product table);
-        their ids then do not name the moves that lead from them.  Without
-        ``conjugation`` the conjugation blocks are left out.  A caller may
-        narrow the frontier between blocks by sending a boolean mask over
-        the columns of the last block: later blocks hold the kept columns
-        only.  The stream drops each block when resumed, so a caller that
-        drops its own reference too keeps one block alive; the BFS bounds
-        the frontier width by feeding it ``_slices``.
+        conjugation block, which gathers w^-1 y w for the members y of
+        component i.  With ``backward`` the blocks hold instead the codes
+        that one move takes to each frontier code (multiplication and
+        inversion moves are closed under inverses, and a conjugation block
+        gathers w y w^-1); their ids then do not name the moves that lead
+        from them.  Without ``conjugation`` the conjugation blocks are left
+        out.  A caller may narrow the frontier between blocks by sending a
+        boolean mask over the columns of the last block: later blocks hold
+        the kept columns only.  The stream drops each block when resumed, so
+        a caller that drops its own reference too keeps one block alive; the
+        BFS bounds the frontier width by feeding it ``_slices``.
         """
         k, nm = self.k, self.nm
         radix = self.radix[:, None]
@@ -376,8 +370,12 @@ class GraphHandle:
         # rows 0..k-1: the components; rows k..2k-1: the code less component i
         cols = np.concatenate((comps, frontier - comps * radix))
         del comps
-        conj = self.CONJ if conjugation else self.CONJ[:0]
-        g = self.group
+        ws = self.conjugator_indices if conjugation else self.conjugator_indices[:0]
+        # the flat product table: x y sits at x * order + y
+        mt, order = self.group.mul_table.ravel(), self.group.order
+        pre, post = self.group.inv_array[ws][:, None], ws[:, None]
+        if backward:
+            pre, post = post, pre
         rows = max(1, BLOCK_CELLS // max(frontier.size, 1))
 
         def narrow(keep: np.ndarray | None) -> None:
@@ -406,16 +404,15 @@ class GraphHandle:
                 codes = cols[k + i] + self.NINV[cols[i]][None, :] * r
                 narrow((yield np.array([self._inv_base + i]), codes))
                 del codes
-            for start in range(0, len(conj), rows):
-                if backward:  # w y w^-1 for the members y of component i
-                    w = np.array(self.conjugator_indices[start : start + rows])[:, None]
-                    wy = g.mul_table[w, self.member_idx[cols[i]]]
-                    block = self.pos_of[g.mul_table[wy, g.inv_array[w]]]
-                    del wy
-                    block *= r
-                else:
-                    block = np.multiply(conj[start : start + rows, cols[i]], r,
-                                        dtype=np.int64)
+            for start in range(0, ws.size, rows):
+                block = pre[start : start + rows] * order + self.member_idx[cols[i]]
+                block[...] = mt[block]
+                block *= order
+                block += post[start : start + rows]
+                block[...] = mt[block]
+                # in place: mode="clip" never copies out, and every code is in range
+                np.take(self.pos_of, block, out=block, mode="clip")
+                block *= r
                 block += cols[k + i]
                 ids = self._conj_base + np.arange(start, start + len(block)) * k + i
                 narrow((yield ids, block))

@@ -113,6 +113,20 @@ def test_walk_pra(capsys):
     assert doc["report"]["algorithm"] == "pra"
 
 
+@pytest.mark.parametrize(
+    "spec, init, order",
+    [("sym:4", "(0 1);(0 1 2 3)", 24), ("dihedral:4", "(2 4);(1 2 3 4)", 8)],
+)
+def test_pra_mixing_is_measured_over_the_whole_group(capsys, spec, init, order):
+    # neither group is perfect: PRA's samples leave the default --normal, [G,G]
+    code, out, err = run_cli(
+        capsys, "walk", "--group", spec, "--algorithm", "pra", "--init", init,
+        "--samples", "200",
+    )
+    assert code == 0, err
+    assert json.loads(out)["report"]["mixing"]["support"] == order
+
+
 def test_walk_cayley(capsys):
     code, out, _ = run_cli(
         capsys, "walk", "--group", "sym:4", "--normal", "derived", "--algorithm",
@@ -177,9 +191,6 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "analyze", "--group", "sym:8", "--k", "3")
     assert code == 3
-    # 5,040 tuples, but a 5,040 x 5,040 conjugation table
-    code, _, err = run_cli(capsys, "analyze", "--group", "sym:7", "--k", "1")
-    assert code == 3 and "conjugation_table" in err
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     code, _, err = run_cli(capsys, "scan")
@@ -282,6 +293,7 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("stats", "--observed", str(missing / "hist.json"), "--n", "4"),
         ("stats", "--observed", str(tmp_path / "hist.json")),
         ("stats", "--observed", str(tmp_path / "fractional.json"), "--n", "3"),
+        ("stats", "--observed", str(tmp_path / "negative.json"), "--n", "4"),
         ("stats", "--stirling", "-1"),
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",
@@ -293,6 +305,7 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
     (tmp_path / "hist.json").write_text('{"1": 3, "2": 5}')
     (tmp_path / "bad.json").write_text('{"1": 3, "2": ')
     (tmp_path / "fractional.json").write_text('{"1": 20.7, "2": 30, "3": 10.9}')
+    (tmp_path / "negative.json").write_text('{"1": -50, "2": 30, "3": 60, "4": 20}')
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
     for overrides, argv in cases:
         proc = subprocess.run(

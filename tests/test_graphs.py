@@ -187,15 +187,22 @@ def test_graph_tuple_cap():
         GraphHandle(g, 3, GraphMode.full_ac(), cap=10_000)
 
 
-def test_conjugation_table_counts_against_the_tuple_cap():
-    # 120 tuples fit, but the table has 120 conjugators x 120 members
+def test_conjugation_moves_count_only_their_tuples_against_the_cap():
+    # 120 tuples fit under the cap, and the 119 conjugators hold no table
+    # of their own; the odd permutations normally generate sym:5
     g = parse_group("sym:5")
-    with pytest.raises(ResourceCapError) as exc:
-        GraphHandle(g, 1, GraphMode.full_ac(), cap=1_000)
-    assert exc.value.cap_name == "conjugation_table"
-    # restricted AC conjugates by 4 elements only; the odd permutations
-    # normally generate sym:5
-    assert GraphHandle(g, 1, GraphMode.restricted_ac(), cap=1_000).vertex_count == 60
+    for mode in (GraphMode.full_ac(), GraphMode.restricted_ac()):
+        assert GraphHandle(g, 1, mode, cap=1_000).vertex_count == 60
+
+
+@pytest.mark.parametrize(
+    "mode", [GraphMode.full_ac(), GraphMode.restricted_ac()], ids=lambda m: m.kind
+)
+def test_subgroup_not_closed_under_conjugation_is_rejected(mode):
+    g = parse_group("sym:3")
+    fake = Subgroup(g, tuple(sorted((0, idx(g, "(0 1)")))), True)
+    with pytest.raises(PreconditionError, match="not closed under conjugation"):
+        GraphHandle(g, 2, mode, fake)
 
 
 # -- neighbors ---------------------------------------------------------------------
@@ -250,15 +257,34 @@ def test_neighbors_match_brute_moves():
 
 def test_conjugation_rows_are_distinct_and_not_identity():
     # w and wz conjugate alike for central z; an abelian group keeps no row
-    for spec, rows in (("alt:5", 59), ("sl2:5", 59), ("abelian:3,3", 0)):
+    for spec, rows in (("alt:5", 59), ("sl2:5", 59), ("abelian:3,3", 0), ("sym:4", 23)):
         g = parse_group(spec)
-        h = GraphHandle(g, 2, GraphMode.full_ac())
-        assert len(h.conjugator_indices) == rows, spec
-        assert len({row.tobytes() for row in h.CONJ}) == rows, spec
-        for w, row in zip(h.conjugator_indices, h.CONJ):
-            images = [g.conj(int(x), w) for x in h.member_idx]
-            assert list(h.member_idx[row]) == images, spec
-            assert (row != np.arange(h.nm)).any(), spec
+        gens = list(g.generators)
+        for mode, normal, ws in (
+            (GraphMode.full_ac(), None, range(g.order)),
+            (GraphMode.full_ac(), derived_subgroup(g), range(g.order)),
+            (GraphMode.restricted_ac(), None, gens + [g.inv(s) for s in gens]),
+            (GraphMode.restricted_ac(directed=True), None, gens),
+        ):
+            h = GraphHandle(g, 2, mode, normal)
+            m = h.member_idx.tolist()
+            # the distinct non-identity actions on N of the mode's conjugators
+            actions = {tuple(g.conj(x, w) for x in m) for w in ws} - {tuple(m)}
+            if mode.kind == "full-ac" and normal is None:
+                assert len(actions) == rows, spec
+            kept = h.conjugator_indices.tolist()
+            assert len(kept) == len(actions), (spec, mode, normal)
+            assert {tuple(g.conj(x, w) for x in m) for w in kept} == actions
+            for x, backward in itertools.product(m, (False, True)):
+                ids, images = h._images_of(h.encode((x, x)), backward=backward)
+                conj = ids >= h._conj_base
+                assert conj.sum() == 2 * len(kept)
+                for move, image in zip(ids[conj].tolist(), images[conj].tolist()):
+                    row, i = divmod(move - h._conj_base, h.k)
+                    w = kept[row]
+                    # a backward block undoes the move: w y w^-1
+                    y = g.conj(x, g.inv(w) if backward else w)
+                    assert h.decode(image) == tuple(y if c == i else x for c in range(2))
 
 
 def test_restricted_neighbors_use_inverse_conjugators_by_default():
@@ -576,9 +602,9 @@ def test_narrow_move_tables_give_the_int64_blocks(spec, k):
     for mode in (GraphMode.full_ac(), GraphMode.restricted_ac()):
         h = GraphHandle(g, k, mode)
         assert h.size > 2**16
-        assert h.NMUL.dtype == h.CONJ.dtype == g.mul_table.dtype
+        assert h.NMUL.dtype == g.mul_table.dtype
         wide = copy.copy(h)
-        wide.NMUL, wide.CONJ = h.NMUL.astype(np.int64), h.CONJ.astype(np.int64)
+        wide.NMUL = h.NMUL.astype(np.int64)
         rng = np.random.default_rng(17)
         frontier = np.concatenate((rng.choice(h.size, 300), np.arange(h.size - 30, h.size)))
         for backward, conjugation in itertools.product((False, True), repeat=2):
