@@ -211,7 +211,7 @@ def cmd_analyze(args, out) -> int:
             {
                 "component": lab,
                 "value": diameter(
-                    handle, parts.codes_of(lab), exact=args.diameter == "exact"
+                    handle, parts.labels == lab, exact=args.diameter == "exact"
                 ),
                 "method": args.diameter,
             }

@@ -51,16 +51,19 @@ inverse moves, so no parent pointers are stored.
 The vertex mask is the table of ``subgroups.generating_tuples``, the
 census that also counts psi_k: it folds the join oracle once per orbit of
 the entries' singleton-closure id tuples, and is read off for the whole
-code space at once through each member's id.  Exact diameters keep an
-eccentricity bound per code that every BFS tightens, and run each next
-BFS from the orbit with the largest bound, under a few code permutations
-that preserve the vertices and the moves (diagonal conjugation, position
-permutations, inversion of one component); they stop once no orbit's
-bound exceeds the largest eccentricity found.  Both kinds of orbit come
-from ``groups.least_in_orbit``, the min-label propagation that also
-labels conjugacy classes; code orbit labels are cached per handle.  The
-symmetry maps' conjugation rows and the check that N is closed under
-conjugation are column gathers of ``FiniteGroup.conjugation_rows``.
+code space at once through each member's id.  A diameter takes its
+component as a boolean mask over the code space, 1 byte per code, and
+reads each BFS's distance array as it is, so a double sweep lists no
+codes.  Exact diameters keep an eccentricity bound per code that every
+BFS tightens, and run each next BFS from the orbit with the largest
+bound, under a few code permutations that preserve the vertices and the
+moves (diagonal conjugation, position permutations, inversion of one
+component); they stop once no orbit's bound exceeds the largest
+eccentricity found.  Both kinds of orbit come from
+``groups.least_in_orbit``, the min-label propagation that also labels
+conjugacy classes; code orbit labels are cached per handle.  The symmetry
+maps' conjugation rows and the check that N is closed under conjugation
+are column gathers of ``FiniteGroup.conjugation_rows``.
 """
 
 from __future__ import annotations
@@ -678,44 +681,48 @@ def distance(handle: GraphHandle, u: Sequence[int], v: Sequence[int]) -> int | N
     return d if d >= 0 else None
 
 
-def diameter(
-    handle: GraphHandle,
-    component_codes: np.ndarray | Sequence[int],
-    *,
-    exact: bool = True,
-) -> int:
+def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) -> int:
     """Max eccentricity of one component, by bounds that tighten after
     every BFS (Takes & Kosters, CIKM 2011).
 
-    The lower bound is the largest eccentricity found.  A BFS from w
-    bounds each code v by ecc(w) + d(w, v), and each code keeps its least
-    bound.  The first two BFS are the double sweep, from the first code
-    and from a farthest one; ``exact=False`` returns after them.  Each
-    next BFS runs from the first code of the symmetry orbit whose least
-    bound is largest, until none exceeds the lower bound.  Symmetries
-    preserve eccentricity but may carry one component onto another, so an
-    orbit stands for its codes inside the component.  With directed
-    conjugators a BFS gives d(w, v), not the d(v, w) the bound needs, so
-    it bounds only w.
+    ``component`` is a boolean mask over the code space, such as
+    ``parts.labels == lab``: 1 byte per code, where a list of the
+    component's codes would take 8.  A BFS from one of its codes reaches
+    exactly the component, so each sweep reads the distance array as it
+    is: ``argmax`` finds the first farthest code.  The lower bound is the
+    largest eccentricity found.
+    A BFS from w bounds each code v by ecc(w) + d(w, v), and each code
+    keeps its least bound.  The first two BFS are the double sweep, from
+    the first code and from a farthest one; ``exact=False`` returns after
+    them and keeps no bounds.  Each next BFS runs from the first code of
+    the symmetry orbit whose least bound is largest, until none exceeds the
+    lower bound; the component's codes are grouped by orbit once, after
+    the double sweep.  Symmetries preserve eccentricity but may carry one
+    component onto another, so an orbit stands for its codes inside the
+    component.  With directed conjugators a BFS gives d(w, v), not the
+    d(v, w) the bound needs, so it bounds only w.
     """
-    codes = np.asarray(component_codes, dtype=np.int64)
-    if codes.size == 0:
+    component = np.asarray(component)
+    if component.dtype != bool or component.shape != (handle.size,):
+        raise PreconditionError("a component is a boolean mask over the code space")
+    size = int(np.count_nonzero(component))
+    if size == 0:
         raise PreconditionError("empty component")
-    if codes.size == 1:
+    if size == 1:
         return 0
-    # an estimate keeps no bounds: it returns after the double sweep
-    upper = np.full(codes.size, codes.size, dtype=np.int32) if exact else None
-    lower, source = 0, 0
+    upper = np.full(handle.size, size, dtype=np.int32) if exact else None
+    lower, source = 0, int(np.argmax(component))
     for sweep in itertools.count():
-        dist = handle.bfs_distances([int(codes[source])])[codes]
-        if (dist < 0).any():
-            raise PreconditionError("codes are not a single component")
+        dist = handle.bfs_distances([source])
+        if not np.array_equal(dist >= 0, component):
+            raise PreconditionError("the mask is not a single component")
         far = int(np.argmax(dist))
         ecc = int(dist[far])
         lower = max(lower, ecc)
         if upper is not None:
             if not handle.mode.directed_conjugators:
-                np.minimum(upper, ecc + dist, out=upper)
+                dist += ecc
+                np.minimum(upper, dist, out=upper)
             upper[source] = ecc
         del dist  # before the next BFS
         if sweep == 0:
@@ -724,10 +731,15 @@ def diameter(
         if upper is None:
             return lower
         if sweep == 1:
-            # codes grouped by orbit, each group in code order
-            labels = handle.orbit_labels[codes]
-            by_orbit = np.argsort(labels, kind="stable")
-            _, starts = np.unique(labels[by_orbit], return_index=True)
+            # the component's codes grouped by orbit, each group in code order;
+            # the orbit labels are built first, so their peak holds no codes
+            orbit_labels = handle.orbit_labels
+            by_orbit = np.flatnonzero(component)
+            labels = orbit_labels[by_orbit]
+            order = np.argsort(labels, kind="stable")
+            by_orbit = by_orbit[order]
+            _, starts = np.unique(labels[order], return_index=True)
+            del labels, order
         bound = np.minimum.reduceat(upper[by_orbit], starts)
         if bound.max() <= lower:
             return lower

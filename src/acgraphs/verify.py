@@ -413,8 +413,8 @@ def check_restricted_diameter_bound(ctx: VerifyContext) -> CheckResult:
         pf, pr = components(full), components(restr)
         cay = cayley_diameter(g, g.generators)
         for lab in range(pf.count):
-            df = diameter(full, pf.codes_of(lab))
-            dr = diameter(restr, pr.codes_of(lab))
+            df = diameter(full, pf.labels == lab)
+            dr = diameter(restr, pr.labels == lab)
             if dr > df * cay:
                 return CheckResult(
                     "restricted_diameter_bound",
@@ -449,7 +449,7 @@ def check_diameter_bound(ctx: VerifyContext) -> CheckResult:
     cn = covering_numbers(g)
     handle = GraphHandle(g, 2, GraphMode.full_ac())
     parts = components(handle)
-    diam = diameter(handle, parts.codes_of(0))
+    diam = diameter(handle, parts.labels == 0)
     bound = 4 * (2 * cn.or_value + cn.cn_value)
     loose = 4 * (2 * cn.cn_value + cn.cn_value)
     ok = diam <= bound <= loose

@@ -149,6 +149,8 @@ def cayley_class_walk(
     """`samples` nearest-neighbor walks on the Cayley graph of N with
     respect to the union of the ambient conjugacy classes of the seeds,
     from the identity; returns their end points as element indices."""
+    if budget < 0:
+        raise PreconditionError("step budget must be >= 0")
     oracle = get_join_oracle(group, "normal")
     if oracle.members_of(oracle.join_of_indices(seeds)) != normal.member_set:
         raise PreconditionError("seeds do not normally generate N")

@@ -11,6 +11,7 @@ a word over element objects.
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
@@ -288,6 +289,15 @@ def all_vertex_diameter(handle, codes):
     its codes (out-eccentricities, for a directed graph)."""
     codes = np.asarray(codes)
     return max(int(handle.bfs_distances([int(c)])[codes].max()) for c in codes)
+
+
+def brute_tv_distance(observed, support_size):
+    """Total-variation distance to uniform over ``support_size`` outcomes,
+    one Fraction per histogram key."""
+    total = sum(observed.values())
+    u = Fraction(1, support_size)
+    acc = sum(abs(Fraction(c, total) - u) for c in observed.values())
+    return (acc + (support_size - len(observed)) * u) / 2
 
 
 def brute_eval_word(word, images):

@@ -97,7 +97,7 @@ def test_c02_diameter_bound():
     assert cn.cn_value == 3  # known covering number of alt:5
     handle = GraphHandle(g, 2, GraphMode.full_ac())
     parts = components(handle)
-    diam = diameter(handle, parts.codes_of(0))
+    diam = diameter(handle, parts.labels == 0)
     stated = 4 * (2 * cn.cn_value + cn.cn_value)  # or <= cn reading: 36
     tighter = 4 * (2 * cn.or_value + cn.cn_value)
     ok = diam <= 36 and diam <= tighter <= stated

@@ -191,6 +191,10 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "analyze", "--group", "sym:8", "--k", "3")
     assert code == 3
+    for flag in ("--stirling", "--cycle-distribution"):
+        code, _, err = run_cli(capsys, "stats", flag, "1001")
+        assert (code, err) == (3, "resource cap: resource cap 'stirling_row' exceeded: "
+                                  "need 1001, cap is 1000\n")
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     code, _, err = run_cli(capsys, "scan")
@@ -287,6 +291,9 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--threads", "0"),
         ("walk", "--group", "sym:9", "--algorithm", "pra", "--init", "(0 1 2)"),
         ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--budget", "x"),
+        *(("walk", "--group", "alt:5", "--algorithm", algorithm, "--normal", "whole",
+           "--init", "(0 1 2);(2 3 4)", "--budget", "-3")
+          for algorithm in ("acr", "pra", "cayley")),
         ("walk", "--group", "sl2:5", "--normal", "whole", "--init", "[[1,1],[1,1]]"),
         ("scan", "--group", "sl2:5", "--pair", "x;z"),
         ("stats", "--observed", str(tmp_path / "bad.json"), "--n", "4"),

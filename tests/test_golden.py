@@ -48,6 +48,9 @@ MANIFESTS: dict[str, tuple[str, ...]] = {
         "--diameter", "exact"),
     "analyze-sl2-5-nielsen-exact": (
         "analyze", "--group", "sl2:5", "--k", "2", "--mode", "nielsen", "--diameter", "exact"),
+    # one estimate per component: five Nielsen components
+    "analyze-sl2-7-nielsen-estimate": (
+        "analyze", *SL2_7, "--mode", "nielsen", "--diameter", "estimate"),
     # walks
     "walk-sym-6-acr": SYM6_ACR,
     "walk-sym-6-acr-threads-2": (*SYM6_ACR, "--threads", "2"),

@@ -690,7 +690,7 @@ def _check_sliced_bfs(monkeypatch, h):
             comp = parts.codes_of(lab)
             # eccentricity is constant on the orbits of the symmetry maps
             _, first = np.unique(h.orbit_labels[comp], return_index=True)
-            assert diameter(h, comp) == max(
+            assert diameter(h, parts.labels == lab) == max(
                 max(brute_distances(adj, int(c)).values()) for c in comp[first]
             ), lab
     if parts.count == 1:
@@ -706,17 +706,19 @@ def sl2_7():
 # (mode, run, budget): the restricted graph's four conjugation rows never fill
 # a default block, so a smaller budget is what shows that the frontier slices
 # also bound its multiplication blocks
+# per_code: bytes per code for the arrays over the code space.  The
+# restricted graph is one component, so its mask is the vertex mask.
 @pytest.mark.parametrize(
-    "mode, run, chunk",
+    "mode, run, chunk, per_code",
     [
-        (GraphMode.full_ac(), components, None),
+        (GraphMode.full_ac(), components, None, 40),
         (GraphMode.restricted_ac(),
-         lambda h: diameter(h, np.flatnonzero(h.vertex_mask), exact=False), 32_768),
+         lambda h: diameter(h, h.vertex_mask, exact=False), 32_768, 16),
     ],
     ids=["full-ac-components", "restricted-ac-double-sweep"],
 )
 def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, mode,
-                                                          run, chunk):
+                                                          run, chunk, per_code):
     if chunk is not None:
         monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", chunk)
     h = GraphHandle(sl2_7, 2, mode)
@@ -727,9 +729,9 @@ def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, m
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # one int64 block, and 40 bytes per code for the distance, visited, hit
-    # and component arrays, the frontier and the sweep's bounds
-    assert peak <= 8 * graphs.BLOCK_CELLS + 40 * h.size
+    # one int64 block, and per code the distance, visited, hit and component
+    # arrays and the frontier; a double sweep lists no component codes
+    assert peak <= 8 * graphs.BLOCK_CELLS + per_code * h.size
 
 
 def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):
@@ -761,7 +763,7 @@ def test_distance_none_across_components():
 def test_diameter_singleton_component():
     g = parse_group("cyclic:1")
     h = GraphHandle(g, 1, GraphMode.full_ac())
-    assert diameter(h, [0]) == 0
+    assert diameter(h, np.ones(1, dtype=bool)) == 0
 
 
 def test_diameter_matches_brute_force():
@@ -779,16 +781,63 @@ def test_diameter_matches_brute_force():
             brute_diameter(adj, comp) for comp in brute_components(verts, adj)
         )
         ours = sorted(
-            diameter(h, parts.codes_of(lab)) for lab in range(parts.count)
+            diameter(h, parts.labels == lab) for lab in range(parts.count)
         )
         assert ours == brutes
+
+
+def test_diameter_takes_one_component_as_a_boolean_mask():
+    h = GraphHandle(parse_group("abelian:3,3"), 2, GraphMode.nielsen())
+    parts = components(h)
+    assert parts.count == 2
+    for bad, match in (
+        (parts.codes_of(0), "boolean mask"),  # a code list
+        ((parts.labels == 0)[:-1], "boolean mask"),
+        (np.zeros(h.size, dtype=bool), "empty component"),
+        (parts.labels >= 0, "not a single component"),
+        # a component less its first code
+        ((parts.labels == 0) & (np.arange(h.size) != parts.reps[0]), "not a single component"),
+    ):
+        for exact in (True, False):
+            with pytest.raises(PreconditionError, match=match):
+                diameter(h, bad, exact=exact)
+
+
+def test_diameter_sweeps_from_the_first_then_a_farthest_code_then_orbit_leaders(
+    monkeypatch,
+):
+    """The double sweep starts at the component's first code and goes on
+    from its first farthest code; each later BFS starts at the first code
+    of an orbit inside the component, one BFS per orbit at most."""
+    for spec, k, mode in (
+        ("alt:5", 2, GraphMode.nielsen()),
+        ("sym:4", 2, GraphMode.restricted_ac()),
+        ("sym:3", 3, GraphMode.full_ac()),
+    ):
+        h = GraphHandle(parse_group(spec), k, mode)
+        parts = components(h)
+        bfs = h.bfs_distances
+        sources = []
+        monkeypatch.setattr(
+            h, "bfs_distances", lambda s, **kw: sources.append(int(s[0])) or bfs(s, **kw)
+        )
+        for lab in range(parts.count):
+            sources.clear()
+            codes = parts.codes_of(lab)
+            diameter(h, parts.labels == lab)
+            assert sources[0] == codes[0]
+            assert sources[1] == codes[np.argmax(bfs([codes[0]])[codes])]
+            orbits = h.orbit_labels[sources[2:]]
+            assert len(set(orbits.tolist())) == len(orbits)
+            for source, orbit in zip(sources[2:], orbits):
+                assert source == codes[h.orbit_labels[codes] == orbit][0], (spec, lab)
 
 
 def test_diameter_estimate_is_lower_bound():
     g = parse_group("alt:5")
     h = GraphHandle(g, 2, GraphMode.full_ac())
     parts = components(h)
-    est = diameter(h, parts.codes_of(0), exact=False)
+    est = diameter(h, parts.labels == 0, exact=False)
     assert est <= 8  # exact value, computed by full sweep
 
 
@@ -889,7 +938,8 @@ def test_orbit_diameter_matches_brute_force_across_swapped_components():
         }
         for lab in range(parts.count):
             codes = parts.codes_of(lab)
-            assert diameter(h, codes) == brute[frozenset(codes.tolist())], (spec, lab)
+            assert diameter(h, parts.labels == lab) == brute[frozenset(codes.tolist())], (
+                spec, lab)
 
 
 def _count_bfs(monkeypatch, h):
@@ -905,21 +955,23 @@ def _count_bfs(monkeypatch, h):
 def test_exact_diameter_bounds_prune_orbits(monkeypatch):
     g = parse_group("alt:5")
     h = GraphHandle(g, 2, GraphMode.full_ac())
-    codes = components(h).codes_of(0)
+    parts = components(h)
+    codes, mask = parts.codes_of(0), parts.labels == 0
     calls = _count_bfs(monkeypatch, h)
-    assert diameter(h, codes, exact=False) <= 8
+    assert diameter(h, mask, exact=False) <= 8
     assert "orbit_labels" not in h.__dict__  # the estimate builds no orbits
     assert len(calls) == 2
     calls.clear()
-    assert diameter(h, codes) == 8
+    assert diameter(h, mask) == 8
     # 3,599 vertices, 32 orbits under Inn(A5), the swap and the inversion
     assert len(np.unique(h.orbit_labels[codes])) == 32
     assert len(calls) <= 8
     # restricted AC has no diagonal conjugation: 117 orbits in 432 vertices
     h = GraphHandle(parse_group("sym:4"), 2, GraphMode.restricted_ac())
-    codes = components(h).codes_of(0)
+    parts = components(h)
+    codes = parts.codes_of(0)
     calls = _count_bfs(monkeypatch, h)
-    assert diameter(h, codes) == 8
+    assert diameter(h, parts.labels == 0) == 8
     assert len(np.unique(h.orbit_labels[codes])) == 117
     assert len(calls) <= 20
 
@@ -945,7 +997,7 @@ def test_exact_diameter_equals_all_vertex_maximum():
         parts = components(h)
         for lab in range(parts.count):
             codes = parts.codes_of(lab)
-            assert diameter(h, codes) == all_vertex_diameter(h, codes), (
+            assert diameter(h, parts.labels == lab) == all_vertex_diameter(h, codes), (
                 g.name, k, mode, lab
             )
 
@@ -953,9 +1005,10 @@ def test_exact_diameter_equals_all_vertex_maximum():
 def test_directed_diameter_sweeps_every_orbit(monkeypatch):
     # a forward BFS gives no bound on the eccentricities of other codes
     h = GraphHandle(parse_group("sym:4"), 2, GraphMode.restricted_ac(directed=True))
-    codes = components(h).codes_of(0)
+    parts = components(h)
+    codes = parts.codes_of(0)
     calls = _count_bfs(monkeypatch, h)
-    diam = diameter(h, codes)
+    diam = diameter(h, parts.labels == 0)
     assert len(calls) == len(np.unique(h.orbit_labels[codes])) == 117
     assert diam == all_vertex_diameter(h, codes) == 8
 
@@ -966,6 +1019,7 @@ class _StubDigraph:
     9 -> 8 -> 7 -> 6 -> 5 -> 0 -> 1 puts code 9 at eccentricity 6."""
 
     mode = GraphMode.restricted_ac(directed=True)
+    size = 10
     orbit_labels = np.arange(10)
     adj = {0: set(range(1, 10)), 6: {5}, 7: {6}, 8: {7}, 9: {8}}
     adj.update({v: {0} for v in range(1, 6)})
@@ -979,9 +1033,9 @@ class _StubDigraph:
 
 def test_directed_diameter_needs_no_reverse_distances():
     stub = _StubDigraph()
-    codes = np.arange(10)
-    assert diameter(stub, codes, exact=False) == 2
-    assert diameter(stub, codes) == all_vertex_diameter(stub, codes) == 6
+    mask = np.ones(10, dtype=bool)
+    assert diameter(stub, mask, exact=False) == 2
+    assert diameter(stub, mask) == all_vertex_diameter(stub, np.arange(10)) == 6
 
 
 def test_cayley_diameter_cyclic():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from acgraphs.elements import Permutation, parse_cycles
-from acgraphs.errors import PreconditionError
+from acgraphs.errors import PreconditionError, ResourceCapError
 from acgraphs.stats import (
+    STIRLING_CAP,
+    _stirling_row,
     chi2_cdf,
     chi2_critical,
     chi_squared_test,
@@ -17,6 +19,8 @@ from acgraphs.stats import (
     stirling_first,
     tv_distance,
 )
+
+from helpers import brute_tv_distance
 
 # critical values frozen from an independent implementation (scipy.stats.chi2.ppf)
 CHI2_95 = {
@@ -43,6 +47,21 @@ def test_stirling_examples():
 def test_stirling_row_sums_are_factorials():
     for n in range(1, 9):
         assert sum(stirling_first(n, c) for c in range(n + 1)) == math.factorial(n)
+
+
+def test_stirling_rows_up_to_the_cap_hold_one_row():
+    # one row past the default recursion limit, and the cap's own row
+    for n in (500, STIRLING_CAP):
+        row = _stirling_row(n)
+        assert sum(row) == math.factorial(n)
+        assert row[1] == math.factorial(n - 1) and row[n] == 1
+        assert row[n - 1] == n * (n - 1) // 2
+        assert _stirling_row.cache_info().currsize == 1
+    assert cycle_distribution(500, "even").probabilities()[500] == Fraction(2, math.factorial(500))
+    for call in (lambda: stirling_first(STIRLING_CAP + 1, 1),
+                 lambda: cycle_distribution(STIRLING_CAP + 1)):
+        with pytest.raises(ResourceCapError, match="stirling_row"):
+            call()
 
 
 def test_stirling_against_permutation_census():
@@ -150,6 +169,15 @@ def test_tv_examples():
         tv_distance({}, 3)
     with pytest.raises(PreconditionError):
         tv_distance({1: 1, 2: 1}, 1)
+
+
+def test_tv_equals_the_per_key_sum_on_random_histograms():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        m = int(rng.integers(1, 60))
+        keys = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        hist = {int(key): int(rng.integers(1, 10**int(rng.integers(1, 12)))) for key in keys}
+        assert tv_distance(hist, m) == brute_tv_distance(hist, m), (hist, m)
 
 
 def test_tv_bounds_random():
