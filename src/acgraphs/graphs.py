@@ -61,9 +61,11 @@ moves (diagonal conjugation, position permutations, inversion of one
 component); they stop once no orbit's bound exceeds the largest
 eccentricity found.  Both kinds of orbit come from
 ``groups.least_in_orbit``, the min-label propagation that also labels
-conjugacy classes; code orbit labels are cached per handle.  The symmetry
-maps' conjugation rows and the check that N is closed under conjugation
-are column gathers of ``FiniteGroup.conjugation_rows``.
+conjugacy classes; code orbit labels are cached per handle.  The labels
+and the symmetry maps are int32 below 2**31 codes, built narrow by
+``groups.tuple_codes``.  The symmetry maps' conjugation rows and the
+check that N is closed under conjugation are column gathers of
+``FiniteGroup.conjugation_rows``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,15 @@ import numpy as np
 
 from .elements import format_element
 from .errors import GroupSpecError, PreconditionError, ResourceCapError, VerificationError
-from .groups import FiniteGroup, distinct, env_cap, least_in_orbit, tuple_maps
+from .groups import (
+    FiniteGroup,
+    distinct,
+    env_cap,
+    least_in_orbit,
+    tuple_codes,
+    tuple_digits,
+    tuple_maps,
+)
 from .subgroups import (
     BLOCK_CELLS,
     DEFAULT_TUPLE_CAP,
@@ -444,9 +454,8 @@ class GraphHandle:
         """
         conjugators = () if self.mode.kind == "restricted-ac" else self.group.generators
         maps = tuple_maps(self._conj_rows(conjugators), self.shape)
-        digits = np.unravel_index(np.arange(self.size), self.shape)
-        inverted = (self.NINV[digits[0]], *digits[1:])
-        maps.append(np.ravel_multi_index(inverted, self.shape))
+        digits = tuple_digits(self.shape)
+        maps.append(tuple_codes([self.NINV[digits[0]], *digits[1:]], self.shape))
         return maps
 
     @cached_property

@@ -61,11 +61,16 @@ def env_cap(name: str, default: int) -> int:
         ) from None
 
 
+def index_dtype(n: int) -> type:
+    """The narrowest of int32 and int64 that indexes ``range(n)``."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def least_in_orbit(maps: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Per point of ``range(n)``, the least point of its orbit under the
-    maps: min-label propagation along each map, then pointer jumping,
-    until nothing changes."""
-    lab = np.arange(n, dtype=np.int64)
+    maps, in ``index_dtype(n)``: min-label propagation along each map,
+    then pointer jumping, until nothing changes."""
+    lab = np.arange(n, dtype=index_dtype(n))
     while True:
         prev = lab
         for sigma in maps:
@@ -85,28 +90,54 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return v[keep]
 
 
+def tuple_digits(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Per position, the entries of the tuples over ``shape`` in code
+    order (``np.unravel_index`` of every code), in the codes' index
+    dtype."""
+    size = math.prod(shape)
+    codes = np.arange(size, dtype=index_dtype(size))
+    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+    return [codes // stride % n for stride, n in zip(strides, shape)]
+
+
+def tuple_codes(digits: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The codes of the tuples with these entries
+    (``np.ravel_multi_index``), in their index dtype."""
+    codes = np.array(digits[0], dtype=index_dtype(math.prod(shape)))
+    for digit, n in zip(digits[1:], shape[1:]):
+        codes *= n
+        codes += digit
+    return codes
+
+
 def tuple_maps(perms: Sequence[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
     """Permutations of the codes ``np.ravel_multi_index(t, shape)`` of
-    tuples t over ``range(shape[0])``: each non-identity entry permutation
-    of ``perms`` applied to every entry, the swap of positions 0 and 1
-    and, for more than two positions, the cycle of all positions."""
-    digits = np.unravel_index(np.arange(math.prod(shape)), shape)
+    tuples t over ``range(shape[0])``, in the codes' index dtype: each
+    non-identity entry permutation of ``perms`` applied to every entry,
+    the swap of positions 0 and 1 and, for more than two positions, the
+    cycle of all positions."""
+    digits = tuple_digits(shape)
+    dtype = digits[0].dtype
     maps = [
-        np.ravel_multi_index(tuple(p[t] for t in digits), shape)
+        tuple_codes([p.astype(dtype)[t] for t in digits], shape)
         for p in perms
         if (p != np.arange(shape[0])).any()
     ]
     if len(shape) > 1:
-        maps.append(np.ravel_multi_index((digits[1], digits[0], *digits[2:]), shape))
+        maps.append(tuple_codes([digits[1], digits[0], *digits[2:]], shape))
     if len(shape) > 2:
-        maps.append(np.ravel_multi_index(digits[1:] + digits[:1], shape))
+        maps.append(tuple_codes(digits[1:] + digits[:1], shape))
     return maps
 
 
 class FiniteGroup:
     """An enumerated finite group with canonical indexing.
 
-    Immutable after construction; safe to share across threads.
+    The elements, generators and tables are fixed at construction.  The
+    lazy caches, ``class_labels`` and the join oracles in
+    ``join_oracles`` (filled only by ``subgroups.get_join_oracle``), are
+    each filled once and then only read, so a group is safe to share
+    across threads.
     """
 
     def __init__(
@@ -119,6 +150,7 @@ class FiniteGroup:
         """Enumerate the group of ``order`` elements that the generators
         generate; ValueError if their closure is larger or smaller."""
         self.name = name
+        self.join_oracles: dict[str, object] = {}  # mode -> subgroups.JoinOracle
         gens = list(dict.fromkeys(generators))
         found = [identity]
         index = {identity: 0}

@@ -14,7 +14,9 @@ join-semilattice, closures of sets are joins of singleton closures, and
 the joins are memoized.  So the one tuple census,
 ``generating_tuples``, folds joins once per symmetry orbit of
 singleton-closure id tuples, never saturating once per tuple; graph
-vertex masks and psi_k both read its table.
+vertex masks and psi_k both read its table.  A group keeps its oracles,
+one per mode, in its own ``join_oracles`` (``get_join_oracle`` fills
+it), so they are freed with the group.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -249,17 +250,14 @@ class JoinOracle:
         return self.join_of_indices(indices) == self.full_id
 
 
-_oracle_cache: "WeakKeyDictionary[FiniteGroup, dict[str, JoinOracle]]" = (
-    WeakKeyDictionary()
-)
-
-
 def get_join_oracle(group: FiniteGroup, mode: str) -> JoinOracle:
-    """Per-group memoized oracle; groups are immutable, so reuse is safe."""
-    per_group = _oracle_cache.setdefault(group, {})
-    if mode not in per_group:
-        per_group[mode] = JoinOracle(group, mode)
-    return per_group[mode]
+    """The group's oracle for ``mode``, built on first use and kept in the
+    group's own ``join_oracles`` dict, so it lives and dies with the group.
+    Threads that build one at once all get the first one stored."""
+    oracle = group.join_oracles.get(mode)
+    if oracle is None:
+        oracle = group.join_oracles.setdefault(mode, JoinOracle(group, mode))
+    return oracle
 
 
 def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:

@@ -18,7 +18,7 @@ from acgraphs.graphs import (
     distance,
     soluble_component_check,
 )
-from acgraphs.groups import parse_group
+from acgraphs.groups import parse_group, tuple_codes, tuple_digits
 from acgraphs.subgroups import (
     JoinOracle,
     Subgroup,
@@ -907,6 +907,49 @@ def test_orbit_labels_are_least_codes_of_orbits():
     for sigma in h.symmetry_maps():
         assert np.array_equal(lab[sigma], lab)
     assert np.array_equal(h.vertex_mask[lab], h.vertex_mask)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 5), (3, 3, 3), (2, 3, 4)])
+def test_tuple_codec_matches_numpy(shape):
+    digits = tuple_digits(shape)
+    wide = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+    assert all(d.dtype == np.int32 for d in digits)
+    assert all(np.array_equal(d, w) for d, w in zip(digits, wide))
+    # one wide entry array, and the positions reversed where the shape allows
+    mixed = [digits[0].astype(np.int64), *digits[1:]]
+    if len(set(shape)) == 1:
+        mixed.reverse()
+    codes = tuple_codes(mixed, shape)
+    assert codes.dtype == np.int32
+    assert np.array_equal(codes, np.ravel_multi_index(mixed, shape))
+
+
+@pytest.mark.parametrize(
+    "spec, mode", [("sl2:7", GraphMode.full_ac()), ("alt:5", GraphMode.restricted_ac())]
+)
+def test_orbit_labels_are_narrow_and_equal_the_int64_ones(spec, mode):
+    h = GraphHandle(parse_group(spec), 2, mode)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lab = h.orbit_labels
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # everything is int32, built narrow: at most four maps beside either the
+    # two digit arrays, a wide inverse gather and the code being built, or
+    # the propagation's previous, current, gathered and new label arrays
+    assert lab.dtype == np.int32
+    assert peak <= 36 * h.size, peak / h.size
+    wide = np.arange(h.size, dtype=np.int64)
+    while True:
+        prev = wide
+        for sigma in h.symmetry_maps():
+            wide = np.minimum(wide, wide[sigma.astype(np.int64)])
+        wide = wide[wide]
+        if np.array_equal(wide, prev):
+            break
+    assert np.array_equal(lab, wide)
 
 
 def test_orbit_diameter_matches_brute_force_across_swapped_components():

@@ -1,3 +1,7 @@
+import gc
+import threading
+import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +10,8 @@ import pytest
 
 from acgraphs.elements import parse_cycles
 from acgraphs.errors import PreconditionError, ResourceCapError
+from acgraphs import verify
+from acgraphs.graphs import GraphHandle, GraphMode, components
 from acgraphs.groups import parse_group
 import acgraphs.subgroups as subgroups
 from acgraphs.subgroups import (
@@ -25,6 +31,7 @@ from acgraphs.subgroups import (
 )
 
 from acgraphs.verify import SMALL_CORPUS
+from acgraphs.walkers import WalkConfig, acr_sample_many
 
 from helpers import (
     brute_mulclose,
@@ -388,3 +395,71 @@ def test_saturate_matches_element_closure_on_small_corpus(monkeypatch):
         for i, e in enumerate(els):
             cyclic = {els[j] for j in plain.members_of(plain.singleton_id(i))}
             assert cyclic == brute_span(els[0], [e])
+
+
+# -- oracle lifetime -----------------------------------------------------------
+
+
+def _use_everywhere():
+    """A fresh sym:4, put through every consumer of its join oracles; returns
+    weak references to it and to its quotient by the derived subgroup."""
+    g = parse_group("sym:4")
+    for mode in (GraphMode.full_ac(), GraphMode.nielsen()):
+        components(GraphHandle(g, 2, mode))
+    normal_subgroups(g)
+    psi_k(g, 2)
+    quotient, _ = quotient_group(g, derived_subgroup(g))
+    assert get_join_oracle(quotient, "normal").generates(quotient.generators)
+    abelianization(g)
+    whole = normal_closure(g, g.generators)
+    cfg = WalkConfig(k=2, step_budget=8)
+    acr_sample_many(g, whole, g.generator_elements(), cfg, np.random.default_rng(0), 4)
+    return weakref.ref(g), weakref.ref(quotient)
+
+
+def test_groups_and_their_oracles_are_freed_after_use():
+    refs = _use_everywhere()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_repeated_verify_runs_hold_no_more_memory():
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = []
+        for _ in range(2):
+            verify.run_all("small")
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert held[1] - held[0] < 64 * 1024, held
+
+
+def test_racing_threads_get_one_oracle(monkeypatch):
+    # both threads build an oracle before either stores one; the loser must
+    # return the winner's
+    barrier = threading.Barrier(2, timeout=30)
+    init = JoinOracle.__init__
+
+    def waiting(self, group, mode="normal"):
+        barrier.wait()
+        init(self, group, mode)
+
+    monkeypatch.setattr(JoinOracle, "__init__", waiting)
+    g = parse_group("sym:4")
+    got = [None, None]
+
+    def ask(slot):
+        got[slot] = get_join_oracle(g, "normal")
+
+    threads = [threading.Thread(target=ask, args=(slot,)) for slot in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] is not None and got[0] is got[1] is g.join_oracles["normal"]
