@@ -369,7 +369,7 @@ def cmd_walk(args, out) -> int:
         report["pointActionChiSquared"] = chi2_json(
             lambda: point_action_uniformity(images, degree)
         )
-    if not ambient and normal is not None and normal.order <= 10_000:
+    if not ambient and normal.order <= 10_000:
         report["mixing"] = mixing_diagnostic(samples, normal).to_json()
 
     manifest = RunManifest(
@@ -479,10 +479,7 @@ def cmd_scan(args, out) -> int:
     mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
     if args.series:
         rows = distance_series(
-            [s.strip() for s in args.series.split(",") if s.strip()],
-            pair,
-            mode,
-            want_geodesic=False,
+            [s.strip() for s in args.series.split(",") if s.strip()], pair, mode
         )
         report = {"series": [r.to_json() for r in rows], "pair": pair.to_json()}
     else:

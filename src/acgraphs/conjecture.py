@@ -25,17 +25,16 @@ from .graphs import GraphHandle, GraphMode, components
 from .groups import FiniteGroup, parse_group
 from .subgroups import nd_pair
 
-DEFAULT_ALPHABET = "xy"
+ALPHABET = "xy"
 
 
 @dataclass(frozen=True)
 class Word:
     """A word in a free group: signed generator numbers, e.g. x^3 y^-4 is
-    (1, 1, 1, -2, -2, -2, -2).  ``reduced`` records free reduction."""
+    (1, 1, 1, -2, -2, -2, -2)."""
 
     letters: tuple[int, ...]
     rank: int
-    reduced: bool = True
 
     def __post_init__(self):
         for l in self.letters:
@@ -49,15 +48,12 @@ class Word:
                 stack.pop()
             else:
                 stack.append(l)
-        return Word(tuple(stack), self.rank, True)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), self.rank, self.reduced)
+        return Word(tuple(stack), self.rank)
 
     def __mul__(self, other: "Word") -> "Word":
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
-        return Word(self.letters + other.letters, self.rank, False).reduce()
+        return Word(self.letters + other.letters, self.rank).reduce()
 
     def exponent_sums(self) -> tuple[int, ...]:
         sums = [0] * self.rank
@@ -72,35 +68,32 @@ class Word:
 _TOKEN = re.compile(r"([A-Za-z])(?:\s*\^\s*(-?\d+))?|\S")
 
 
-def parse_word(text: str, alphabet: str = DEFAULT_ALPHABET) -> Word:
-    """Parse compact word syntax over the given alphabet.
+def parse_word(text: str) -> Word:
+    """Parse compact word syntax over ``ALPHABET``.
 
     Lowercase letters are generators, uppercase their inverses, and an
     optional ``^e`` exponent (possibly negative) applies to the letter:
     ``xxxYYYY``, ``x^3 y^-4`` and ``x^3Y^4`` all name the same word.
     The result is free-reduced.
     """
-    rank = len(alphabet)
-    if len(set(alphabet)) != rank or alphabet.lower() != alphabet:
-        raise ValueError(f"alphabet must be distinct lowercase letters: {alphabet!r}")
     letters: list[int] = []
     for m in _TOKEN.finditer(text):
         if m.group(1) is None:
             raise GroupSpecError(f"bad token {m.group(0)!r} in word {text!r}")
         ch = m.group(1)
-        base = alphabet.find(ch.lower())
+        base = ALPHABET.find(ch.lower())
         if base < 0:
-            raise GroupSpecError(f"letter {ch!r} outside alphabet {alphabet!r}")
+            raise GroupSpecError(f"letter {ch!r} outside alphabet {ALPHABET!r}")
         exp = int(m.group(2)) if m.group(2) is not None else 1
         if ch.isupper():
             exp = -exp
         sign = 1 if exp > 0 else -1
         letters.extend([sign * (base + 1)] * abs(exp))
-    return Word(tuple(letters), rank, False).reduce()
+    return Word(tuple(letters), len(ALPHABET)).reduce()
 
 
-def word_to_text(word: Word, alphabet: str = DEFAULT_ALPHABET) -> str:
-    if word.rank > len(alphabet):
+def word_to_text(word: Word) -> str:
+    if word.rank > len(ALPHABET):
         raise ValueError("alphabet too short for this word's rank")
     if not word.letters:
         return "1"
@@ -111,7 +104,7 @@ def word_to_text(word: Word, alphabet: str = DEFAULT_ALPHABET) -> str:
         j = i
         while j < len(letters) and letters[j] == letters[i]:
             j += 1
-        ch = alphabet[abs(letters[i]) - 1]
+        ch = ALPHABET[abs(letters[i]) - 1]
         exp = (j - i) * (1 if letters[i] > 0 else -1)
         out.append(ch if exp == 1 else f"{ch}^{exp}")
         i = j
@@ -150,8 +143,8 @@ class WordPair:
         return {"u": word_to_text(self.u), "v": word_to_text(self.v)}
 
 
-def parse_pair(text_u: str, text_v: str, alphabet: str = DEFAULT_ALPHABET) -> WordPair:
-    return WordPair(parse_word(text_u, alphabet), parse_word(text_v, alphabet))
+def parse_pair(text_u: str, text_v: str) -> WordPair:
+    return WordPair(parse_word(text_u), parse_word(text_v))
 
 
 def exponent_matrix(pair: WordPair) -> tuple[tuple[tuple[int, int], tuple[int, int]], int]:
@@ -307,8 +300,6 @@ def distance_series(
     specs: Sequence[str],
     pair: WordPair,
     mode: GraphMode,
-    *,
-    want_geodesic: bool = False,
 ) -> list[SeriesRow]:
     """Distance from the standard base to its pair image, per group spec.
 
@@ -320,9 +311,7 @@ def distance_series(
         try:
             group = parse_group(spec)
             base = transvection_base(group)
-            report = scan_quotient(
-                group, base, pair, mode, want_geodesic=want_geodesic
-            )
+            report = scan_quotient(group, base, pair, mode, want_geodesic=False)
             rows.append(
                 SeriesRow(
                     spec,

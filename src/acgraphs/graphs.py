@@ -78,11 +78,10 @@ from typing import Generator, Iterator, Sequence
 import numpy as np
 
 from .elements import format_element
-from .errors import GroupSpecError, PreconditionError, ResourceCapError, VerificationError
+from .errors import GroupSpecError, PreconditionError, VerificationError
 from .groups import (
     FiniteGroup,
     distinct,
-    env_cap,
     least_in_orbit,
     tuple_codes,
     tuple_digits,
@@ -90,7 +89,6 @@ from .groups import (
 )
 from .subgroups import (
     BLOCK_CELLS,
-    DEFAULT_TUPLE_CAP,
     Subgroup,
     abelianization,
     generating_tuples,
@@ -99,6 +97,7 @@ from .subgroups import (
     min_generator_count,
     nd_pair,
     quotient_group,
+    tuple_count,
     word_lengths,
 )
 
@@ -170,8 +169,6 @@ class GraphHandle:
         k: int,
         mode: GraphMode,
         normal: Subgroup | None = None,
-        *,
-        cap: int | None = None,
     ):
         if k < 1:
             raise PreconditionError("tuple length k must be >= 1")
@@ -190,9 +187,7 @@ class GraphHandle:
 
         members = np.array(self.normal.members, dtype=np.int64)
         nm = len(members)
-        limit = env_cap("ACGRAPHS_MAX_TUPLES", DEFAULT_TUPLE_CAP) if cap is None else cap
-        if nm**k > limit:
-            raise ResourceCapError("graph_tuples", nm**k, limit)
+        self.size = tuple_count("graph_tuples", nm, k)
         self.nm = nm
         self.member_idx = members
         pos_of = np.full(group.order, -1, dtype=np.int64)
@@ -205,7 +200,6 @@ class GraphHandle:
 
         self.shape = (nm,) * k
         self.radix = np.array([nm ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-        self.size = nm**k
 
         oracle_mode = "normal" if mode.is_ac else "plain"
         self.oracle = get_join_oracle(group, oracle_mode)

@@ -19,8 +19,10 @@ multiplication by the generators (the orbit algorithm, Seress,
 *Permutation Group Algorithms*, 2003, section 2.1), n object products
 per generator, which also records the rows the product table is filled
 from.  A closure that passes the order, or ends short of it, is a
-``ValueError``.  ``ACGRAPHS_MAX_ELEMENTS`` (default 8,192) bounds the
-order before enumeration, and so the table (at most 128 MiB).
+``ValueError``.  ``parse_group`` reads the element cap,
+``ACGRAPHS_MAX_ELEMENTS`` (default 8,192), and checks the order against
+it after the grammar checks and before any element object is built; so
+the cap also bounds the table (at most 128 MiB).
 
 ``SymmetricAmbient`` is the non-enumerated escape hatch for random walks
 over Sym_n at degrees whose order is far beyond any element cap; it does
@@ -308,11 +310,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_cap(order: int, cap: int) -> None:
-    if order > cap:
-        raise ResourceCapError("max_elements", order, cap)
-
-
 def _cycle_perm(n: int, points: Sequence[int]) -> Permutation:
     images = list(range(n))
     for a, b in zip(points, list(points[1:]) + [points[0]]):
@@ -320,65 +317,21 @@ def _cycle_perm(n: int, points: Sequence[int]) -> Permutation:
     return Permutation(images)
 
 
-def _sym_group(n: int, cap: int) -> FiniteGroup:
-    order = math.factorial(n)
-    _check_cap(order, cap)
-    gens = [_cycle_perm(n, [0, 1]), _cycle_perm(n, list(range(n)))] if n > 1 else []
-    return FiniteGroup(f"sym:{n}", Permutation(range(n)), gens, order)
-
-
-def _alt_group(n: int, cap: int) -> FiniteGroup:
-    order = max(math.factorial(n) // 2, 1)
-    _check_cap(order, cap)
-    if n < 3:
-        gens: list[Permutation] = []
-    elif n % 2 == 1:
-        gens = [_cycle_perm(n, [0, 1, 2]), _cycle_perm(n, list(range(n)))]
-    else:
-        gens = [_cycle_perm(n, [0, 1, 2]), _cycle_perm(n, list(range(1, n)))]
-    return FiniteGroup(f"alt:{n}", Permutation(range(n)), gens, order)
-
-
-def _sl2_group(p: int, cap: int) -> FiniteGroup:
-    if not _is_prime(p):
-        raise GroupSpecError(f"sl2 needs a prime modulus, got {p}")
-    if p == 2:
-        raise GroupSpecError(
-            "sl2:2 is unsupported: the standard transvections with entry 2 "
-            "collapse to the identity mod 2"
-        )
-    order = p * (p * p - 1)
-    _check_cap(order, cap)
-    gens = [MatrixGF((1, 0, 2, 1), p), MatrixGF((1, 2, 0, 1), p)]
-    return FiniteGroup(f"sl2:{p}", MatrixGF((1, 0, 0, 1), p), gens, order)
-
-
-def abelian_group(moduli: Sequence[int], name: str, cap: int) -> FiniteGroup:
-    order = math.prod(moduli)
-    _check_cap(order, cap)
+def abelian_group(moduli: Sequence[int], name: str) -> FiniteGroup:
     r = len(moduli)
     gens = [AbelianTuple([int(i == j) for j in range(r)], moduli)
             for i, m in enumerate(moduli) if m > 1]
-    return FiniteGroup(name, AbelianTuple([0] * r, moduli), gens, order)
+    return FiniteGroup(name, AbelianTuple([0] * r, moduli), gens, math.prod(moduli))
 
 
-def _dihedral_group(n: int, cap: int) -> FiniteGroup:
-    if n < 3:
-        raise GroupSpecError(f"dihedral:{n} has no faithful n-gon action; use n >= 3")
-    _check_cap(2 * n, cap)
-    rot = _cycle_perm(n, list(range(n)))
-    ref = Permutation((n - i) % n for i in range(n))
-    return FiniteGroup(f"dihedral:{n}", Permutation(range(n)), [rot, ref], 2 * n)
-
-
-def parse_group(spec: str, *, max_elements: int | None = None) -> FiniteGroup:
+def parse_group(spec: str) -> FiniteGroup:
     """Build the fully enumerated group named by ``spec``.
 
     Grammar: ``cyclic:n`` (n >= 1), ``abelian:e1,e2,...`` (each e >= 2),
     ``sym:n`` / ``alt:n`` (n <= 10), ``dihedral:n`` (n >= 3), ``sl2:p``
-    (p an odd prime <= 13).  Orders beyond the element cap
-    (``ACGRAPHS_MAX_ELEMENTS``, default 8,192) raise ``ResourceCapError``
-    before enumeration; grammar violations raise ``GroupSpecError``.
+    (p an odd prime <= 13).  Grammar violations raise ``GroupSpecError``;
+    then an order beyond the element cap (``ACGRAPHS_MAX_ELEMENTS``,
+    default 8,192) raises ``ResourceCapError`` before any element is built.
     """
     spec = spec.strip().lower()
     kind, _, arg = spec.partition(":")
@@ -389,22 +342,51 @@ def parse_group(spec: str, *, max_elements: int | None = None) -> FiniteGroup:
         (n,) = nums[:1] if kind == "abelian" else nums
     except ValueError:
         raise GroupSpecError(f"malformed group spec: {spec!r}") from None
-    if max_elements is None:
-        max_elements = env_cap("ACGRAPHS_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
     if kind == "cyclic":
         if n < 1:
             raise GroupSpecError(f"{spec}: order must be >= 1")
-        return abelian_group(() if n == 1 else (n,), f"cyclic:{n}", max_elements)
-    if kind == "abelian":
+        order = n
+    elif kind == "abelian":
         if any(m < 2 for m in nums):
             raise GroupSpecError(f"abelian moduli must all be >= 2: {arg!r}")
-        return abelian_group(nums, f"abelian:{arg}", max_elements)
-    if kind in ("sym", "alt"):
+        order = math.prod(nums)
+    elif kind in ("sym", "alt"):
         if not (1 <= n <= 10):
             raise GroupSpecError(f"{spec}: degree must be 1..10 for enumeration")
-        return (_sym_group if kind == "sym" else _alt_group)(n, max_elements)
-    if kind == "dihedral":
-        return _dihedral_group(n, max_elements)
-    if n > 13:
-        raise GroupSpecError(f"{spec}: modulus above the desk-scale cap 13")
-    return _sl2_group(n, max_elements)
+        order = math.factorial(n) if kind == "sym" else max(math.factorial(n) // 2, 1)
+    elif kind == "dihedral":
+        if n < 3:
+            raise GroupSpecError(f"dihedral:{n} has no faithful n-gon action; use n >= 3")
+        order = 2 * n
+    else:
+        if n > 13:
+            raise GroupSpecError(f"{spec}: modulus above the desk-scale cap 13")
+        if not _is_prime(n):
+            raise GroupSpecError(f"sl2 needs a prime modulus, got {n}")
+        if n == 2:
+            raise GroupSpecError(
+                "sl2:2 is unsupported: the standard transvections with entry 2 "
+                "collapse to the identity mod 2"
+            )
+        order = n * (n * n - 1)
+    cap = env_cap("ACGRAPHS_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
+    if order > cap:
+        raise ResourceCapError("max_elements", order, cap)
+    if kind == "cyclic":
+        return abelian_group(() if n == 1 else (n,), f"cyclic:{n}")
+    if kind == "abelian":
+        return abelian_group(nums, f"abelian:{arg}")
+    if kind == "sl2":
+        gens = [MatrixGF((1, 0, 2, 1), n), MatrixGF((1, 2, 0, 1), n)]
+        return FiniteGroup(f"sl2:{n}", MatrixGF((1, 0, 0, 1), n), gens, order)
+    if kind == "sym":
+        gens = [_cycle_perm(n, [0, 1]), _cycle_perm(n, list(range(n)))] if n > 1 else []
+    elif kind == "dihedral":
+        gens = [_cycle_perm(n, list(range(n))), Permutation((n - i) % n for i in range(n))]
+    elif n < 3:
+        gens = []
+    elif n % 2 == 1:
+        gens = [_cycle_perm(n, [0, 1, 2]), _cycle_perm(n, list(range(n)))]
+    else:
+        gens = [_cycle_perm(n, [0, 1, 2]), _cycle_perm(n, list(range(1, n)))]
+    return FiniteGroup(f"{kind}:{n}", Permutation(range(n)), gens, order)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import PreconditionError, ResourceCapError
 
 POOL_MIN_EXPECTED = 5.0
+ALPHA = 0.05  # significance level of every chi-squared test
 STIRLING_CAP = 1_000  # largest n of a Stirling row: row 1,000 takes about 0.2 s
 INSUFFICIENT_SAMPLES = "insufficient samples"
 
@@ -157,11 +158,11 @@ def chi2_cdf(x: float, dof: int) -> float:
     return regularized_gamma_p(dof / 2.0, x / 2.0)
 
 
-def chi2_critical(dof: int, alpha: float = 0.05) -> float:
-    """Upper critical value: smallest x with CDF(x) >= 1 - alpha (bisection)."""
+def chi2_critical(dof: int) -> float:
+    """Upper critical value: smallest x with CDF(x) >= 1 - ALPHA (bisection)."""
     if dof < 1:
         raise PreconditionError("dof must be >= 1")
-    target = 1.0 - alpha
+    target = 1.0 - ALPHA
     lo, hi = 0.0, max(10.0, 4.0 * dof)
     while chi2_cdf(hi, dof) < target:
         hi *= 2.0
@@ -179,7 +180,6 @@ class Chi2Report:
     statistic: float
     dof: int
     critical: float
-    alpha: float
     passed: bool
     pooled_bins: int
 
@@ -188,17 +188,14 @@ class Chi2Report:
             "statistic": self.statistic,
             "dof": self.dof,
             "critical95": self.critical,
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "pass": self.passed,
             "pooledBins": self.pooled_bins,
         }
 
 
 def chi_squared_test(
-    observed: Mapping,
-    expected: Mapping | CycleDistribution,
-    *,
-    alpha: float = 0.05,
+    observed: Mapping, expected: Mapping | CycleDistribution
 ) -> Chi2Report:
     """Pearson chi-squared against exact expected probabilities.
 
@@ -228,8 +225,8 @@ def chi_squared_test(
         )
     stat = sum((o - e) ** 2 / e for e, o in bins)
     dof = len(bins) - 1
-    crit = chi2_critical(dof, alpha)
-    return Chi2Report(stat, dof, crit, alpha, stat < crit, len(bins))
+    crit = chi2_critical(dof)
+    return Chi2Report(stat, dof, crit, stat < crit, len(bins))
 
 
 def chi2_json(test: Callable[[], Chi2Report]) -> dict | str:
@@ -260,9 +257,7 @@ def cycle_counts(images: np.ndarray) -> np.ndarray:
     return np.count_nonzero(least == points, axis=1)
 
 
-def point_action_uniformity(
-    images: np.ndarray, n: int, *, alpha: float = 0.05
-) -> Chi2Report:
+def point_action_uniformity(images: np.ndarray, n: int) -> Chi2Report:
     """Chi-squared of the image of the first point under each sample (a
     row of point images) against the uniform distribution on the n points."""
     if not len(images):
@@ -270,7 +265,7 @@ def point_action_uniformity(
     if images.ndim != 2 or images.shape[1] != n:
         raise PreconditionError(f"expected degree-{n} permutations")
     uniform = {point: Fraction(1, n) for point in range(n)}
-    return chi_squared_test(histogram(images[:, 0]), uniform, alpha=alpha)
+    return chi_squared_test(histogram(images[:, 0]), uniform)
 
 
 def tv_distance(observed: Mapping, support_size: int) -> Fraction:

@@ -17,6 +17,11 @@ singleton-closure id tuples, never saturating once per tuple; graph
 vertex masks and psi_k both read its table.  A group keeps its oracles,
 one per mode, in its own ``join_oracles`` (``get_join_oracle`` fills
 it), so they are freed with the group.
+
+Two size caps are read and checked here, each in one place:
+``tuple_count`` bounds the k-tuples over a base set (a graph's code space,
+the psi_k census) by ``ACGRAPHS_MAX_TUPLES``, and ``nd_pair`` refuses
+groups above ``DEFAULT_ND_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -33,11 +38,31 @@ import numpy as np
 
 from .elements import GroupElement, Permutation
 from .errors import PreconditionError, ResourceCapError
-from .groups import FiniteGroup, abelian_group, least_in_orbit, tuple_maps
+from .groups import FiniteGroup, abelian_group, env_cap, least_in_orbit, tuple_maps
 
 DEFAULT_ND_CAP = 200
 DEFAULT_TUPLE_CAP = 4_000_000
 BLOCK_CELLS = 131_072  # cells per gathered block: 1 MiB of int64, half a 2 MiB L2 cache
+
+
+def tuple_count(cap_name: str, base: int, k: int) -> int:
+    """base**k, the number of k-tuples over ``base`` entries, checked
+    against the tuple cap (``ACGRAPHS_MAX_TUPLES``, default
+    ``DEFAULT_TUPLE_CAP``): ``ResourceCapError`` named ``cap_name`` when it
+    is larger, or else when k >= 64, since a census table and ``np.ix_``
+    over the k positions need one numpy axis each, and numpy allows 64.
+    The product, in Python ints, stops as soon as it passes the cap; the
+    error then names the count as a number below 64 positions, else as
+    ``base^k``."""
+    cap = env_cap("ACGRAPHS_MAX_TUPLES", DEFAULT_TUPLE_CAP)
+    count, base = 1, int(base)
+    for _ in range(min(k, 64)):
+        count *= base
+        if count > cap:
+            raise ResourceCapError(cap_name, base**k if k < 64 else f"{base}^{k}", cap)
+    if k >= 64:
+        raise ResourceCapError(cap_name, f"{k} tuple positions", "63 (numpy's axis limit)")
+    return count
 
 
 @dataclass(frozen=True)
@@ -367,7 +392,7 @@ def abelianization(group: FiniteGroup) -> AbelianStructure:
     for small, big in zip(factors, factors[1:]):
         if big % small != 0:
             raise AssertionError(f"invariant factors not a chain: {factors}")
-    target = abelian_group(factors, f"ab({group.name})", quotient.order)
+    target = abelian_group(factors, f"ab({group.name})")
     position[grid.ravel()] = np.arange(grid.size)
     return AbelianStructure(
         group, factors, target, tuple(position[np.asarray(pi)].tolist())
@@ -387,7 +412,7 @@ def _smallest_family(oracle: JoinOracle, limit: int) -> int | None:
     return None
 
 
-def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]:
+def nd_pair(group: FiniteGroup) -> tuple[int, int]:
     """(nd, nd_m): minimal number of normal generators, and maximal size of
     a minimal (irredundant) normal generating set.
 
@@ -395,10 +420,11 @@ def nd_pair(group: FiniteGroup, *, cap: int = DEFAULT_ND_CAP) -> tuple[int, int]
     a set of elements is interchangeable with its family of closures, and
     a minimal set has pairwise distinct, jointly irredundant closures.
     An irredundant set has at most log2 |G| elements, since each one at
-    least doubles the subgroup the ones before it generate.
+    least doubles the subgroup the ones before it generate.  Groups of
+    more than ``DEFAULT_ND_CAP`` elements raise ``ResourceCapError``.
     """
-    if group.order > cap:
-        raise ResourceCapError("nd_search", group.order, cap)
+    if group.order > DEFAULT_ND_CAP:
+        raise ResourceCapError("nd_search", group.order, DEFAULT_ND_CAP)
     if group.order == 1:
         return (0, 0)
     oracle = get_join_oracle(group, "normal")
@@ -468,20 +494,17 @@ def generating_tuples(
     return local, hit[lab].reshape(shape)
 
 
-def psi_k(
-    group: FiniteGroup, k: int, *, cap: int = DEFAULT_TUPLE_CAP
-) -> Fraction:
+def psi_k(group: FiniteGroup, k: int) -> Fraction:
     """Exact probability that k independent uniform elements normally
     generate the group: |V_k(G,G)| / |G|^k, the census table of
-    ``generating_tuples`` weighted by the multiplicity of each id.  The cap
-    bounds the table's d^k cells, for d distinct singleton closures; the
-    weights multiply as Python ints, since |G|^k may pass 2^63."""
+    ``generating_tuples`` weighted by the multiplicity of each id.  The
+    tuple cap (``tuple_count``) bounds the table's d^k cells, for d distinct
+    singleton closures; the weights multiply as Python ints, since |G|^k
+    may pass 2^63."""
     if k < 1:
         raise PreconditionError("psi_k needs k >= 1")
     oracle = get_join_oracle(group, "normal")
-    cells = np.count_nonzero(np.bincount(oracle.singleton_ids)) ** k
-    if cells > cap:
-        raise ResourceCapError("tuple_census", cells, cap)
+    tuple_count("tuple_census", np.count_nonzero(np.bincount(oracle.singleton_ids)), k)
     local, table = generating_tuples(oracle, np.arange(group.order), k, oracle.full_id)
     weights = np.bincount(local).tolist()
     hits = np.argwhere(table).tolist()
@@ -494,8 +517,9 @@ def mazurov_lift(
 ) -> tuple[int, ...] | None:
     """Adjust g = (g_1..g_k) by elements of M so the result normally
     generates G, given that the images of g normally generate G/M and G is
-    normally k-generated.  Exhaustive over M^k; a witness must exist, so
-    ``None`` signals a bug (or unverified preconditions upstream)."""
+    normally k-generated: the preconditions, then ``lift_search``.  A
+    witness must exist, so ``None`` signals a bug (or unverified
+    preconditions upstream)."""
     k = len(g)
     if k < 1:
         raise PreconditionError("need a nonempty tuple")
@@ -510,8 +534,17 @@ def mazurov_lift(
     q_oracle = get_join_oracle(quotient, "normal")
     if not q_oracle.generates(pi[i] for i in g):
         raise PreconditionError("images of g do not normally generate G/M")
-    oracle = get_join_oracle(group, "normal")
-    for ms in product(modulo.members, repeat=k):
+    return lift_search(get_join_oracle(group, "normal"), modulo, g)
+
+
+def lift_search(
+    oracle: JoinOracle, modulo: Subgroup, g: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The first (g_1 m_1, ..., g_k m_k), over (m_1..m_k) in M^k in
+    ``itertools.product`` order, that the oracle says generates its group,
+    or None: the exhaustive search of ``mazurov_lift``."""
+    group = oracle.group
+    for ms in product(modulo.members, repeat=len(g)):
         candidate = tuple(group.mul(gi, mi) for gi, mi in zip(g, ms))
         if oracle.generates(candidate):
             return candidate

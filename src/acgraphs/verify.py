@@ -41,6 +41,7 @@ from .subgroups import (
     abelianization,
     covering_numbers,
     get_join_oracle,
+    lift_search,
     mazurov_lift,
     nd_pair,
     normal_closure,
@@ -258,14 +259,8 @@ def check_mazurov_lift(ctx: VerifyContext) -> CheckResult:
                 for tup in product(range(g.order), repeat=k):
                     if not q_oracle.generates(pi[i] for i in tup):
                         continue
-                    found = None
-                    for ms in product(m_sub.members, repeat=k):
-                        cand = tuple(g.mul(a, b) for a, b in zip(tup, ms))
-                        if oracle.generates(cand):
-                            found = cand
-                            break
                     lifts += 1
-                    if found is None:
+                    if lift_search(oracle, m_sub, tup) is None:
                         return CheckResult(
                             "mazurov_lift_total",
                             False,
@@ -661,7 +656,7 @@ def check_word_reduction(ctx: VerifyContext) -> CheckResult:
         letters = tuple(
             int(l) for l in rng.choice([-2, -1, 1, 2], size=int(rng.integers(0, 14)))
         )
-        w = Word(letters, 2, False).reduce()
+        w = Word(letters, 2).reduce()
         if w.reduce() != w:
             return CheckResult("word_reduction_idempotent", False, str(letters))
         for a, b in zip(w.letters, w.letters[1:]):
@@ -676,7 +671,7 @@ def check_eval_homomorphism(ctx: VerifyContext) -> CheckResult:
     for _ in range(100):
         l1 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=6))
         l2 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=6))
-        w1, w2 = Word(l1, 2, False).reduce(), Word(l2, 2, False).reduce()
+        w1, w2 = Word(l1, 2).reduce(), Word(l2, 2).reduce()
         images = [g.random_index(rng), g.random_index(rng)]
         lhs = eval_word(w1 * w2, images, g)
         rhs = g.mul(eval_word(w1, images, g), eval_word(w2, images, g))

@@ -201,6 +201,36 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_oversized_tuple_counts_are_resource_caps(capsys, monkeypatch):
+    # the count of --k tuples is taken in Python ints and stops once it
+    # passes the cap, so the message never prints a 4,300-digit number
+    monkeypatch.delenv("ACGRAPHS_MAX_TUPLES", raising=False)
+    for k, need in (("4", "207360000"), ("1000000", "120^1000000")):
+        assert run_cli(capsys, "analyze", "--group", "sym:5", "--k", k) == (
+            3, "", f"resource cap: resource cap 'graph_tuples' exceeded: need {need}, "
+                   "cap is 4000000\n")
+
+
+def test_k_past_numpy_axis_limit_is_a_resource_cap(capsys):
+    # one code per graph, but numpy arrays have at most 64 axes
+    for argv in (("--group", "cyclic:1", "--k", "64"), ("--group", "cyclic:1", "--k", "100"),
+                 ("--group", "sym:3", "--normal", "ncl:", "--k", "70")):
+        code, _, err = run_cli(capsys, "analyze", *argv)
+        assert code == 3 and "numpy's axis limit" in err, (argv, err)
+    assert run_cli(capsys, "analyze", "--group", "cyclic:1", "--k", "63")[0] == 0
+
+
+def test_huge_k_is_refused_at_once():
+    # 120^(10^8) has 208 million digits: the cap check must not compute it
+    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acgraphs.cli", "analyze", "--group", "sym:5",
+         "--k", "100000000"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr
+
+
 @pytest.mark.parametrize(
     "raised, code, message",
     [

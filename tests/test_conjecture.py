@@ -46,7 +46,7 @@ def test_reduction_idempotent_random():
         letters = tuple(
             int(l) for l in rng.choice([-2, -1, 1, 2], size=int(rng.integers(0, 16)))
         )
-        w = Word(letters, 2, False).reduce()
+        w = Word(letters, 2).reduce()
         assert w.reduce() == w
         assert all(a != -b for a, b in zip(w.letters, w.letters[1:]))
 
@@ -70,8 +70,8 @@ def test_eval_word_homomorphism_random():
     for _ in range(150):
         l1 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=7))
         l2 = tuple(int(l) for l in rng.choice([-2, -1, 1, 2], size=7))
-        w1 = Word(l1, 2, False).reduce()
-        w2 = Word(l2, 2, False).reduce()
+        w1 = Word(l1, 2).reduce()
+        w2 = Word(l2, 2).reduce()
         images = [g.random_index(rng), g.random_index(rng)]
         assert eval_word(w1 * w2, images, g) == g.mul(
             eval_word(w1, images, g), eval_word(w2, images, g)

@@ -181,18 +181,20 @@ def test_sl2_7_nielsen_mask_joins_once_per_orbit(monkeypatch):
     assert components(h).sizes == (21504, 24192, 21504, 4704, 4704)
 
 
-def test_graph_tuple_cap():
+def test_graph_tuple_cap(monkeypatch):
     g = parse_group("sym:5")
+    monkeypatch.setenv("ACGRAPHS_MAX_TUPLES", "10000")
     with pytest.raises(ResourceCapError):
-        GraphHandle(g, 3, GraphMode.full_ac(), cap=10_000)
+        GraphHandle(g, 3, GraphMode.full_ac())
 
 
-def test_conjugation_moves_count_only_their_tuples_against_the_cap():
+def test_conjugation_moves_count_only_their_tuples_against_the_cap(monkeypatch):
     # 120 tuples fit under the cap, and the 119 conjugators hold no table
     # of their own; the odd permutations normally generate sym:5
     g = parse_group("sym:5")
+    monkeypatch.setenv("ACGRAPHS_MAX_TUPLES", "1000")
     for mode in (GraphMode.full_ac(), GraphMode.restricted_ac()):
-        assert GraphHandle(g, 1, mode, cap=1_000).vertex_count == 60
+        assert GraphHandle(g, 1, mode).vertex_count == 60
 
 
 @pytest.mark.parametrize(

@@ -151,9 +151,10 @@ def test_bad_specs():
             parse_group(bad)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("ACGRAPHS_MAX_ELEMENTS", "1000")
     with pytest.raises(ResourceCapError) as err:
-        parse_group("sym:8", max_elements=1000)
+        parse_group("sym:8")
     assert "max_elements" in str(err.value)
 
 

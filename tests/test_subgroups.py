@@ -213,8 +213,9 @@ def test_nd_pair_brute_force_cross_check():
 
 
 def test_nd_pair_cap():
+    # the nd/nd_m search stops at DEFAULT_ND_CAP = 200 elements; sl2:7 has 336
     with pytest.raises(ResourceCapError):
-        nd_pair(parse_group("sl2:7"), cap=200)
+        nd_pair(parse_group("sl2:7"))
 
 
 def test_psi_examples():
@@ -245,10 +246,21 @@ def test_psi_soluble_identity():
             assert psi_k(g, k) == psi_k(ab.target, k)
 
 
-def test_psi_cap():
-    # the cap bounds the census table: sym:4 has 4 singleton closures, 4^2 cells
+def test_psi_cap(monkeypatch):
+    # the tuple cap bounds the census table: sym:4 has 4 singleton closures,
+    # 4^2 cells
+    monkeypatch.setenv("ACGRAPHS_MAX_TUPLES", "10")
     with pytest.raises(ResourceCapError):
-        psi_k(parse_group("sym:4"), 2, cap=10)
+        psi_k(parse_group("sym:4"), 2)
+
+
+@pytest.mark.parametrize("k", [16, 31, 32, 64])
+def test_psi_cap_at_large_k(monkeypatch, k):
+    # 4^32 is 2^64: the census size is counted in Python ints, never wraps
+    monkeypatch.delenv("ACGRAPHS_MAX_TUPLES", raising=False)
+    with pytest.raises(ResourceCapError) as err:
+        psi_k(parse_group("sym:4"), k)
+    assert err.value.cap_name == "tuple_census"
 
 
 def test_psi_past_the_tuple_count():
