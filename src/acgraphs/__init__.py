@@ -28,7 +28,7 @@ from .graphs import (
     distance,
     soluble_component_check,
 )
-from .groups import FiniteGroup, SymmetricAmbient, parse_group, random_even_permutation
+from .groups import FiniteGroup, SymmetricAmbient, parse_group
 from .subgroups import (
     AbelianStructure,
     Subgroup,
@@ -93,7 +93,6 @@ __all__ = [
     "pra_sample_many",
     "psi_k",
     "quotient_group",
-    "random_even_permutation",
     "soluble_component_check",
 ]
 

@@ -1,7 +1,8 @@
 """Free-group words and the counterexample-hunting pipeline.
 
-Words over {x, y, ...} are stored as sequences of signed generator
-numbers (+1 = x, -1 = x^-1, +2 = y, ...) and free-reduced by default.
+Words over ``ALPHABET`` = {x, y} are stored as sequences of signed
+generator numbers (+1 = x, -1 = x^-1, +2 = y, -2 = y^-1) and
+free-reduced by default.
 A word pair acts on a tuple by substitution: ``eval_word`` folds each
 word as product-table gathers over the tuple's element indices, or over
 arrays of them elementwise.  If the pair's exponent matrix is unimodular
@@ -30,16 +31,15 @@ ALPHABET = "xy"
 
 @dataclass(frozen=True)
 class Word:
-    """A word in a free group: signed generator numbers, e.g. x^3 y^-4 is
-    (1, 1, 1, -2, -2, -2, -2)."""
+    """A word in the free group on ``ALPHABET``: signed generator numbers,
+    e.g. x^3 y^-4 is (1, 1, 1, -2, -2, -2, -2)."""
 
     letters: tuple[int, ...]
-    rank: int
 
     def __post_init__(self):
         for l in self.letters:
-            if l == 0 or abs(l) > self.rank:
-                raise ValueError(f"letter {l} outside rank-{self.rank} alphabet")
+            if l == 0 or abs(l) > len(ALPHABET):
+                raise ValueError(f"letter {l} outside alphabet {ALPHABET!r}")
 
     def reduce(self) -> "Word":
         stack: list[int] = []
@@ -48,15 +48,13 @@ class Word:
                 stack.pop()
             else:
                 stack.append(l)
-        return Word(tuple(stack), self.rank)
+        return Word(tuple(stack))
 
     def __mul__(self, other: "Word") -> "Word":
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return Word(self.letters + other.letters, self.rank).reduce()
+        return Word(self.letters + other.letters).reduce()
 
     def exponent_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.rank
+        sums = [0] * len(ALPHABET)
         for l in self.letters:
             sums[abs(l) - 1] += 1 if l > 0 else -1
         return tuple(sums)
@@ -89,12 +87,10 @@ def parse_word(text: str) -> Word:
             exp = -exp
         sign = 1 if exp > 0 else -1
         letters.extend([sign * (base + 1)] * abs(exp))
-    return Word(tuple(letters), len(ALPHABET)).reduce()
+    return Word(tuple(letters)).reduce()
 
 
 def word_to_text(word: Word) -> str:
-    if word.rank > len(ALPHABET):
-        raise ValueError("alphabet too short for this word's rank")
     if not word.letters:
         return "1"
     out = []
@@ -115,9 +111,9 @@ def eval_word(word: Word, images: Sequence, group: FiniteGroup):
     """Substitute element indices for the generators, or index arrays
     elementwise; a fold of product-table gathers.  The empty word gives
     the identity, index 0."""
-    if len(images) != word.rank:
+    if len(images) != len(ALPHABET):
         raise PreconditionError(
-            f"word of rank {word.rank} needs {word.rank} images, got {len(images)}"
+            f"a word over {ALPHABET!r} needs {len(ALPHABET)} images, got {len(images)}"
         )
     acc = np.zeros(np.broadcast_shapes(*map(np.shape, images)), dtype=np.int64)
     for l in word.letters:
@@ -131,14 +127,6 @@ class WordPair:
     u: Word
     v: Word
 
-    def __post_init__(self):
-        if self.u.rank != self.v.rank:
-            raise ValueError("pair components have different ranks")
-
-    @property
-    def rank(self) -> int:
-        return self.u.rank
-
     def to_json(self) -> dict:
         return {"u": word_to_text(self.u), "v": word_to_text(self.v)}
 
@@ -149,8 +137,6 @@ def parse_pair(text_u: str, text_v: str) -> WordPair:
 
 def exponent_matrix(pair: WordPair) -> tuple[tuple[tuple[int, int], tuple[int, int]], int]:
     """Rows are the (x, y) exponent sums of u and v; also returns det."""
-    if pair.rank != 2:
-        raise PreconditionError("exponent matrix is defined for rank-2 pairs")
     (a, b), (c, d) = pair.u.exponent_sums(), pair.v.exponent_sums()
     return ((a, b), (c, d)), a * d - b * c
 
@@ -158,7 +144,7 @@ def exponent_matrix(pair: WordPair) -> tuple[tuple[tuple[int, int], tuple[int, i
 def apply_pair_map(pair: WordPair, tup: Sequence, group: FiniteGroup) -> tuple:
     """(x, y) -> (u(x, y), v(x, y)) on a 2-tuple of element indices, or
     elementwise on two index arrays."""
-    if len(tup) != 2 or pair.rank != 2:
+    if len(tup) != 2:
         raise PreconditionError("the substitution map acts on 2-tuples")
     return eval_word(pair.u, tup, group), eval_word(pair.v, tup, group)
 

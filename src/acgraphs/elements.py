@@ -9,20 +9,54 @@ Conventions, fixed once:
   is 1-based (``format_cycles``), and the cycle parser accepts both bases
   (a 0 in the input marks it as 0-based).
 
-Elements are immutable and hashable; mixing variants (or degrees/moduli)
-in arithmetic raises ``TypeError``.  Objects only multiply: inversion and
-conjugation run through the group's index tables (``groups.FiniteGroup``).
+Element objects parse, print and enumerate, nothing else: their one
+operation is the product that ``groups.FiniteGroup`` closes its
+generators under, and every later product, inverse, conjugate or draw is
+a gather from the group's index tables.  One private base gives all three
+classes immutability, equality, hashing, ``sort_key`` and pickling from
+their ``__slots__`` payload; mixing variants (or degrees/moduli) in a
+product raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import GroupSpecError
 
 
-class Permutation:
+class _Value:
+    """Immutable value semantics read from a subclass's ``__slots__``
+    payload, in constructor argument order: equality and hashing by type
+    and payload, ``sort_key``, and pickling through the constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one C call reads the payload: a lone slot's value, or the tuple
+        # of several slots
+        cls._payload = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuild through the constructor, which validates the payload
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def sort_key(self):
+        return self._payload(self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._payload(self) == other._payload(other)
+
+    def __hash__(self):
+        return hash(self._payload(self))
+
+
+class Permutation(_Value):
     """A permutation of {0..n-1} stored as the tuple of point images."""
 
     __slots__ = ("images",)
@@ -33,13 +67,6 @@ class Permutation:
         if len(set(images)) != n or any(not (0 <= i < n) for i in images):
             raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        # rebuild through the constructor, which validates the payload
-        return (Permutation, (self.images,))
 
     @property
     def degree(self) -> int:
@@ -53,14 +80,8 @@ class Permutation:
         b = other.images
         return Permutation(b[i] for i in self.images)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def cycles(self, *, fixed_points: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle led by its minimum."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles of length at least 2, each led by its minimum."""
         n = len(self.images)
         seen = [False] * n
         out = []
@@ -73,26 +94,9 @@ class Permutation:
                 seen[j] = True
                 cyc.append(j)
                 j = self.images[j]
-            if len(cyc) > 1 or fixed_points:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def cycle_count(self) -> int:
-        """Number of cycles, counting fixed points as 1-cycles."""
-        return len(self.cycles(fixed_points=True))
-
-    def sign(self) -> int:
-        """+1 for even, -1 for odd."""
-        return 1 if (self.degree - self.cycle_count()) % 2 == 0 else -1
-
-    def sort_key(self):
-        return self.images
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
@@ -101,7 +105,7 @@ class Permutation:
         return format_cycles(self)
 
 
-class MatrixGF:
+class MatrixGF(_Value):
     """A 2x2 matrix of determinant 1 over the prime field F_p.
 
     Entries are stored row-major as (a, b, c, d) reduced into [0, p).
@@ -116,12 +120,6 @@ class MatrixGF:
         object.__setattr__(self, "entries", (a, b, c, d))
         object.__setattr__(self, "modulus", modulus)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixGF is immutable")
-
-    def __reduce__(self):
-        return (MatrixGF, (self.entries, self.modulus))
-
     def __mul__(self, other: "MatrixGF") -> "MatrixGF":
         if not isinstance(other, MatrixGF):
             raise TypeError(f"cannot multiply MatrixGF by {type(other).__name__}")
@@ -134,28 +132,12 @@ class MatrixGF:
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), p
         )
 
-    def is_identity(self) -> bool:
-        return self.entries == (1, 0, 0, 1)
-
-    def sort_key(self):
-        return self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixGF)
-            and self.modulus == other.modulus
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.entries, self.modulus))
-
     def __repr__(self):
         a, b, c, d = self.entries
         return f"MatrixGF([[{a},{b}],[{c},{d}]] mod {self.modulus})"
 
 
-class AbelianTuple:
+class AbelianTuple(_Value):
     """An element of Z_{e_1} x ... x Z_{e_r}, written additively inside."""
 
     __slots__ = ("residues", "moduli")
@@ -168,12 +150,6 @@ class AbelianTuple:
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "moduli", moduli)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianTuple is immutable")
-
-    def __reduce__(self):
-        return (AbelianTuple, (self.residues, self.moduli))
-
     def __mul__(self, other: "AbelianTuple") -> "AbelianTuple":
         if not isinstance(other, AbelianTuple):
             raise TypeError(f"cannot multiply AbelianTuple by {type(other).__name__}")
@@ -182,22 +158,6 @@ class AbelianTuple:
         return AbelianTuple(
             (x + y for x, y in zip(self.residues, other.residues)), self.moduli
         )
-
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.residues)
-
-    def sort_key(self):
-        return self.residues
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AbelianTuple)
-            and self.moduli == other.moduli
-            and self.residues == other.residues
-        )
-
-    def __hash__(self):
-        return hash((self.residues, self.moduli))
 
     def __repr__(self):
         return f"AbelianTuple({list(self.residues)} mod {list(self.moduli)})"

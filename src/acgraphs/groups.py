@@ -2,14 +2,15 @@
 
 A ``FiniteGroup`` owns an immutable, canonically ordered element list
 (index 0 is the identity, the rest sorted by payload), an inverse array
-and a dense numpy product table; all arithmetic on enumerated elements
-goes through these tables, and element objects serve parsing and
-printing.  Conjugation is one table gather (``conjugation_rows``);
-``class_labels`` names each conjugacy class by its least member through
-``least_in_orbit``, the package's one orbit routine (``tuple_maps``
-gives it the entry and position permutations of tuple codes), and
-``power_rows`` tabulates every element's powers.  Groups are built by
-``parse_group`` from a small spec grammar:
+and a dense numpy product table.  Element objects parse, print and
+enumerate; every other operation on elements (product, inverse, uniform
+draw ``rng.integers(order)``) is a gather from these tables on indices,
+with no scalar method beside them.  Conjugation is one table gather
+(``conjugation_rows``); ``class_labels`` names each conjugacy class by
+its least member through ``least_in_orbit``, the package's one orbit
+routine (``tuple_maps`` gives it the entry and position permutations of
+tuple codes), and ``power_rows`` tabulates every element's powers.
+Groups are built by ``parse_group`` from a small spec grammar:
 
     cyclic:n | abelian:e1,e2,... | sym:n | alt:n | dihedral:n | sl2:p
 
@@ -25,8 +26,9 @@ it after the grammar checks and before any element object is built; so
 the cap also bounds the table (at most 128 MiB).
 
 ``SymmetricAmbient`` is the non-enumerated escape hatch for random walks
-over Sym_n at degrees whose order is far beyond any element cap; it does
-element arithmetic directly and samples uniform elements by shuffle.
+over Sym_n at degrees whose order is far beyond any element cap; it names
+the degree and the identity, and walks over it run on rows of point
+images (``walkers``).
 """
 
 from __future__ import annotations
@@ -199,10 +201,6 @@ class FiniteGroup:
         return len(self.elements)
 
     @property
-    def identity(self) -> int:
-        return 0
-
-    @property
     def identity_element(self) -> GroupElement:
         return self.elements[0]
 
@@ -214,19 +212,6 @@ class FiniteGroup:
 
     def __contains__(self, el: GroupElement) -> bool:
         return el in self._index
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
-
-    def inv(self, i: int) -> int:
-        return int(self.inv_array[i])
-
-    def conj(self, i: int, w: int) -> int:
-        """Index of w^-1 * x_i * w."""
-        return self.mul(self.mul(self.inv(w), i), w)
 
     def conjugation_rows(self, ws: Iterable[int]) -> np.ndarray:
         """Array of shape ``(len(ws), order)`` whose entry ``[r, i]`` is the
@@ -252,23 +237,13 @@ class FiniteGroup:
             returned |= rows[-1] == 0
         return np.stack(rows)
 
-    def random_index(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.order))
-
-    def random_element(self, rng: np.random.Generator) -> GroupElement:
-        """Uniform over the element list; deterministic given the rng state."""
-        return self.elements[self.random_index(rng)]
-
-    def generator_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(self.elements[i] for i in self.generators)
-
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
 class SymmetricAmbient:
-    """Sym_n as a walk context only: arithmetic plus uniform sampling,
-    no enumeration.  Used where n! is far beyond the element cap."""
+    """Sym_n as a walk context only: its degree and identity, no
+    enumeration.  Used where n! is far beyond the element cap."""
 
     def __init__(self, degree: int):
         if degree < 1:
@@ -280,25 +255,8 @@ class SymmetricAmbient:
     def identity_element(self) -> Permutation:
         return Permutation(range(self.degree))
 
-    def random_element(self, rng: np.random.Generator) -> Permutation:
-        return Permutation(int(i) for i in rng.permutation(self.degree))
-
-    def __contains__(self, el: GroupElement) -> bool:
-        return isinstance(el, Permutation) and el.degree == self.degree
-
     def __repr__(self):
         return f"SymmetricAmbient({self.degree})"
-
-
-def random_even_permutation(degree: int, rng: np.random.Generator) -> Permutation:
-    """Exactly uniform over Alt_n: draw uniform over Sym_n and fold the odd
-    half onto the even half by a fixed transposition."""
-    p = Permutation(int(i) for i in rng.permutation(degree))
-    if degree >= 2 and p.sign() < 0:
-        t = list(range(degree))
-        t[0], t[1] = t[1], t[0]
-        p = p * Permutation(t)
-    return p
 
 
 def _is_prime(n: int) -> bool:

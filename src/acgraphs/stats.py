@@ -244,6 +244,14 @@ def histogram(values: np.ndarray) -> dict[int, int]:
     return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
 
 
+def census(values: np.ndarray) -> dict[int, Fraction]:
+    """Exact law of the non-negative integers in ``values``: each one's
+    share of them, keys ascending."""
+    hist = histogram(values)
+    total = sum(hist.values())
+    return {v: Fraction(c, total) for v, c in hist.items()}
+
+
 def cycle_counts(images: np.ndarray) -> np.ndarray:
     """Cycle count, fixed points included, of each row of point images.
 

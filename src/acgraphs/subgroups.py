@@ -543,9 +543,9 @@ def lift_search(
     """The first (g_1 m_1, ..., g_k m_k), over (m_1..m_k) in M^k in
     ``itertools.product`` order, that the oracle says generates its group,
     or None: the exhaustive search of ``mazurov_lift``."""
-    group = oracle.group
+    table = oracle.group.mul_table
     for ms in product(modulo.members, repeat=len(g)):
-        candidate = tuple(group.mul(gi, mi) for gi, mi in zip(g, ms))
+        candidate = tuple(table[g, ms].tolist())
         if oracle.generates(candidate):
             return candidate
     return None

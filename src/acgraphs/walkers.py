@@ -11,10 +11,13 @@ over a union of conjugacy classes are provided for comparison.
 ``_batch_walk`` runs many independent walkers at once over a small
 arithmetic: element indices and product-table gathers for enumerated
 groups, rows of point images and flat gathers for Sym_n ambients of any
-degree (no enumeration).  The ``*_many`` samplers and
-``cayley_class_walk`` return element indices for enumerated groups and
-image rows for the ambient.  The test suite keeps a scalar walker on
-element objects as the reference for the kernel's step law.
+degree (no enumeration).  It is a walk's only element arithmetic: the
+start tuple's objects are read once, as indices or image rows, and the
+ambient's vertex test is one ``stats.cycle_counts`` over those rows.  The
+``*_many`` samplers and ``cayley_class_walk`` return element indices for
+enumerated groups and image rows for the ambient.  The test suite keeps a
+scalar walker on element objects as the reference for the kernel's step
+law.
 
 All randomness flows through a caller-supplied ``numpy.random.Generator``
 (seedable, splittable via ``spawn``); nothing reads outside entropy.
@@ -37,6 +40,7 @@ from .stats import (
     Chi2Report,
     InsufficientSamplesError,
     chi_squared_test,
+    cycle_counts,
     histogram,
     tv_distance,
 )
@@ -124,10 +128,12 @@ def _check_acr_init(
             raise PreconditionError("word-mode conjugators need an enumerated group")
         if n < 5:
             raise PreconditionError("ambient walks need degree >= 5 (simple Alt_n)")
-        for e in init:
-            if not isinstance(e, Permutation) or e.degree != n or e.sign() < 0:
-                raise PreconditionError("initial components must be even, degree n")
-        if all(e.is_identity() for e in init):
+        if any(not isinstance(e, Permutation) or e.degree != n for e in init):
+            raise PreconditionError("initial components must be even, degree n")
+        cycles = cycle_counts(np.array([e.images for e in init]).reshape(len(init), n))
+        if ((n - cycles) % 2).any():
+            raise PreconditionError("initial components must be even, degree n")
+        if (cycles == n).all():
             raise PreconditionError("the identity tuple is not a vertex")
 
 

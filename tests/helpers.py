@@ -3,8 +3,8 @@
 Everything here works directly on element objects with plain Python
 sets, bypassing the package's index tables, join memoization and numpy
 BFS, so the main machinery is always checked against a second route.
-Element objects only multiply in the package, so their inverses and
-conjugates are computed here.
+Element objects only multiply in the package, so their inverses,
+conjugates, cycle counts and parity are computed here.
 The scalar ACR/PRA walker steps one walker on element objects; tests
 check the batch kernel's step law against it.  ``brute_eval_word`` folds
 a word over element objects.
@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from acgraphs.conjecture import ALPHABET
 from acgraphs.elements import AbelianTuple, GroupElement, MatrixGF, Permutation
 from acgraphs.errors import PreconditionError
 from acgraphs.groups import FiniteGroup
@@ -61,7 +62,12 @@ def cycle_count(a: GroupElement) -> int:
     """Cycle count of a permutation (fixed points count as 1-cycles)."""
     if not isinstance(a, Permutation):
         raise TypeError(f"cycle_count needs a permutation, got {type(a).__name__}")
-    return a.cycle_count()
+    return brute_cycle_count(a.images)
+
+
+def is_even(a: Permutation) -> bool:
+    """A permutation is even when its degree minus its cycle count is."""
+    return (a.degree - cycle_count(a)) % 2 == 0
 
 
 def brute_listing(spec: str) -> list[GroupElement]:
@@ -73,7 +79,7 @@ def brute_listing(spec: str) -> list[GroupElement]:
     n = nums[0]
     if kind in ("sym", "alt"):
         perms = [Permutation(p) for p in permutations(range(n))]
-        return [p for p in perms if kind == "sym" or p.sign() > 0]
+        return [p for p in perms if kind == "sym" or is_even(p)]
     if kind == "sl2":
         return [MatrixGF(m, n) for m in product(range(n), repeat=4)
                 if (m[0] * m[3] - m[1] * m[2]) % n == 1]
@@ -303,12 +309,8 @@ def brute_tv_distance(observed, support_size):
 def brute_eval_word(word, images):
     """Substitute group elements for the generators; empty word gives the
     identity of the images' group."""
-    if len(images) != word.rank:
-        raise PreconditionError(
-            f"word of rank {word.rank} needs {word.rank} images, got {len(images)}"
-        )
-    if not images:
-        raise PreconditionError("rank-0 words have no ambient identity")
+    if len(images) != len(ALPHABET):
+        raise PreconditionError(f"need {len(ALPHABET)} images, got {len(images)}")
     acc = identity_like(images[0])
     for l in word.letters:
         g = images[abs(l) - 1]
@@ -338,10 +340,12 @@ def _random_conjugator(
     group: GroupContext, cfg: WalkConfig, rng: np.random.Generator
 ) -> GroupElement:
     if cfg.conjugator_word_length is None:
-        return group.random_element(rng)
+        if isinstance(group, FiniteGroup):
+            return group.elements[int(rng.integers(group.order))]
+        return Permutation(int(i) for i in rng.permutation(group.degree))
     if not isinstance(group, FiniteGroup):
         raise PreconditionError("word-mode conjugators need an enumerated group")
-    gens = list(group.generator_elements())
+    gens = [group.elements[i] for i in group.generators]
     gens += [inverse(g) for g in gens]
     if not gens:
         return group.identity_element

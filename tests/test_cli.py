@@ -186,6 +186,52 @@ def test_scan_series(capsys):
     assert all(r["error"] is None for r in rows)
 
 
+def test_walk_laws_come_from_the_target_subgroup(capsys):
+    # N = V4 in sym:4: a uniform member has 2 cycles with probability 3/4
+    # (the double transpositions) and 4 with 1/4 (the identity)
+    code, out, err = run_cli(
+        capsys, "walk", "--group", "sym:4", "--normal", "ncl:(0 1)(2 3)", "--k", "2",
+        "--init", "(0 1)(2 3);(0 2)(1 3)", "--samples", "20000", "--seed", "5",
+    )
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    hist = report["cycleHistogram"]
+    assert set(hist) == {"2", "4"} and sum(hist.values()) == 20_000
+    expected = {"4": 20_000 / 4, "2": 20_000 * 3 / 4}  # ascending, as the test pools
+    pearson = sum((hist[c] - e) ** 2 / e for c, e in expected.items())
+    assert report["cycleChiSquared"]["statistic"] == pytest.approx(pearson, rel=1e-12)
+    assert report["cycleChiSquared"]["dof"] == 1 and report["cycleChiSquared"]["pass"]
+    # V4 acts regularly on the 4 points: the image of point 0 names the
+    # member, so the point test and the mixing test see the same counts
+    point = report["pointActionChiSquared"]
+    assert point["dof"] == 3
+    assert point["statistic"] == pytest.approx(report["mixing"]["chiSquared"]["statistic"])
+
+
+def test_walker_steps_are_capped(capsys, monkeypatch):
+    import acgraphs.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_WALKER_STEPS", 200)
+    walk = ("walk", "--group", "alt:5", "--init", "(0 1 2)", "--samples")
+    assert run_cli(capsys, *walk, "10", "--budget", "20")[0] == 0
+    for samples, budget, need in (("10", "21", 210), ("201", "0", 201)):
+        assert run_cli(capsys, *walk, samples, "--budget", budget) == (
+            3, "", f"resource cap: resource cap 'walker_steps' exceeded: need {need}, "
+                   "cap is 200\n")
+
+
+def test_oversized_walk_is_refused_at_once():
+    # 10 walkers of 10^9 steps each would run for hours
+    src = os.path.dirname(os.path.dirname(acgraphs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acgraphs.cli", "walk", "--group", "alt:5", "--k", "3",
+         "--init", "(0 1 2);(2 3 4)", "--samples", "10", "--budget", "1000000000"],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "'walker_steps'" in proc.stderr
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "analyze", "--group", "nope:1", "--k", "2")
     assert code == 1

@@ -13,7 +13,7 @@ def test_permutation_composition_is_left_to_right():
     b = Permutation([0, 2, 1])
     ab = a * b
     for x in range(3):
-        assert ab(x) == b(a(x))
+        assert ab.images[x] == b.images[a.images[x]]
 
 
 def test_conjugation_convention():
@@ -32,7 +32,7 @@ def test_sl2_conjugation_matches_independent_product():
 
 def test_matrix_inverse_and_det():
     m = MatrixGF((2, 1, 3, 2), 5)
-    assert (m * inverse(m)).is_identity()
+    assert m * inverse(m) == identity_like(m)
     with pytest.raises(ValueError):
         MatrixGF((1, 1, 1, 1), 5)  # det 0
 
@@ -61,8 +61,12 @@ def test_cycle_count_examples():
 def test_cycle_count_against_brute_force():
     import itertools
 
-    for images in itertools.permutations(range(5)):
-        assert Permutation(images).cycle_count() == brute_cycle_count(images)
+    import numpy as np
+
+    from acgraphs.stats import cycle_counts
+
+    perms = list(itertools.permutations(range(5)))
+    assert cycle_counts(np.array(perms)).tolist() == [brute_cycle_count(p) for p in perms]
 
 
 def test_inverse_antihomomorphism_sampled():
@@ -73,7 +77,7 @@ def test_inverse_antihomomorphism_sampled():
         a = Permutation(int(i) for i in rng.permutation(6))
         b = Permutation(int(i) for i in rng.permutation(6))
         assert inverse(a * b) == inverse(b) * inverse(a)
-        assert (a * inverse(a)).is_identity()
+        assert a * inverse(a) == identity_like(a)
 
 
 def test_conjugation_distributes_over_product():
@@ -89,7 +93,7 @@ def test_abelian_arithmetic():
     x = AbelianTuple((1, 3), (2, 4))
     y = AbelianTuple((1, 2), (2, 4))
     assert (x * y).residues == (0, 1)
-    assert (x * inverse(x)).is_identity()
+    assert x * inverse(x) == identity_like(x)
     assert conj(x, y) == x
 
 
@@ -101,7 +105,7 @@ def test_cycle_notation_round_trip():
     # human-facing output is 1-based
     assert format_cycles(p) == "(1 2)(3 4)"
     assert format_cycles(Permutation(range(4))) == "()"
-    assert parse_cycles("()", 4).is_identity()
+    assert parse_cycles("()", 4) == Permutation(range(4))
     with pytest.raises(ValueError):
         parse_cycles("(0 1)(1 2)", 4)  # not disjoint
 
@@ -130,3 +134,15 @@ def test_permutation_validation():
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
         Permutation([0, 2])
+
+
+def test_equality_and_order_read_the_whole_payload():
+    # equal payloads under different types or moduli are different values
+    assert Permutation([1, 0]) != AbelianTuple((1, 0), (2, 2))
+    assert MatrixGF((1, 1, 0, 1), 5) != MatrixGF((1, 1, 0, 1), 7)
+    assert AbelianTuple((1,), (3,)) != AbelianTuple((1,), (4,))
+    assert len({Permutation([1, 0]), Permutation((1, 0)), Permutation([0, 1])}) == 2
+    assert Permutation([2, 0, 1]).sort_key() == (2, 0, 1)
+    assert MatrixGF((1, 2, 0, 1), 7).sort_key() == ((1, 2, 0, 1), 7)
+    with pytest.raises(AttributeError, match="MatrixGF is immutable"):
+        MatrixGF((1, 0, 0, 1), 5).modulus = 7

@@ -61,6 +61,9 @@ MANIFESTS: dict[str, tuple[str, ...]] = {
                        "--k", "2", "--init", "[[1,2],[0,1]];[[1,0],[2,1]]"),
     "walk-alt-5-cayley": ("walk", "--group", "alt:5", "--algorithm", "cayley",
                           "--normal", "whole", "--k", "2", "--init", "(0 1 2)"),
+    # N = C3 in dihedral:6: its cycle and point-0 laws, not Sym_6's
+    "walk-dihedral-6-c3-acr": ("walk", "--group", "dihedral:6", "--normal", "derived",
+                               "--k", "2", "--init", "(0 2 4)(1 3 5)", "--samples", "2000"),
     # other formats
     "analyze-abelian-3-3-nielsen.csv": (
         "analyze", "--group", "abelian:3,3", "--k", "2", "--mode", "nielsen", "--format", "csv"),

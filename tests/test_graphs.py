@@ -262,30 +262,33 @@ def test_conjugation_rows_are_distinct_and_not_identity():
     for spec, rows in (("alt:5", 59), ("sl2:5", 59), ("abelian:3,3", 0), ("sym:4", 23)):
         g = parse_group(spec)
         gens = list(g.generators)
+        # conjugated[w, x]: x conjugated by w (checked against element
+        # objects in test_groups)
+        conjugated = g.conjugation_rows(range(g.order))
         for mode, normal, ws in (
             (GraphMode.full_ac(), None, range(g.order)),
             (GraphMode.full_ac(), derived_subgroup(g), range(g.order)),
-            (GraphMode.restricted_ac(), None, gens + [g.inv(s) for s in gens]),
+            (GraphMode.restricted_ac(), None, gens + [int(g.inv_array[s]) for s in gens]),
             (GraphMode.restricted_ac(directed=True), None, gens),
         ):
             h = GraphHandle(g, 2, mode, normal)
             m = h.member_idx.tolist()
             # the distinct non-identity actions on N of the mode's conjugators
-            actions = {tuple(g.conj(x, w) for x in m) for w in ws} - {tuple(m)}
+            actions = {tuple(conjugated[w, m].tolist()) for w in ws} - {tuple(m)}
             if mode.kind == "full-ac" and normal is None:
                 assert len(actions) == rows, spec
             kept = h.conjugator_indices.tolist()
             assert len(kept) == len(actions), (spec, mode, normal)
-            assert {tuple(g.conj(x, w) for x in m) for w in kept} == actions
+            assert {tuple(conjugated[w, m].tolist()) for w in kept} == actions
             for x, backward in itertools.product(m, (False, True)):
                 ids, images = h._images_of(h.encode((x, x)), backward=backward)
-                conj = ids >= h._conj_base
-                assert conj.sum() == 2 * len(kept)
-                for move, image in zip(ids[conj].tolist(), images[conj].tolist()):
+                moved = ids >= h._conj_base
+                assert moved.sum() == 2 * len(kept)
+                for move, image in zip(ids[moved].tolist(), images[moved].tolist()):
                     row, i = divmod(move - h._conj_base, h.k)
                     w = kept[row]
                     # a backward block undoes the move: w y w^-1
-                    y = g.conj(x, g.inv(w) if backward else w)
+                    y = int(conjugated[g.inv_array[w] if backward else w, x])
                     assert h.decode(image) == tuple(y if c == i else x for c in range(2))
 
 
@@ -1182,19 +1185,21 @@ def test_encode_rejects_outside_members():
 
 
 def apply_move(group, tup, move):
-    """Apply a described move to a tuple of element indices by hand."""
+    """Apply a described move to a tuple of element indices by hand, on
+    element objects."""
+    els = group.elements
     out = list(tup)
     i = move["i"]
+    x = els[tup[i]]
     if move["type"] == "invert":
-        out[i] = group.inv(tup[i])
+        x = inverse(x)
     elif move["type"] == "conjugate":
-        out[i] = group.conj(tup[i], move["wIndex"])
+        x = conj(x, els[move["wIndex"]])
     else:
-        y = group.inv(tup[move["j"]]) if move["inverse"] else tup[move["j"]]
-        if move["type"] == "multiply_right":
-            out[i] = group.mul(tup[i], y)
-        else:
-            out[i] = group.mul(y, tup[i])
+        y = els[tup[move["j"]]]
+        y = inverse(y) if move["inverse"] else y
+        x = x * y if move["type"] == "multiply_right" else y * x
+    out[i] = group.index_of(x)
     return tuple(out)
 
 

@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from acgraphs.elements import MatrixGF
+from acgraphs.elements import MatrixGF, Permutation
 from acgraphs.errors import GroupSpecError, ResourceCapError
-from acgraphs.groups import (
-    FiniteGroup,
-    SymmetricAmbient,
-    parse_group,
-    random_even_permutation,
-)
+from acgraphs.groups import FiniteGroup, SymmetricAmbient, parse_group
 from acgraphs.subgroups import conjugacy_classes
 from acgraphs.verify import SMALL_CORPUS
+from acgraphs.walkers import _ImageArithmetic, _TableArithmetic
 
-from helpers import brute_classes, brute_listing, brute_mulclose, conj
+from helpers import brute_classes, brute_listing, brute_mulclose, conj, identity_like, is_even
 
 
 def test_trivial_group():
     g = parse_group("cyclic:1")
     assert g.order == 1
-    assert g.elements[0].is_identity()
+    assert g.elements[0] == identity_like(g.elements[0])
 
 
 @pytest.mark.parametrize(
@@ -53,8 +49,8 @@ def test_sl2_generators_are_the_transvections():
 def test_identity_is_index_zero():
     for spec in ("sym:4", "sl2:3", "abelian:2,2", "dihedral:4"):
         g = parse_group(spec)
-        assert g.elements[0].is_identity()
-        assert g.identity == 0
+        assert g.elements[0] == identity_like(g.elements[0])
+        assert g.identity_element is g.elements[0]
 
 
 def test_inverse_table_involutive():
@@ -104,7 +100,7 @@ def test_mul_table_matches_element_products():
         else:
             pairs = rng.integers(n, size=(3000, 2)).tolist()
         for i, j in pairs:
-            assert els[g.mul(i, j)] == els[i] * els[j], (spec, i, j)
+            assert els[g.mul_table[i, j]] == els[i] * els[j], (spec, i, j)
 
 
 @pytest.mark.parametrize(
@@ -116,18 +112,19 @@ def test_mul_table_matches_element_products():
 def test_closure_lists_the_family_in_canonical_order(spec):
     # payload order with the identity swapped to the front
     listing = sorted(brute_listing(spec), key=lambda e: e.sort_key())
-    at = next(i for i, e in enumerate(listing) if e.is_identity())
+    at = next(i for i, e in enumerate(listing) if e == identity_like(e))
     listing[0], listing[at] = listing[at], listing[0]
     assert parse_group(spec).elements == tuple(listing)
 
 
 def test_generators_that_do_not_span_are_rejected():
     g = parse_group("sym:3")
-    transposition = next(e for e in g.generator_elements() if e.sign() < 0)
+    gens = [g.elements[i] for i in g.generators]
+    transposition = next(e for e in gens if not is_even(e))
     with pytest.raises(ValueError, match="generators span 2 of 6"):
         FiniteGroup("sym:3", g.identity_element, [transposition], 6)
     with pytest.raises(ValueError, match="generators span more than 5"):
-        FiniteGroup("sym:3", g.identity_element, g.generator_elements(), 5)
+        FiniteGroup("sym:3", g.identity_element, gens, 5)
 
 
 def test_element_cap_applies_before_enumeration(monkeypatch):
@@ -159,48 +156,36 @@ def test_enumeration_cap(monkeypatch):
 
 
 def test_random_element_determinism_and_uniformity():
+    # uniform elements are index draws: the walkers' uniform conjugators
     g = parse_group("sym:4")
-    a = g.random_element(np.random.default_rng(5))
-    b = g.random_element(np.random.default_rng(5))
-    assert a == b
+    draw = _TableArithmetic(g, None).random
+    a = draw(24_000, np.random.default_rng(5))
+    assert (a == draw(24_000, np.random.default_rng(5))).all()
 
     # 24000 draws: every element within 5 sigma of 1000,
     # sigma = sqrt(N p (1-p)) ~ 30.96
-    rng = np.random.default_rng(11)
-    counts = np.zeros(24, dtype=int)
-    for _ in range(24_000):
-        counts[g.random_index(rng)] += 1
+    counts = np.bincount(draw(24_000, np.random.default_rng(11)), minlength=24)
     sigma = math.sqrt(24_000 * (1 / 24) * (23 / 24))
     assert (np.abs(counts - 1000) < 5 * sigma).all()
 
 
 def test_trivial_group_random_element():
     g = parse_group("cyclic:1")
-    assert g.random_element(np.random.default_rng(0)).is_identity()
+    for word_length in (None, 3):
+        draw = _TableArithmetic(g, word_length).random
+        assert draw(5, np.random.default_rng(0)).tolist() == [0] * 5
 
 
 def test_symmetric_ambient():
     amb = SymmetricAmbient(12)
-    rng = np.random.default_rng(9)
-    p = amb.random_element(rng)
-    assert p.degree == 12
-    q = amb.random_element(np.random.default_rng(9))
-    assert q == amb.random_element(np.random.default_rng(9))
-
-
-def test_random_even_permutation_uniform_over_alt4():
-    # Alt_4 has 12 elements; check exact-uniformity statistically at 5 sigma
-    rng = np.random.default_rng(13)
-    counts: dict = {}
-    n = 12_000
-    for _ in range(n):
-        p = random_even_permutation(4, rng)
-        assert p.sign() > 0
-        counts[p.images] = counts.get(p.images, 0) + 1
-    assert len(counts) == 12
-    sigma = math.sqrt(n * (1 / 12) * (11 / 12))
-    for v in counts.values():
-        assert abs(v - n / 12) < 5 * sigma
+    assert amb.degree == 12 and amb.name == "sym:12 (ambient)"
+    assert amb.identity_element == Permutation(range(12))
+    with pytest.raises(GroupSpecError):
+        SymmetricAmbient(0)
+    # uniform elements are rows of point images, drawn by shuffle
+    rows = _ImageArithmetic(12, 3).random(3, np.random.default_rng(9))
+    assert (np.sort(rows, axis=1) == np.arange(12)).all()
+    assert (rows == _ImageArithmetic(12, 3).random(3, np.random.default_rng(9))).all()
 
 
 def test_element_order():

@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from acgraphs.elements import Permutation, parse_cycles
 from acgraphs.errors import PreconditionError
-from acgraphs.groups import SymmetricAmbient, parse_group, random_even_permutation
+from acgraphs.groups import SymmetricAmbient, parse_group
 from acgraphs.stats import histogram, tv_distance
 from acgraphs.subgroups import Subgroup, normal_closure
 from acgraphs.walkers import (
@@ -11,11 +13,20 @@ from acgraphs.walkers import (
     acr_sample_many,
     cayley_class_walk,
     default_step_budget,
+    _ImageArithmetic,
     mixing_diagnostic,
     pra_sample_many,
 )
 
-from helpers import acr_sample, acr_step, brute_normal_closure, make_state, pra_sample
+from helpers import (
+    acr_sample,
+    acr_step,
+    brute_normal_closure,
+    identity_like,
+    is_even,
+    make_state,
+    pra_sample,
+)
 
 
 def idx(group, text):
@@ -118,9 +129,9 @@ def test_ambient_walk_outputs_even_permutations():
     assert cfg.step_budget == 80
     outs = acr_sample_many(amb, None, init, cfg, np.random.default_rng(3), 500)
     assert outs.shape == (500, 10)
-    assert all(Permutation(row).sign() > 0 for row in outs.tolist())
+    assert all(is_even(Permutation(row)) for row in outs.tolist())
     single = acr_sample(amb, None, init, cfg, np.random.default_rng(4))
-    assert single.sign() > 0
+    assert is_even(single)
 
 
 def test_ambient_rejects_small_degree_and_odd_components():
@@ -138,6 +149,23 @@ def test_ambient_rejects_small_degree_and_odd_components():
     with pytest.raises(PreconditionError):
         acr_sample_many(amb10, None, (parse_cycles("(0 1 2)", 10),) * 2, words,
                         np.random.default_rng(0), 5)
+
+
+def test_ambient_init_accepts_exactly_the_even_non_identity_tuples():
+    amb = SymmetricAmbient(5)
+    cfg = WalkConfig(k=2, step_budget=0)
+    iden = Permutation(range(5))
+    for images in permutations(range(5)):
+        p = Permutation(images)
+        if not is_even(p):
+            message = "initial components must be even, degree n"
+        elif p == iden:
+            message = "the identity tuple is not a vertex"
+        else:
+            acr_sample_many(amb, None, (p, iden), cfg, np.random.default_rng(0), 1)
+            continue
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            acr_sample_many(amb, None, (p, iden), cfg, np.random.default_rng(0), 1)
 
 
 def test_batch_table_kernel_matches_scalar_distribution():
@@ -180,7 +208,7 @@ def test_pra_trivial_group():
     g = parse_group("cyclic:1")
     cfg = WalkConfig(k=2, step_budget=10)
     out = pra_sample(g, (g.elements[0], g.elements[0]), cfg, np.random.default_rng(0))
-    assert out.is_identity()
+    assert out == identity_like(out)
 
 
 def test_pra_determinism_and_membership():
@@ -209,7 +237,7 @@ def test_cayley_walk_budget_zero_is_identity():
     a4 = normal_closure(g, [idx(g, "(0 1 2)")])
     outs = cayley_class_walk(g, a4, (idx(g, "(0 1 2)"),), 0, np.random.default_rng(0), 5)
     assert outs.shape == (5,)
-    assert all(g.elements[o].is_identity() for o in outs)
+    assert outs.tolist() == [0] * 5
 
 
 def test_cayley_walk_stays_in_class_closure():
@@ -220,7 +248,7 @@ def test_cayley_walk_stays_in_class_closure():
             g, a6, (idx(g, "(0 1 2)"),), budget, np.random.default_rng(budget), 30
         )
         # the 3-cycle class lies in alt:6
-        assert all(g.elements[o].sign() > 0 for o in outs)
+        assert all(is_even(g.elements[o]) for o in outs)
 
 
 def test_cayley_walk_rejects_non_generating_seeds():
@@ -259,13 +287,15 @@ def test_mixing_diagnostic_errors():
 
 
 def test_uniform_oracle_tv_alt5():
-    # 50k exact-uniform draws over alt:5 stay well below tv 0.05
-    rng = np.random.default_rng(31)
+    # the ambient's uniform draws, shuffles of Sym_5, are uniform on their
+    # even half alt:5: some 50k of them stay well below tv 0.05
+    rows = _ImageArithmetic(5, 100_000).random(100_000, np.random.default_rng(31))
     hist = {}
-    for _ in range(50_000):
-        p = random_even_permutation(5, rng)
-        hist[p.images] = hist.get(p.images, 0) + 1
-    assert len(hist) == 60
+    for row in rows.tolist():
+        p = Permutation(row)
+        if is_even(p):
+            hist[p.images] = hist.get(p.images, 0) + 1
+    assert len(hist) == 60 and 49_000 < sum(hist.values()) < 51_000
     assert float(tv_distance(hist, 60)) < 0.05
 
 
