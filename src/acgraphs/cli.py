@@ -80,9 +80,9 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 _WALKER_CHUNK = 4096  # fixed, so reports do not depend on --threads
-# samples x max(budget, 1) steps of one walk, at most: about 2 minutes at
-# the 10^7 steps/s of an alt:5 walk on one core.  A constant, like
-# stats.STIRLING_CAP
+# samples x max(budget, 1) steps of one walk, at most, each step counting
+# its conjugator-word letters too: about 2 minutes at the 10^7 steps/s of an
+# alt:5 walk on one core.  A constant, like stats.STIRLING_CAP
 MAX_WALKER_STEPS = 2**30
 
 
@@ -203,6 +203,8 @@ def _resolve_normal(group: FiniteGroup, spec: str) -> Subgroup:
 
 
 def cmd_analyze(args, out) -> int:
+    if args.format == "csv" and (args.diameter or args.distance):
+        raise GroupSpecError("--format csv carries no --diameter or --distance")
     group = parse_group(args.group)
     mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
     handle = GraphHandle(group, args.k, mode, _resolve_normal(group, args.normal))
@@ -334,7 +336,8 @@ def cmd_walk(args, out) -> int:
             budget = int(args.budget)
         except ValueError:
             raise GroupSpecError(f"--budget {args.budget!r} is not 'auto' or an integer") from None
-    steps = args.samples * max(budget, 1)
+    letters = (args.conjugator_words or 0) if args.algorithm == "acr" else 0
+    steps = args.samples * max(budget, 1) * (1 + letters)
     if steps > MAX_WALKER_STEPS:
         raise ResourceCapError("walker_steps", steps, MAX_WALKER_STEPS)
 
@@ -428,6 +431,8 @@ def cmd_stats(args, out) -> int:
             for c, num, den in dist.to_csv_rows()
         ]
     elif args.observed is not None:
+        if args.format == "csv":
+            raise GroupSpecError("--observed has no csv form; use --format json")
         if args.n is None:
             raise GroupSpecError("--observed needs --n, the degree of the reference law")
         try:
@@ -468,7 +473,7 @@ def cmd_stats(args, out) -> int:
         args.seed,
         args.output,
     )
-    if args.format == "csv" and rows:
+    if args.format == "csv":
         _emit_csv(manifest, rows, out)
     else:
         emit_report(manifest, report, out)

@@ -21,14 +21,13 @@ from the group's product table, one row per w with a distinct
 non-identity action on N.  Product tables keep the group's index dtype
 (uint16 below 65,536 elements, a quarter of int64); each block is widened
 to int64 as it is gathered or scaled by the radix.
-A caller may narrow the frontier between blocks, or leave the conjugation
-blocks out.  The full-AC BFS leaves them out and takes the class step,
-the level form of the conjugation moves: the conjugates of x_i by all of
-G are its G-class, so along each axis it ORs the frontier mask over each
-class (one ``reduceat`` over a class-sorted order) and broadcasts the
-result back over the class, the frontier times a block-diagonal matrix of
-all-ones class blocks (Kepner & Gilbert, *Graph Algorithms in the
-Language of Linear Algebra*, 2011).
+A caller may leave the conjugation blocks out.  The full-AC BFS leaves
+them out and takes the class step, the level form of the conjugation
+moves: the conjugates of x_i by all of G are its G-class, so along each
+axis it ORs the frontier mask over each class (one ``reduceat`` over a
+class-sorted order) and broadcasts the result back over the class, the
+frontier times a block-diagonal matrix of all-ones class blocks (Kepner &
+Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011).
 The BFS runs in a bounded working set: beyond its arrays over the code
 space, what it allocates fits one budget of ``BLOCK_CELLS`` int64 cells
 (1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
@@ -41,12 +40,11 @@ level.  A push level marks each block in a reusable hit map, masks the
 map by the unvisited vertices and scans it for the next frontier.  Once
 the unvisited vertices are no more than the frontier, a pull level instead
 reads the inverse moves of the unvisited codes and keeps those with a
-preimage in the frontier, dropping each code from the scan at its first
-hit (Beamer, Asanovic & Patterson, SC 2012); in full AC the class step's
-hits join the level first and leave the scan.  A BFS toward a target
-stops before the level that holds one of the target's preimages.
-Geodesics walk back from the target over the distance array through the
-inverse moves, so no parent pointers are stored.
+preimage in the frontier (Beamer, Asanovic & Patterson, SC 2012); in full
+AC the class step's hits join the level first and leave the scan.  A BFS
+toward a target stops before the level that holds one of the target's
+preimages.  Geodesics walk back from the target over the distance array
+through the inverse moves, so no parent pointers are stored.
 
 The vertex mask is the table of ``subgroups.generating_tuples``, the
 census that also counts psi_k: it folds the join oracle once per orbit of
@@ -73,7 +71,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Generator, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -354,7 +352,7 @@ class GraphHandle:
 
     def _move_images(
         self, frontier: np.ndarray, *, backward: bool = False, conjugation: bool = True
-    ) -> Generator[tuple[np.ndarray, np.ndarray], np.ndarray | None, None]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Every move applied to every frontier code, in move-id order.
 
         Yields ``(move ids, codes)`` blocks, ``codes`` of shape
@@ -365,11 +363,9 @@ class GraphHandle:
         inversion moves are closed under inverses, and a conjugation block
         gathers w y w^-1); their ids then do not name the moves that lead
         from them.  Without ``conjugation`` the conjugation blocks are left
-        out.  A caller may narrow the frontier between blocks by sending a
-        boolean mask over the columns of the last block: later blocks hold
-        the kept columns only.  The stream drops each block when resumed, so
-        a caller that drops its own reference too keeps one block alive; the
-        BFS bounds the frontier width by feeding it ``_slices``.
+        out.  The stream drops each block when resumed, so a caller that
+        drops its own reference too keeps one block alive; the BFS bounds
+        the frontier width by feeding it ``_slices``.
         """
         k, nm = self.k, self.nm
         radix = self.radix[:, None]
@@ -384,12 +380,6 @@ class GraphHandle:
         if backward:
             pre, post = post, pre
         rows = max(1, BLOCK_CELLS // max(frontier.size, 1))
-
-        def narrow(keep: np.ndarray | None) -> None:
-            nonlocal cols
-            if keep is not None:
-                cols = cols[:, keep]
-
         for i in range(k):
             r = self.radix[i]
             for j in range(k):
@@ -405,11 +395,11 @@ class GraphHandle:
                 pos *= r
                 pos += base
                 first = (i * k + j) * 4
-                narrow((yield np.arange(first, first + 4), pos))
+                yield np.arange(first, first + 4), pos
                 del pos
             if self.mode.has_inversion:
                 codes = cols[k + i] + self.NINV[cols[i]][None, :] * r
-                narrow((yield np.array([self._inv_base + i]), codes))
+                yield np.array([self._inv_base + i]), codes
                 del codes
             for start in range(0, ws.size, rows):
                 block = pre[start : start + rows] * order + self.member_idx[cols[i]]
@@ -422,7 +412,7 @@ class GraphHandle:
                 block *= r
                 block += cols[k + i]
                 ids = self._conj_base + np.arange(start, start + len(block)) * k + i
-                narrow((yield ids, block))
+                yield ids, block
                 del block  # before the next block is built
 
     def _images_of(
@@ -475,15 +465,14 @@ class GraphHandle:
         Each level pushes every move from the frontier into a hit map,
         one slice of the frontier at a time, unless the unvisited vertices
         are no more than the frontier: then it pulls, testing each
-        unvisited code's preimages against the frontier and dropping the
-        code at its first hit.  Every code has the same number of moves, so
-        a pull never scans more cells than the push it replaces.  In full
-        AC the conjugation moves take their level form instead, the class
-        step: its hits join the level at once, and both directions stream
-        only the multiplication and inversion moves, a pull over the
-        candidates the class step left.  With ``target``, the target's
-        preimages are read once, and the BFS stops before expanding the
-        level that holds one of them, with ``dist[target]`` set and every
+        unvisited code's preimages against the frontier.  Every code has the
+        same number of moves, so a pull never scans more cells than the push
+        it replaces.  In full AC the conjugation moves take their level form
+        instead, the class step: its hits join the level at once, and both
+        directions stream only the multiplication and inversion moves, a
+        pull over the candidates the class step left.  With ``target``, the
+        target's preimages are read once, and the BFS stops before expanding
+        the level that holds one of them, with ``dist[target]`` set and every
         lower level complete.
         """
         # the frontier's codes, on entry to every level
@@ -560,25 +549,14 @@ class GraphHandle:
         self, candidates: np.ndarray, in_frontier: np.ndarray, *, conjugation: bool
     ) -> np.ndarray:
         """The candidate codes that one move leads to from a code of the
-        ``in_frontier`` mask; each candidate is dropped from the scan at its
-        first hit.  Each slice of the candidates is a stream of its own."""
+        ``in_frontier`` mask, one move stream per slice of the candidates."""
         found = [candidates[:0]]
         for part in _slices(candidates):
-            images = self._move_images(part, backward=True, conjugation=conjugation)
-            keep = None
-            while part.size:
-                try:
-                    _, preds = images.send(keep)
-                except StopIteration:
-                    break
-                hits = in_frontier[preds].any(axis=0)
-                del preds
-                keep = None
-                if hits.any():
-                    found.append(part[hits])
-                    keep = ~hits
-                    part = part[keep]
-            images.close()
+            hits = np.zeros(part.size, dtype=bool)
+            for _, preds in self._move_images(part, backward=True, conjugation=conjugation):
+                hits |= in_frontier[preds].any(axis=0)
+                del preds  # before the stream builds the next block
+            found.append(part[hits])
         return np.concatenate(found)
 
     def geodesic(self, source: int, target: int) -> list[dict] | None:

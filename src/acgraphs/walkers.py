@@ -44,7 +44,7 @@ from .stats import (
     histogram,
     tv_distance,
 )
-from .subgroups import Subgroup, class_union, get_join_oracle
+from .subgroups import BLOCK_CELLS, Subgroup, class_union, get_join_oracle
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,25 @@ def cayley_class_walk(
 ) -> np.ndarray:
     """`samples` nearest-neighbor walks on the Cayley graph of N with
     respect to the union of the ambient conjugacy classes of the seeds,
-    from the identity; returns their end points as element indices."""
+    from the identity; returns their end points as element indices.  The
+    steps are drawn in blocks of at most ``BLOCK_CELLS`` cells, whole rows
+    or pieces of one, the stream of one ``(samples, budget)`` draw."""
     if budget < 0:
         raise PreconditionError("step budget must be >= 0")
     oracle = get_join_oracle(group, "normal")
     if oracle.members_of(oracle.join_of_indices(seeds)) != normal.member_set:
         raise PreconditionError("seeds do not normally generate N")
     steps = class_union(group, seeds)
-    pos = np.zeros(samples, dtype=np.int64)
-    for col in rng.integers(len(steps), size=(samples, budget)).T:
-        pos = group.mul_table[pos, steps[col]]
-    return pos.astype(np.int64)
+    ends = np.zeros(samples, dtype=np.int64)
+    rows = max(1, BLOCK_CELLS // max(budget, 1))
+    for start in range(0, samples, rows):
+        pos = ends[start : start + rows]
+        for first in range(0, budget, BLOCK_CELLS):
+            draws = rng.integers(len(steps), size=(pos.size, min(BLOCK_CELLS, budget - first)))
+            for col in draws.T:
+                pos[...] = group.mul_table[pos, steps[col]]
+            del draws, col  # before the next block is drawn
+    return ends
 
 
 # -- the batch kernel ------------------------------------------------------------------
@@ -172,7 +180,8 @@ def cayley_class_walk(
 
 class _TableArithmetic:
     """Element indices of an enumerated group; products and inverses are
-    table gathers, word-mode conjugators a fold over generator words."""
+    table gathers, word-mode conjugators a fold over generator words, their
+    letters drawn in row blocks of at most ``BLOCK_CELLS`` cells."""
 
     def __init__(self, group: FiniteGroup, word_length: int | None):
         self.table = group.mul_table  # gathers from the narrow table, no copy
@@ -195,8 +204,13 @@ class _TableArithmetic:
             return rng.integers(len(self.table), size=m)
         w = self.identity(m)
         if self.letters.size:
-            for col in rng.integers(self.letters.size, size=(self.word_length, m)):
-                w = self.table[w, self.letters[col]]
+            rows = max(1, BLOCK_CELLS // max(m, 1))
+            for start in range(0, self.word_length, rows):
+                size = (min(rows, self.word_length - start), m)
+                draws = rng.integers(self.letters.size, size=size)
+                for col in draws:
+                    w = self.table[w, self.letters[col]]
+                del draws, col  # before the next block is drawn
         return w
 
 

@@ -218,18 +218,33 @@ def test_walker_steps_are_capped(capsys, monkeypatch):
         assert run_cli(capsys, *walk, samples, "--budget", budget) == (
             3, "", f"resource cap: resource cap 'walker_steps' exceeded: need {need}, "
                    "cap is 200\n")
+    # an ACR step counts its conjugator-word letters too: 10 x 5 x (1 + 3)
+    words = ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1 2);(0 1 2 3 4)",
+             "--samples", "10", "--budget", "5", "--conjugator-words")
+    assert run_cli(capsys, *words, "3")[0] == 0
+    assert run_cli(capsys, *words, "4") == (
+        3, "", "resource cap: resource cap 'walker_steps' exceeded: need 250, "
+               "cap is 200\n")
+    # PRA and Cayley walks draw no conjugator words
+    for algorithm in ("pra", "cayley"):
+        assert run_cli(capsys, *words, "4", "--algorithm", algorithm)[0] == 0
 
 
 def test_oversized_walk_is_refused_at_once():
-    # 10 walkers of 10^9 steps each would run for hours
+    # 10 walkers of 10^9 steps each would run for hours, and so would one
+    # walker of 1,024 steps whose conjugators are words of 2^20 letters
     src = os.path.dirname(os.path.dirname(acgraphs.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "acgraphs.cli", "walk", "--group", "alt:5", "--k", "3",
-         "--init", "(0 1 2);(2 3 4)", "--samples", "10", "--budget", "1000000000"],
-        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "'walker_steps'" in proc.stderr
+    walk = (sys.executable, "-m", "acgraphs.cli", "walk", "--group", "alt:5")
+    for argv in (("--k", "3", "--init", "(0 1 2);(2 3 4)", "--samples", "10",
+                  "--budget", "1000000000"),
+                 ("--normal", "whole", "--init", "(0 1 2);(2 3 4)", "--samples", "1",
+                  "--budget", "1024", "--conjugator-words", str(2**20))):
+        proc = subprocess.run(
+            [*walk, *argv], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3, (argv, proc.stderr)
+        assert "'walker_steps'" in proc.stderr
 
 
 def test_exit_codes(capsys):
@@ -360,6 +375,9 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("analyze", "--group", "sym:3", "--k", "2", "--mode", "bogus"),
         ("analyze", "--group", "sym:3", "--k", "2", "--mode", "full-ac",
          "--directed-conjugators"),
+        # csv carries no diameter or distance; refused before sym:8 hits its cap
+        *(("analyze", "--group", "sym:8", "--k", "2", "--format", "csv", *extra)
+          for extra in (("--diameter", "exact"), ("--distance", "(0 1 2)|(0 1 3)"))),
         ("scan", "--group", "sl2:3", "--mode", "nielsen", "--directed-conjugators"),
         ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1)"),
         ("walk", "--group", "alt:5", "--normal", "ncl:(0 1)", "--init", "(0 1 2)"),
@@ -377,6 +395,7 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("stats", "--observed", str(tmp_path / "hist.json")),
         ("stats", "--observed", str(tmp_path / "fractional.json"), "--n", "3"),
         ("stats", "--observed", str(tmp_path / "negative.json"), "--n", "4"),
+        ("stats", "--observed", str(tmp_path / "hist.json"), "--n", "3", "--format", "csv"),
         ("stats", "--stirling", "-1"),
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",

@@ -432,20 +432,16 @@ def test_bfs_distances_match_brute_force_in_every_mode():
 
 def _spy_move_images(monkeypatch, h):
     """Record (backward, frontier size, cells yielded) for every
-    ``_move_images`` stream of ``h``, passing sent masks through."""
+    ``_move_images`` stream of ``h``."""
     log = []
     move_images = h._move_images
 
     def spy(frontier, *, backward=False, conjugation=True):
-        stream = move_images(frontier, backward=backward, conjugation=conjugation)
-        cells, keep = 0, None
+        cells = 0
         try:
-            while True:
-                ids, codes = stream.send(keep)
+            for ids, codes in move_images(frontier, backward=backward, conjugation=conjugation):
                 cells += codes.size
-                keep = yield ids, codes
-        except StopIteration:
-            pass
+                yield ids, codes
         finally:
             log.append((backward, frontier.size, cells))
 
@@ -533,7 +529,8 @@ def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode
             unvisited = int(np.count_nonzero(candidates))
             if h._classes is not None:  # a pull leaves out the class step's hits
                 candidates &= ~h._class_step(dist == level)
-            widths = _slice_widths(np.count_nonzero(candidates) if backward else frontier)
+            pulled = int(np.count_nonzero(candidates))
+            widths = _slice_widths(pulled if backward else frontier)
             streams = log[at : at + len(widths)]
             at += len(widths)
             assert [(b, n) for b, n, _ in streams] == [(backward, n) for n in widths]
@@ -541,7 +538,8 @@ def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode
             if backward:
                 pulls += 1
                 assert unvisited <= frontier
-                assert cells <= frontier * moves
+                # every candidate reads all its preimages
+                assert cells == pulled * moves <= frontier * moves
             else:
                 assert cells == frontier * moves
         assert at == len(log)
@@ -565,38 +563,6 @@ def test_bfs_stops_at_a_target_with_the_levels_below_it(spec, mode, stride):
         assert dist[t] == full[t]
         below = (full >= 0) & (full < full[t]) if full[t] >= 0 else full >= 0
         assert np.array_equal(dist[below], full[below])
-
-
-@pytest.mark.parametrize("backward", [False, True])
-def test_narrowed_move_stream_matches_a_fresh_stream(monkeypatch, backward):
-    monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", 400)
-    h = GraphHandle(parse_group("sym:4"), 2, GraphMode.full_ac())
-    frontier = np.flatnonzero(h.vertex_mask)[:40]
-    # ten blocks of at most 10 rows; drop every third column after block 2,
-    # then every second remaining column after block 6
-    drops = {2: 3, 6: 2}
-    stream = h._move_images(frontier, backward=backward)
-    later = []  # (frontier of the block, move id, image row)
-    mask = None
-    for n in itertools.count():
-        try:
-            ids, codes = stream.send(mask)
-        except StopIteration:
-            break
-        assert codes.shape == (len(ids), frontier.size)
-        if n > 2:
-            later += [(frontier, move, row) for move, row in zip(ids.tolist(), codes)]
-        mask = None
-        if n in drops:
-            mask = np.arange(frontier.size) % drops[n] != 0
-            frontier = frontier[mask]
-    assert len({f.size for f, _, _ in later}) == 2 and len(later) > 20
-    fresh = {}
-    for f in {f.size: f for f, _, _ in later}.values():
-        for ids, codes in h._move_images(f, backward=backward):
-            fresh.update(((f.size, move), row) for move, row in zip(ids.tolist(), codes))
-    for f, move, row in later:
-        assert np.array_equal(row, fresh[f.size, move]), (f.size, move)
 
 
 @pytest.mark.parametrize("spec, k", [("alt:5", 3), ("sl2:7", 2)])

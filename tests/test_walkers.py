@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -7,13 +8,14 @@ from acgraphs.elements import Permutation, parse_cycles
 from acgraphs.errors import PreconditionError
 from acgraphs.groups import SymmetricAmbient, parse_group
 from acgraphs.stats import histogram, tv_distance
-from acgraphs.subgroups import Subgroup, normal_closure
+from acgraphs.subgroups import BLOCK_CELLS, Subgroup, class_union, normal_closure
 from acgraphs.walkers import (
     WalkConfig,
     acr_sample_many,
     cayley_class_walk,
     default_step_budget,
     _ImageArithmetic,
+    _TableArithmetic,
     mixing_diagnostic,
     pra_sample_many,
 )
@@ -256,6 +258,55 @@ def test_cayley_walk_rejects_non_generating_seeds():
     a4 = normal_closure(g, [idx(g, "(0 1 2)")])
     with pytest.raises(PreconditionError):
         cayley_class_walk(g, a4, (idx(g, "(0 1)(2 3)"),), 5, np.random.default_rng(0), 3)
+
+
+def _traced_peak(run):
+    """``run()`` and the peak of memory it allocated, traced."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("cells", [BLOCK_CELLS, 16])
+def test_cayley_walk_draws_its_steps_in_blocks(monkeypatch, cells):
+    # one draw of the 20,000 x 200 step matrix would hold 32 MB of int64; under
+    # a 16-cell budget each 200-step row is drawn in pieces
+    monkeypatch.setattr("acgraphs.walkers.BLOCK_CELLS", cells)
+    g = parse_group("alt:5")
+    seeds = (idx(g, "(0 1 2)"),)
+    samples, budget = (20_000, 200) if cells == BLOCK_CELLS else (7, 50)
+    outs, peak = _traced_peak(
+        lambda: cayley_class_walk(g, whole(g), seeds, budget, np.random.default_rng(3), samples)
+    )
+    # one block of int64 draws, then per step a column's steps and products
+    assert peak <= 8 * BLOCK_CELLS + 24 * samples
+    rng = np.random.default_rng(3)
+    steps = class_union(g, seeds)
+    pos = np.zeros(samples, dtype=np.int64)
+    for col in rng.integers(len(steps), size=(samples, budget)).T:
+        pos = g.mul_table[pos, steps[col]]
+    assert np.array_equal(outs, pos)
+
+
+@pytest.mark.parametrize("cells", [BLOCK_CELLS, 16])
+def test_word_mode_draws_its_letters_in_blocks(monkeypatch, cells):
+    # one draw of 2,000 letters for 4,096 conjugators would hold 65 MB of int64
+    monkeypatch.setattr("acgraphs.walkers.BLOCK_CELLS", cells)
+    g = parse_group("sym:4")
+    m, length = (4096, 2000) if cells == BLOCK_CELLS else (5, 11)
+    arith = _TableArithmetic(g, length)
+    words, peak = _traced_peak(lambda: arith.random(m, np.random.default_rng(8)))
+    assert peak <= 8 * BLOCK_CELLS + 24 * m
+    rng = np.random.default_rng(8)
+    expected = np.zeros(m, dtype=np.int64)
+    for col in rng.integers(arith.letters.size, size=(length, m)):
+        expected = g.mul_table[expected, arith.letters[col]]
+    assert np.array_equal(words, expected)
 
 
 def test_mixing_diagnostic_exact_uniform():
