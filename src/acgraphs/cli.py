@@ -3,7 +3,8 @@ machine-readable reports.
 
 Subcommands: ``analyze`` (graph analytics), ``walk`` (samplers plus
 diagnostics), ``stats`` (reference distributions and tests), ``scan``
-(word-pair pipelines), ``verify`` (the theorem-check suite).
+(word-pair pipelines), ``verify`` (the theorem-check suite).  A command
+form refuses each option it does not read, once set away from its default.
 
 Every report embeds its manifest, the package version and all resolved
 defaults; identical manifests produce byte-identical reports (there are
@@ -21,7 +22,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
@@ -37,7 +37,6 @@ from .conjecture import (
     transvection_base,
 )
 from .elements import (
-    AbelianTuple,
     GroupElement,
     MatrixGF,
     Permutation,
@@ -104,18 +103,6 @@ class RunManifest:
         }
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return {"numerator": obj.numerator, "denominator": obj.denominator}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
 def _write_output(path: str, text: str, out) -> None:
     if path == "-":
         out.write(text)
@@ -133,7 +120,7 @@ def emit_report(manifest: RunManifest, report: dict, out) -> None:
         "version": __version__,
         "report": report,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     _write_output(manifest.output_path, text, out)
 
 
@@ -146,6 +133,15 @@ def _emit_csv(manifest: RunManifest, rows: list[dict], out) -> None:
         writer.writeheader()
         writer.writerows(rows)
     _write_output(manifest.output_path, buf.getvalue(), out)
+
+
+def _refuse_unread(args, form: str, *dests: str) -> None:
+    """The option contract: a command form refuses each option it does not
+    read once that option is set away from its parser default."""
+    for dest in dests:
+        if getattr(args, dest) != args.parser.get_default(dest):
+            option = "--" + dest.replace("_", "-")
+            raise GroupSpecError(f"{option} does not apply to {form}")
 
 
 # -- element / tuple parsing ------------------------------------------------------
@@ -161,10 +157,8 @@ def parse_element(group: FiniteGroup | SymmetricAmbient, text: str) -> GroupElem
         el = parse_cycles(text, sample.degree)
     elif isinstance(sample, MatrixGF):
         el = parse_matrix(text, sample.modulus)
-    elif isinstance(sample, AbelianTuple):
-        el = parse_residues(text, sample.moduli)
     else:
-        raise GroupSpecError(f"cannot parse element {text!r}")
+        el = parse_residues(text, sample.moduli)
     if el not in group:
         raise GroupSpecError(f"element {text!r} is not in {group.name}")
     return el
@@ -203,8 +197,8 @@ def _resolve_normal(group: FiniteGroup, spec: str) -> Subgroup:
 
 
 def cmd_analyze(args, out) -> int:
-    if args.format == "csv" and (args.diameter or args.distance):
-        raise GroupSpecError("--format csv carries no --diameter or --distance")
+    if args.format == "csv":
+        _refuse_unread(args, "analyze --format csv", "diameter", "distance")
     group = parse_group(args.group)
     mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
     handle = GraphHandle(group, args.k, mode, _resolve_normal(group, args.normal))
@@ -310,6 +304,13 @@ def _run_walkers(kind, group, normal, init, cfg, seed, samples, threads):
 
 
 def cmd_walk(args, out) -> int:
+    # PRA makes Nielsen moves only, with no conjugators; the Cayley walk
+    # takes no walker config and runs in one thread
+    pra_unread = ("conjugator_words", "plain_prob", "full_move_set")
+    unread = {"acr": (), "pra": pra_unread, "cayley": (*pra_unread, "no_cumulative", "threads")}
+    _refuse_unread(args, f"walk --algorithm {args.algorithm}", *unread[args.algorithm])
+    if args.full_move_set:  # its four moves are equally likely
+        _refuse_unread(args, "walk --full-move-set", "plain_prob")
     if args.samples < 1:
         raise GroupSpecError(f"--samples must be at least 1, got {args.samples}")
     if args.threads < 1:
@@ -336,7 +337,7 @@ def cmd_walk(args, out) -> int:
             budget = int(args.budget)
         except ValueError:
             raise GroupSpecError(f"--budget {args.budget!r} is not 'auto' or an integer") from None
-    letters = (args.conjugator_words or 0) if args.algorithm == "acr" else 0
+    letters = args.conjugator_words or 0
     steps = args.samples * max(budget, 1) * (1 + letters)
     if steps > MAX_WALKER_STEPS:
         raise ResourceCapError("walker_steps", steps, MAX_WALKER_STEPS)
@@ -415,6 +416,7 @@ def cmd_stats(args, out) -> int:
     report: dict = {}
     rows: list[dict] = []
     if args.stirling is not None:
+        _refuse_unread(args, "stats --stirling", "parity", "n")
         n = args.stirling
         if n < 0:
             raise GroupSpecError(f"--stirling must be at least 0, got {n}")
@@ -424,15 +426,12 @@ def cmd_stats(args, out) -> int:
         ]
         report["stirling"] = rows
     elif args.cycle_distribution is not None:
+        _refuse_unread(args, "stats --cycle-distribution", "n")
         dist = cycle_distribution(args.cycle_distribution, args.parity)
         report["distribution"] = dist.to_json()
-        rows = [
-            {"cycles": c, "numerator": num, "denominator": den}
-            for c, num, den in dist.to_csv_rows()
-        ]
-    elif args.observed is not None:
-        if args.format == "csv":
-            raise GroupSpecError("--observed has no csv form; use --format json")
+        rows = report["distribution"]["support"]
+    else:
+        _refuse_unread(args, "stats --observed", "format")
         if args.n is None:
             raise GroupSpecError("--observed needs --n, the degree of the reference law")
         try:
@@ -455,10 +454,6 @@ def cmd_stats(args, out) -> int:
             )
         dist = cycle_distribution(args.n, args.parity)
         report["chiSquared"] = chi_squared_test(observed, dist).to_json()
-    else:
-        raise GroupSpecError(
-            "stats needs one of --stirling, --cycle-distribution, --observed"
-        )
     manifest = RunManifest(
         "stats",
         None,
@@ -495,7 +490,8 @@ def _resolve_pair(text: str) -> WordPair:
 def cmd_scan(args, out) -> int:
     pair = _resolve_pair(args.pair)
     mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
-    if args.series:
+    if args.series is not None:
+        _refuse_unread(args, "scan --series", "base", "no_geodesic")
         rows = distance_series(
             [s.strip() for s in args.series.split(",") if s.strip()], pair, mode
         )
@@ -576,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="full-ac")
     p.add_argument("--normal", default="whole")
     p.add_argument("--directed-conjugators", action="store_true")
-    p.add_argument("--diameter", choices=["exact", "estimate"], default=None)
-    p.add_argument("--distance", default=None, help="'TUPLE|TUPLE' literals")
+    p.add_argument("--diameter", choices=["exact", "estimate"], default=None, help="json only")
+    p.add_argument("--distance", default=None, help="'TUPLE|TUPLE' literals; json only")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = sub.add_parser("walk", help="sampler run + diagnostics")
     p.add_argument("--group", required=True)
@@ -591,41 +587,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="", help="semicolon-separated element literals")
     p.add_argument("--budget", default="auto")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--no-cumulative", action="store_true")
-    p.add_argument("--plain-prob", type=float, default=0.5)
-    p.add_argument("--conjugator-words", type=int, default=None)
-    p.add_argument("--full-move-set", action="store_true")
-    p.add_argument(
-        "--threads", type=int, default=1, help="worker pool for walker fan-out"
-    )
+    p.add_argument("--no-cumulative", action="store_true", help="ACR and PRA only")
+    p.add_argument("--plain-prob", type=float, default=0.5, help="ACR without --full-move-set")
+    p.add_argument("--conjugator-words", type=int, default=None, help="ACR only")
+    p.add_argument("--full-move-set", action="store_true", help="ACR only")
+    p.add_argument("--threads", type=int, default=1, help="worker pool of ACR and PRA walkers")
     common(p)
-    p.set_defaults(func=cmd_walk)
+    p.set_defaults(func=cmd_walk, parser=p)
 
     p = sub.add_parser("stats", help="reference distributions and tests")
-    p.add_argument("--stirling", type=int, default=None)
-    p.add_argument("--cycle-distribution", type=int, default=None)
-    p.add_argument("--parity", choices=["all", "even"], default="all")
-    p.add_argument("--observed", default=None, help="JSON histogram file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--stirling", type=int, default=None)
+    form.add_argument("--cycle-distribution", type=int, default=None)
+    form.add_argument("--observed", default=None, help="JSON histogram file")
+    p.add_argument("--parity", choices=["all", "even"], default="all",
+                   help="--cycle-distribution and --observed only")
+    p.add_argument("--n", type=int, default=None,
+                   help="degree of the reference law; --observed only")
+    p.add_argument("--format", choices=["json", "csv"], default="json",
+                   help="--stirling and --cycle-distribution only")
     common(p)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, parser=p)
 
     p = sub.add_parser("scan", help="word-pair scans")
-    p.add_argument("--group", default=None)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--group", default=None)
+    form.add_argument("--series", default=None, help="comma-separated group specs")
     p.add_argument("--pair", default="ak")
     p.add_argument("--mode", default="full-ac")
-    p.add_argument("--base", default=None)
-    p.add_argument("--series", default=None, help="comma-separated group specs")
-    p.add_argument("--no-geodesic", action="store_true")
+    p.add_argument("--base", default=None, help="--group only")
+    p.add_argument("--no-geodesic", action="store_true", help="--group only")
     p.add_argument("--directed-conjugators", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, parser=p)
 
     p = sub.add_parser("verify", help="run the theorem-check suite")
     p.add_argument("--corpus", choices=["small", "full"], default="small")
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
 
@@ -634,8 +633,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "scan" and not args.series and not args.group:
-            raise GroupSpecError("scan needs --group or --series")
         return args.func(args, sys.stdout)
     except (GroupSpecError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

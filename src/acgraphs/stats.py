@@ -78,9 +78,6 @@ class CycleDistribution:
             ],
         }
 
-    def to_csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(c, p.numerator, p.denominator) for c, p in self.support]
-
 
 def cycle_distribution(n: int, parity: str = "all") -> CycleDistribution:
     """Cycle-count distribution of a uniform permutation of n points;

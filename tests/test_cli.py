@@ -225,9 +225,10 @@ def test_walker_steps_are_capped(capsys, monkeypatch):
     assert run_cli(capsys, *words, "4") == (
         3, "", "resource cap: resource cap 'walker_steps' exceeded: need 250, "
                "cap is 200\n")
-    # PRA and Cayley walks draw no conjugator words
+    # PRA and Cayley walks draw no conjugator words, so they refuse the option
     for algorithm in ("pra", "cayley"):
-        assert run_cli(capsys, *words, "4", "--algorithm", algorithm)[0] == 0
+        assert run_cli(capsys, *words, "4", "--algorithm", algorithm) == (
+            1, "", f"error: --conjugator-words does not apply to walk --algorithm {algorithm}\n")
 
 
 def test_oversized_walk_is_refused_at_once():
@@ -396,6 +397,24 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("stats", "--observed", str(tmp_path / "fractional.json"), "--n", "3"),
         ("stats", "--observed", str(tmp_path / "negative.json"), "--n", "4"),
         ("stats", "--observed", str(tmp_path / "hist.json"), "--n", "3", "--format", "csv"),
+        # options the chosen form does not read, and forms that exclude each other
+        *(("walk", "--group", "alt:5", "--algorithm", "cayley", "--normal", "whole", "--k", "1",
+           "--init", "(0 1 2)", "--samples", "50", "--budget", "5", *extra)
+          for extra in (("--conjugator-words", "7"), ("--full-move-set",),
+                        ("--plain-prob", "0.1"), ("--no-cumulative",), ("--threads", "2"))),
+        *(("walk", "--group", "sl2:5", "--algorithm", "pra", "--normal", "whole", "--k", "2",
+           "--init", "[[1,2],[0,1]];[[1,0],[2,1]]", "--samples", "50", *extra)
+          for extra in (("--conjugator-words", "2"), ("--full-move-set",),
+                        ("--plain-prob", "0.1"))),
+        ("walk", "--group", "alt:5", "--normal", "whole", "--init", "(0 1 2)", "--samples", "50",
+         "--full-move-set", "--plain-prob", "0.1"),
+        ("stats", "--stirling", "3", "--cycle-distribution", "4"),
+        ("stats", "--stirling", "3", "--parity", "even"),
+        ("stats", "--stirling", "3", "--n", "3"),
+        ("stats", "--cycle-distribution", "4", "--n", "3"),
+        ("scan", "--group", "sl2:5", "--series", "sl2:3"),
+        ("scan", "--series", "sl2:3", "--base", "[[1,2],[0,1]];[[1,0],[2,1]]"),
+        ("scan", "--series", "sl2:3", "--no-geodesic"),
         ("stats", "--stirling", "-1"),
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",
@@ -419,6 +438,138 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         assert proc.stderr.startswith("error: "), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
         assert all(name in proc.stderr for name in overrides), proc.stderr
+
+
+# -- the option contract: each form reads every option it accepts ----------------
+
+SL2_GENS = "[[1,1],[0,1]];[[1,0],[1,1]]"  # generates SL2(p) for every p
+# the value of each option in a rerun, per subcommand; None marks a flag
+RERUN_VALUES = {
+    "analyze": {"--group": "alt:4", "--k": "3", "--mode": "nielsen", "--normal": "derived",
+                "--directed-conjugators": None, "--diameter": "exact",
+                "--distance": "(0 1);(0 1 2)|(0 1 2);(0 1)", "--format": "csv"},
+    "walk": {"--group": "sym:5", "--normal": "whole", "--algorithm": "cayley", "--k": "3",
+             "--init": "(0 1 2);(1 2 3)", "--budget": "9", "--samples": "41",
+             "--no-cumulative": None, "--plain-prob": "0.1", "--conjugator-words": "2",
+             "--full-move-set": None, "--threads": "2"},
+    "stats": {"--stirling": "4", "--cycle-distribution": "5", "--observed": "hist2.json",
+              "--parity": "even", "--n": "5", "--format": "csv"},
+    "scan": {"--group": "sl2:5", "--series": "sl2:3,sl2:5", "--pair": "x;y",
+             "--mode": "nielsen", "--base": "[[1,2],[0,1]];[[1,0],[1,1]]",
+             "--no-geodesic": None, "--directed-conjugators": None},
+    "verify": {"--corpus": "full"},
+}
+WALK_ACR = ("walk", "--group", "sym:4", "--normal", "derived", "--k", "2", "--init", "(0 1 2)",
+            "--budget", "8", "--samples", "40")
+WALK_PRA = ("walk", "--group", "sl2:3", "--algorithm", "pra", "--normal", "whole",
+            "--init", SL2_GENS, "--budget", "8", "--samples", "40")
+WALK_CAYLEY = ("walk", "--group", "sym:4", "--algorithm", "cayley", "--normal", "derived",
+               "--k", "2", "--init", "(0 1 2)", "--budget", "8", "--samples", "40")
+ANALYZE = ("analyze", "--group", "sym:3", "--k", "2", "--mode", "restricted-ac")
+# the walkers need the init tuple to normally generate N, so it fixes N
+# and another --normal is a precondition error
+FIXED_N = {"--normal": "error: initial tuple does not normally generate N\n"}
+# read, but invisible in these outputs: repeating a conjugation move undoes
+# it in a finite group, so directed conjugators keep the components, and
+# the distances scanned here stay the same too
+SAME_OUTPUT = "exit 0 with the same output"
+SAME = {"--directed-conjugators": SAME_OUTPUT}
+
+
+def _refusals(form: str, *options: str) -> dict[str, str]:
+    return {o: f"error: {o} does not apply to {form}\n" for o in options}
+
+
+def _conflicts(form: str, *options: str) -> dict[str, str]:
+    return {o: f"error: argument {o}: not allowed with argument {form}\n" for o in options}
+
+
+# form -> (base argv, rerun values it overrides, the stderr of each rerun
+# that exits 1, or SAME_OUTPUT); every other rerun exits 0 with another report
+FORMS = {
+    "analyze json": (ANALYZE, {}, {}),
+    "analyze csv": ((*ANALYZE, "--format", "csv"), {"--format": "json"},
+                    {**SAME, **_refusals("analyze --format csv", "--diameter", "--distance")}),
+    "walk acr": (WALK_ACR, {}, FIXED_N),
+    "walk acr full-move-set": ((*WALK_ACR, "--full-move-set"), {},
+                               {**FIXED_N, "--full-move-set": SAME_OUTPUT,
+                                **_refusals("walk --full-move-set", "--plain-prob"),
+                                "--algorithm": "error: --full-move-set does not apply to "
+                                               "walk --algorithm cayley\n"}),
+    "walk pra": (WALK_PRA, {"--group": "sl2:5", "--algorithm": "acr",
+                            "--init": "[[1,2],[0,1]];[[1,0],[1,1]]"},
+                 _refusals("walk --algorithm pra", "--conjugator-words", "--plain-prob",
+                           "--full-move-set")),
+    "walk cayley": (WALK_CAYLEY, {"--algorithm": "acr"},
+                    {"--normal": "error: seeds do not normally generate N\n",
+                     **_refusals("walk --algorithm cayley", "--no-cumulative", "--plain-prob",
+                                 "--conjugator-words", "--full-move-set", "--threads")}),
+    "stats stirling": (("stats", "--stirling", "3"), {},
+                       {**_conflicts("--stirling", "--cycle-distribution", "--observed"),
+                        **_refusals("stats --stirling", "--parity", "--n")}),
+    "stats cycle-distribution": (
+        ("stats", "--cycle-distribution", "4"), {},
+        {**_conflicts("--cycle-distribution", "--stirling", "--observed"),
+         **_refusals("stats --cycle-distribution", "--n")}),
+    "stats observed": (("stats", "--observed", "hist.json", "--n", "4"), {},
+                       {**_conflicts("--observed", "--stirling", "--cycle-distribution"),
+                        **_refusals("stats --observed", "--format")}),
+    "scan group": (("scan", "--group", "sl2:3", "--mode", "restricted-ac"), {},
+                   _conflicts("--group", "--series")),
+    "scan series": (("scan", "--series", "sl2:3", "--mode", "restricted-ac"), {},
+                    {**SAME, **_conflicts("--series", "--group"),
+                     **_refusals("scan --series", "--base", "--no-geodesic")}),
+    "verify": (("verify",), {}, {}),
+}
+# not rerun: every form records --seed and --output in its manifest, the
+# seed whether or not the form draws random numbers; ACR and PRA reports
+# do not depend on --threads by design (see
+# test_walk_thread_count_does_not_change_report); PRA samples the whole
+# group whatever --normal says, and its recorded runs pass --normal whole
+EXEMPT = {"--seed", "--output"}
+EXEMPT_IN = {"walk acr": {"--threads"}, "walk acr full-move-set": {"--threads"},
+             "walk pra": {"--threads", "--normal"}}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_every_accepted_option_is_read(capsys, tmp_path, monkeypatch, form):
+    import acgraphs.verify as verify_mod
+    from acgraphs.cli import build_parser
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify_mod, "CHECKS", (verify_mod.check_stirling_sums,))
+    (tmp_path / "hist.json").write_text('{"2": 900, "4": 100}')
+    (tmp_path / "hist2.json").write_text('{"2": 800, "4": 200}')
+    base, overrides, outcomes = FORMS[form]
+
+    def payload(argv):
+        """A run's exit code, then its report (or CSV text), or its stderr."""
+        code, out, err = run_cli(capsys, *argv)
+        if code:
+            return code, err
+        try:
+            return code, json.loads(out)["report"]
+        except json.JSONDecodeError:
+            return code, out
+
+    code, first = payload(base)
+    assert code == 0, first
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {a.option_strings[0] for a in commands.choices[base[0]]._actions
+               if a.dest != "help"}
+    values = {**RERUN_VALUES[base[0]], **overrides}
+    assert options - EXEMPT == values.keys()
+    for option in sorted(values.keys() - EXEMPT_IN.get(form, set())):
+        value = values[option]
+        code, got = payload([*base, option] + ([] if value is None else [value]))
+        outcome = outcomes.get(option)
+        if outcome is SAME_OUTPUT:
+            assert (code, got) == (0, first), option
+        elif outcome:
+            assert (code, got) == (1, outcome), option
+        else:
+            assert code == 0, (option, got)
+            assert got != first, option
 
 
 def test_walk_with_too_few_samples_reports_insufficient_samples():
