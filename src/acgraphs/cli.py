@@ -361,6 +361,9 @@ def cmd_walk(args, out) -> int:
             args.threads,
         )
         config_json = cfg.to_json()
+        if args.algorithm == "pra":  # Nielsen moves only: the settings PRA reads
+            read = ("k", "stepBudget", "useCumulative")
+            config_json = {key: config_json[key] for key in read}
 
     report: dict = {
         "algorithm": args.algorithm,

@@ -204,7 +204,9 @@ def scan_quotient(
     Requires a unimodular exponent matrix.  On whole-group AC graphs of
     normally 2-generated groups the image must again be a vertex; a
     violation is raised loudly (it would contradict the substitution
-    argument, or exhibit something far more interesting).
+    argument, or exhibit something far more interesting).  The distance
+    is the length of a geodesic; ``want_geodesic`` decides only whether
+    the report carries it.
     """
     matrix, det = exponent_matrix(pair)
     if det not in (1, -1):
@@ -225,17 +227,7 @@ def scan_quotient(
         )
     parts = components(handle)
     same = image_is_vertex and parts.label_of(base_code) == parts.label_of(image_code)
-    dist = None
-    geo = None
-    if same:
-        if base_code == image_code:
-            dist, geo = 0, []
-        elif want_geodesic:
-            geo = handle.geodesic(base_code, image_code)
-            dist = len(geo) if geo is not None else None
-        else:
-            d = handle.bfs_distances([base_code], target=image_code)
-            dist = int(d[image_code])
+    geo = handle.geodesic(base_code, image_code) if same else None
     return ScanReport(
         group,
         base,
@@ -245,7 +237,7 @@ def scan_quotient(
         det,
         image_is_vertex,
         same,
-        dist,
+        len(geo) if geo is not None else None,
         tuple(parts.sizes),
         geo if want_geodesic else None,
     )

@@ -14,13 +14,14 @@ Four graph families share one vertex/edge machinery, selected by
 * extended Nielsen: Nielsen plus component inversion.
 
 Vertices are coded by ``np.ravel_multi_index`` over member positions
-of N.  Edges are never stored.  One move table yields the images of a
+of N.  Edges are never stored.  One move stream yields the images of a
 frontier under every move, block by block, as numpy gathers over product
-and inverse tables; conjugation by w gathers w^-1 y w (backward w y w^-1)
-from the group's product table, one row per w with a distinct
-non-identity action on N.  Product tables keep the group's index dtype
-(uint16 below 65,536 elements, a quarter of int64); each block is widened
-to int64 as it is gathered or scaled by the radix.
+and inverse tables; a move is named by its row's place in the stream.
+Conjugation by w gathers w^-1 y w (backward w y w^-1) from the group's
+product table, one row per w with a distinct non-identity action on N.
+Product tables keep the group's index dtype (uint16 below 65,536
+elements, a quarter of int64); each block is widened to int64 as it is
+gathered or scaled by the radix.
 A caller may leave the conjugation blocks out.  The full-AC BFS leaves
 them out and takes the class step, the level form of the conjugation
 moves: the conjugates of x_i by all of G are its G-class, so along each
@@ -315,57 +316,52 @@ class GraphHandle:
     def format_tuple(self, tup: Sequence[int]) -> str:
         return "; ".join(format_element(self.group.elements[i]) for i in tup)
 
-    # -- move ids (geodesic bookkeeping) ------------------------------------------
+    # -- the move stream ------------------------------------------------------------
 
-    @property
-    def _inv_base(self) -> int:
-        return 4 * self.k * self.k
-
-    @property
-    def _conj_base(self) -> int:
-        return self._inv_base + self.k
-
-    def describe_move(self, move_id: int) -> dict:
-        k = self.k
-        if move_id < self._inv_base:
-            pair, variant = divmod(move_id, 4)
-            i, j = divmod(pair, k)
+    def describe_move(self, place: int) -> dict:
+        """The move at ``place`` in the forward stream of ``_move_images``:
+        per component i, its 4(k - 1) products with each other component j,
+        then its inversion if the mode has one, then its conjugations by
+        ``conjugator_indices`` in order."""
+        products, inversion = 4 * (self.k - 1), int(self.mode.has_inversion)
+        i, r = divmod(place, products + inversion + len(self.conjugator_indices))
+        if r < products:
+            j, variant = divmod(r, 4)
             side = "right" if variant < 2 else "left"
             return {
                 "type": f"multiply_{side}",
                 "i": i,
-                "j": j,
+                "j": j + (j >= i),
                 "inverse": bool(variant % 2),
             }
-        if move_id < self._conj_base:
-            return {"type": "invert", "i": move_id - self._inv_base}
-        row, i = divmod(move_id - self._conj_base, k)
-        w = int(self.conjugator_indices[row])
+        if r < products + inversion:
+            return {"type": "invert", "i": i}
+        w = int(self.conjugator_indices[r - products - inversion])
         return {
             "type": "conjugate",
             "i": i,
             "w": format_element(self.group.elements[w]),
-            "wIndex": int(w),
+            "wIndex": w,
         }
-
-    # -- the move table ------------------------------------------------------------
 
     def _move_images(
         self, frontier: np.ndarray, *, backward: bool = False, conjugation: bool = True
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Every move applied to every frontier code, in move-id order.
+    ) -> Iterator[np.ndarray]:
+        """Every move applied to every frontier code, as blocks of codes.
 
-        Yields ``(move ids, codes)`` blocks, ``codes`` of shape
-        ``(len(ids), len(frontier))`` and at most ``BLOCK_CELLS`` cells per
+        Each block has one row per move and one column per frontier code;
+        concatenated along axis 0, the blocks give one row per move, and a
+        row's place in the stream names its move (``describe_move``).  A
         conjugation block, which gathers w^-1 y w for the members y of
-        component i.  With ``backward`` the blocks hold instead the codes
-        that one move takes to each frontier code (multiplication and
-        inversion moves are closed under inverses, and a conjugation block
-        gathers w y w^-1); their ids then do not name the moves that lead
-        from them.  Without ``conjugation`` the conjugation blocks are left
-        out.  The stream drops each block when resumed, so a caller that
-        drops its own reference too keeps one block alive; the BFS bounds
-        the frontier width by feeding it ``_slices``.
+        component i, holds at most ``BLOCK_CELLS`` cells.  With
+        ``backward`` the blocks hold instead the codes that one move takes
+        to each frontier code (multiplication and inversion moves are
+        closed under inverses, and a conjugation block gathers w y w^-1);
+        a place then names no move that leads from its row.  Without
+        ``conjugation`` the conjugation blocks are left out.  The stream
+        drops each block when resumed, so a caller that drops its own
+        reference too keeps one block alive; the BFS bounds the frontier
+        width by feeding it ``_slices``.
         """
         k, nm = self.k, self.nm
         radix = self.radix[:, None]
@@ -394,12 +390,11 @@ class GraphHandle:
                 )
                 pos *= r
                 pos += base
-                first = (i * k + j) * 4
-                yield np.arange(first, first + 4), pos
+                yield pos
                 del pos
             if self.mode.has_inversion:
                 codes = cols[k + i] + self.NINV[cols[i]][None, :] * r
-                yield np.array([self._inv_base + i]), codes
+                yield codes
                 del codes
             for start in range(0, ws.size, rows):
                 block = pre[start : start + rows] * order + self.member_idx[cols[i]]
@@ -411,19 +406,15 @@ class GraphHandle:
                 np.take(self.pos_of, block, out=block, mode="clip")
                 block *= r
                 block += cols[k + i]
-                ids = self._conj_base + np.arange(start, start + len(block)) * k + i
-                yield ids, block
+                yield block
                 del block  # before the next block is built
 
-    def _images_of(
-        self, code: int, *, backward: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Move ids and image codes of a single code, in move-id order."""
-        blocks = list(self._move_images(np.array([code]), backward=backward))
-        return (
-            np.concatenate([ids for ids, _ in blocks]),
-            np.concatenate([codes.ravel() for _, codes in blocks]),
-        )
+    def _images_of(self, code: int, *, backward: bool = False) -> np.ndarray:
+        """The stream of a single code: entry p is its row at place p (no
+        entry at all in a graph without moves, Nielsen at k = 1)."""
+        column = np.array([code])
+        blocks = self._move_images(column, backward=backward)
+        return np.concatenate([column[:0], *(block[:, 0] for block in blocks)])
 
     # -- symmetries ----------------------------------------------------------------
 
@@ -452,8 +443,7 @@ class GraphHandle:
         code = self.encode(tup)
         if not self.vertex_mask[code]:
             raise PreconditionError(f"not a vertex: {tuple(tup)}")
-        _, images = self._images_of(code)
-        return [self.decode(int(c)) for c in distinct(images) if c != code]
+        return [self.decode(int(c)) for c in distinct(self._images_of(code)) if c != code]
 
     # -- BFS and geodesics -----------------------------------------------------------
 
@@ -490,7 +480,7 @@ class GraphHandle:
         if target is not None:
             if dist[target] == 0:
                 return dist
-            _, target_preds = self._images_of(target, backward=True)
+            target_preds = self._images_of(target, backward=True)
         streamed = self._classes is None  # whether the move streams carry conjugation
         d = 0
         while frontier.size and unvisited_count:
@@ -512,7 +502,7 @@ class GraphHandle:
                 hit[pulled] = True
             else:
                 for part in _slices(frontier):
-                    for _, codes in self._move_images(part, conjugation=streamed):
+                    for codes in self._move_images(part, conjugation=streamed):
                         hit[codes] = True
                         del codes  # before the stream builds the next block
                 # codes marked at earlier levels are visited, so this clears them
@@ -553,7 +543,7 @@ class GraphHandle:
         found = [candidates[:0]]
         for part in _slices(candidates):
             hits = np.zeros(part.size, dtype=bool)
-            for _, preds in self._move_images(part, backward=True, conjugation=conjugation):
+            for preds in self._move_images(part, backward=True, conjugation=conjugation):
                 hits |= in_frontier[preds].any(axis=0)
                 del preds  # before the stream builds the next block
             found.append(part[hits])
@@ -571,14 +561,14 @@ class GraphHandle:
         path = []
         code = target
         for level in range(int(dist[target]) - 1, -1, -1):
-            _, preds = self._images_of(code, backward=True)
+            preds = self._images_of(code, backward=True)
             prev = int(preds[np.argmax(dist[preds] == level)])
-            ids, images = self._images_of(prev)
+            place = int(np.argmax(self._images_of(prev) == code))
             path.append(
                 {
                     "from": self.format_tuple(self.decode(prev)),
                     "to": self.format_tuple(self.decode(code)),
-                    "move": self.describe_move(int(ids[np.argmax(images == code)])),
+                    "move": self.describe_move(place),
                 }
             )
             code = prev

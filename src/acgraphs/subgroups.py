@@ -213,15 +213,16 @@ class JoinOracle:
             labels = group.class_labels
             for rep in np.flatnonzero(labels == np.arange(group.order)).tolist():
                 sub = normal_closure(group, [rep]).member_set
-                ids[labels == rep] = self._intern(sub)
+                ids[labels == rep] = self.id_of_members(sub)
         else:
             powers = group.power_rows()
             orders = np.argmax(powers[1:] == 0, axis=0) + 1
             for i in range(group.order):
-                ids[i] = self._intern(frozenset(powers[: orders[i], i].tolist()))
+                ids[i] = self.id_of_members(frozenset(powers[: orders[i], i].tolist()))
         return ids
 
-    def _intern(self, members: frozenset[int]) -> int:
+    def id_of_members(self, members: frozenset[int]) -> int:
+        """The id of the subgroup with these members, interned on first sight."""
         with self._lock:
             sid = self._id_of.get(members)
             if sid is None:
@@ -232,9 +233,6 @@ class JoinOracle:
 
     def members_of(self, sid: int) -> frozenset[int]:
         return self._subgroups[sid]
-
-    def id_of_members(self, members: frozenset[int]) -> int:
-        return self._intern(members)
 
     def singleton_id(self, i: int) -> int:
         return int(self.singleton_ids[i])
@@ -256,7 +254,7 @@ class JoinOracle:
                     elif mb <= ma:
                         sid = a
                     else:
-                        sid = self._intern(_saturate(self.group, ma | mb))
+                        sid = self.id_of_members(_saturate(self.group, ma | mb))
                     self._join_memo[key] = sid
         return sid
 

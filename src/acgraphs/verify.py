@@ -307,10 +307,10 @@ def _small_handles(ctx: VerifyContext) -> list[GraphHandle]:
 
 def _neighbor_pairs(handle: GraphHandle) -> tuple[np.ndarray, np.ndarray]:
     """Codes (v, u) of each vertex v and each of its neighbours u != v,
-    from one pass of the move table, ordered by v and then by u, as
+    from one pass of the move stream, ordered by v and then by u, as
     ``neighbors`` lists them vertex by vertex."""
     codes = np.flatnonzero(handle.vertex_mask)
-    images = np.concatenate([block for _, block in handle._move_images(codes)])
+    images = np.concatenate(list(handle._move_images(codes)))
     v, u = np.divmod(distinct(codes * handle.size + images), handle.size)
     loop = u == v
     return v[~loop], u[~loop]

@@ -78,7 +78,9 @@ class WalkConfig:
             raise PreconditionError("conjugator word length must be >= 1")
 
     def to_json(self) -> dict:
-        return {
+        """The settings an ACR walk reads; a full move set draws its four
+        moves alike, so it reads no plain-move probability."""
+        out = {
             "k": self.k,
             "stepBudget": self.step_budget,
             "useCumulative": self.use_cumulative,
@@ -90,6 +92,9 @@ class WalkConfig:
             ),
             "fullMoveSet": self.full_move_set,
         }
+        if self.full_move_set:
+            del out["plainMoveProbability"]
+        return out
 
 
 def default_step_budget(

@@ -48,6 +48,25 @@ def conj(a: GroupElement, w: GroupElement) -> GroupElement:
     return inverse(w) * a * w
 
 
+def apply_move(group, tup, move):
+    """Apply a move, as ``GraphHandle.describe_move`` names it, to a tuple
+    of element indices by hand, on element objects."""
+    els = group.elements
+    out = list(tup)
+    i = move["i"]
+    x = els[tup[i]]
+    if move["type"] == "invert":
+        x = inverse(x)
+    elif move["type"] == "conjugate":
+        x = conj(x, els[move["wIndex"]])
+    else:
+        y = els[tup[move["j"]]]
+        y = inverse(y) if move["inverse"] else y
+        x = x * y if move["type"] == "multiply_right" else y * x
+    out[i] = group.index_of(x)
+    return tuple(out)
+
+
 def identity_like(a: GroupElement) -> GroupElement:
     if isinstance(a, Permutation):
         return Permutation(range(a.degree))

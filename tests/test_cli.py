@@ -138,6 +138,31 @@ def test_walk_cayley(capsys):
     assert doc["report"]["mixing"]["samples"] == 300
 
 
+@pytest.mark.parametrize(
+    "options, keys",
+    [
+        (("--algorithm", "pra"), {"k", "stepBudget", "useCumulative"}),
+        (("--algorithm", "acr", "--full-move-set"),
+         {"k", "stepBudget", "useCumulative", "conjugatorSource", "fullMoveSet"}),
+        (("--algorithm", "acr"), {"k", "stepBudget", "useCumulative", "conjugatorSource",
+                                  "fullMoveSet", "plainMoveProbability"}),
+        (("--algorithm", "cayley", "--normal", "derived", "--k", "1", "--init", "(0 1 2)"),
+         {"k", "stepBudget"}),
+    ],
+    ids=["pra", "acr-full-move-set", "acr", "cayley"],
+)
+def test_walk_config_names_only_the_settings_the_walk_reads(capsys, options, keys):
+    start = ("--normal", "whole", "--k", "2", "--init", "(0 1);(0 1 2 3)")
+    code, out, err = run_cli(
+        capsys, "walk", "--group", "sym:4", *start, "--budget", "5", "--samples", "20",
+        *options,
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert set(doc["report"]["config"]) == keys
+    assert doc["manifest"]["parameters"]["config"] == doc["report"]["config"]
+
+
 def test_stats_distribution_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "stats", "--cycle-distribution", "4",
                            "--parity", "even")

@@ -31,6 +31,7 @@ from acgraphs.verify import SMALL_CORPUS
 
 from helpers import (
     all_vertex_diameter,
+    apply_move,
     brute_center,
     brute_components,
     brute_diameter,
@@ -280,16 +281,43 @@ def test_conjugation_rows_are_distinct_and_not_identity():
             kept = h.conjugator_indices.tolist()
             assert len(kept) == len(actions), (spec, mode, normal)
             assert {tuple(conjugated[w, m].tolist()) for w in kept} == actions
+            moves = [h.describe_move(p) for p in range(len(h._images_of(0)))]
+            places = [p for p, move in enumerate(moves) if move["type"] == "conjugate"]
+            assert len(places) == 2 * len(kept)
             for x, backward in itertools.product(m, (False, True)):
-                ids, images = h._images_of(h.encode((x, x)), backward=backward)
-                moved = ids >= h._conj_base
-                assert moved.sum() == 2 * len(kept)
-                for move, image in zip(ids[moved].tolist(), images[moved].tolist()):
-                    row, i = divmod(move - h._conj_base, h.k)
-                    w = kept[row]
+                images = h._images_of(h.encode((x, x)), backward=backward)
+                for p in places:
+                    i, w = moves[p]["i"], moves[p]["wIndex"]
+                    image = int(images[p])
                     # a backward block undoes the move: w y w^-1
                     y = int(conjugated[g.inv_array[w] if backward else w, x])
                     assert h.decode(image) == tuple(y if c == i else x for c in range(2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4"])
+def test_every_place_of_the_move_stream_holds_its_described_move(spec, k):
+    """At every place p of every code's forward stream sits the image of
+    the code's tuple under ``describe_move(p)``, applied to element
+    objects; in AC modes over G and over [G, G], which dihedral:4
+    conjugates trivially."""
+    g = parse_group(spec)
+    derived = derived_subgroup(g)
+    for mode, normal in (
+        *itertools.product(
+            (GraphMode.full_ac(), GraphMode.restricted_ac(),
+             GraphMode.restricted_ac(directed=True)),
+            (None, derived),
+        ),
+        (GraphMode.nielsen(), None),
+        (GraphMode.extended_nielsen(), None),
+    ):
+        h = GraphHandle(g, k, mode, normal)
+        moves = [h.describe_move(p) for p in range(len(h._images_of(0)))]
+        for code in range(h.size):
+            tup = h.decode(code)
+            got = [h.decode(int(c)) for c in h._images_of(code)]
+            assert got == [apply_move(g, tup, move) for move in moves], (mode, code)
 
 
 def test_restricted_neighbors_use_inverse_conjugators_by_default():
@@ -439,9 +467,9 @@ def _spy_move_images(monkeypatch, h):
     def spy(frontier, *, backward=False, conjugation=True):
         cells = 0
         try:
-            for ids, codes in move_images(frontier, backward=backward, conjugation=conjugation):
+            for codes in move_images(frontier, backward=backward, conjugation=conjugation):
                 cells += codes.size
-                yield ids, codes
+                yield codes
         finally:
             log.append((backward, frontier.size, cells))
 
@@ -450,12 +478,11 @@ def _spy_move_images(monkeypatch, h):
 
 
 def _conjugation_images(h, codes):
-    """Per code of ``codes``, the sorted codes of its conjugation blocks in
-    the move table, with the code itself."""
-    images = [codes[None, :]] + [
-        block for ids, block in h._move_images(codes) if ids[0] >= h._conj_base
-    ]
-    return [np.unique(col) for col in np.concatenate(images).T]
+    """Per code of ``codes``, the sorted codes at the conjugation places of
+    the move stream, with the code itself."""
+    images = np.concatenate(list(h._move_images(codes)))
+    places = [p for p in range(len(images)) if h.describe_move(p)["type"] == "conjugate"]
+    return [np.unique(col) for col in np.concatenate((codes[None, :], images[places])).T]
 
 
 @pytest.mark.parametrize("spec", SMALL_CORPUS)
@@ -482,9 +509,9 @@ def test_class_step_is_the_union_of_the_conjugation_blocks(spec):
 
 def _move_table_adjacency(h):
     """Out-neighbour sets of every vertex code from one forward pass of the
-    move table (itself checked against element-object moves above)."""
+    move stream (itself checked against element-object moves above)."""
     codes = np.flatnonzero(h.vertex_mask)
-    images = np.concatenate([block for _, block in h._move_images(codes)])
+    images = np.concatenate(list(h._move_images(codes)))
     return {int(c): set(images[:, n].tolist()) for n, c in enumerate(codes)}
 
 
@@ -504,7 +531,7 @@ def test_bfs_pulls_its_last_levels_within_the_push_cells(monkeypatch, spec, mode
     # the moves a BFS stream carries per code: in full AC the class step
     # stands for the conjugation moves
     streamed = h._move_images(np.array([0]), conjugation=h._classes is None)
-    moves = sum(len(ids) for ids, _ in streamed)
+    moves = sum(len(codes) for codes in streamed)
     log = _spy_move_images(monkeypatch, h)
     # the default budget, under which every level of these graphs is one
     # slice, and 64-code slices with 16-row conjugation blocks, under which
@@ -578,18 +605,22 @@ def test_narrow_move_tables_give_the_int64_blocks(spec, k):
         wide.NMUL = h.NMUL.astype(np.int64)
         rng = np.random.default_rng(17)
         frontier = np.concatenate((rng.choice(h.size, 300), np.arange(h.size - 30, h.size)))
+        places = len(h._images_of(0))
+        plain = [p for p in range(places) if h.describe_move(p)["type"] != "conjugate"]
         for backward, conjugation in itertools.product((False, True), repeat=2):
             narrow = list(h._move_images(frontier, backward=backward,
                                          conjugation=conjugation))
             reference = list(wide._move_images(frontier, backward=backward,
                                                conjugation=conjugation))
             assert len(narrow) == len(reference)
-            assert conjugation == any(ids[0] >= h._conj_base for ids, _ in narrow)
-            for (ids, codes), (ref_ids, ref_codes) in zip(narrow, reference):
+            # without conjugation, the stream is the full one less its
+            # conjugation places
+            full = np.concatenate(list(h._move_images(frontier, backward=backward)))
+            assert np.array_equal(np.concatenate(narrow), full if conjugation else full[plain])
+            for n, (codes, ref_codes) in enumerate(zip(narrow, reference)):
                 assert codes.dtype == np.int64
-                assert np.array_equal(ids, ref_ids)
-                assert np.array_equal(codes, ref_codes), (spec, mode, backward, ids[0])
-            assert max(codes.max() for _, codes in narrow) >= 2**16
+                assert np.array_equal(codes, ref_codes), (spec, mode, backward, n)
+            assert max(codes.max() for codes in narrow) >= 2**16
 
 
 @pytest.mark.parametrize(
@@ -611,7 +642,7 @@ def test_sliced_bfs_matches_the_oracles(monkeypatch, spec, mode):
 )
 def test_class_step_bfs_matches_the_oracles(monkeypatch, spec, k, derived):
     """Full-AC BFS, whose conjugation moves are the class step, against
-    the oracles over the move table, which streams them as blocks."""
+    the oracles over the move stream, which streams them as blocks."""
     g = parse_group(spec)
     h = GraphHandle(g, k, GraphMode.full_ac(), derived_subgroup(g) if derived else None)
     _check_sliced_bfs(monkeypatch, h)
@@ -729,6 +760,11 @@ def test_distance_none_across_components():
     u = h.decode(int(parts.reps[0]))
     v = h.decode(int(parts.reps[1]))
     assert distance(h, u, v) is None
+    # a Nielsen graph at k = 1 has no moves: each vertex is a component
+    h = GraphHandle(parse_group("cyclic:5"), 1, GraphMode.nielsen())
+    assert components(h).count == h.vertex_count == 4
+    assert h.neighbors((1,)) == []
+    assert distance(h, (1,), (2,)) is None
 
 
 def test_diameter_singleton_component():
@@ -1148,25 +1184,6 @@ def test_encode_rejects_outside_members():
     for wrong_length in ((0,), (0, 0, 0)):
         with pytest.raises(PreconditionError):
             h.encode(wrong_length)
-
-
-def apply_move(group, tup, move):
-    """Apply a described move to a tuple of element indices by hand, on
-    element objects."""
-    els = group.elements
-    out = list(tup)
-    i = move["i"]
-    x = els[tup[i]]
-    if move["type"] == "invert":
-        x = inverse(x)
-    elif move["type"] == "conjugate":
-        x = conj(x, els[move["wIndex"]])
-    else:
-        y = els[tup[move["j"]]]
-        y = inverse(y) if move["inverse"] else y
-        x = x * y if move["type"] == "multiply_right" else y * x
-    out[i] = group.index_of(x)
-    return tuple(out)
 
 
 def test_geodesic_moves_replay():

@@ -42,11 +42,11 @@ def _broken(handle, row, image):
     move_images = handle._move_images
 
     def images(frontier, *, backward=False):
-        for n, (ids, codes) in enumerate(move_images(frontier, backward=backward)):
+        for n, codes in enumerate(move_images(frontier, backward=backward)):
             if n == 0:
                 base = frontier % handle.radix[0]
                 codes[row] = image(codes, base)
-            yield ids, codes
+            yield codes
 
     handle._move_images = images
     return handle
