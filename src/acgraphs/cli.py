@@ -322,8 +322,13 @@ def cmd_walk(args, out) -> int:
         raise GroupSpecError(f"the {label} walk needs an enumerated group")
     if ambient and args.normal != "derived":
         raise GroupSpecError("ambient symmetric walks support --normal derived only")
-    target = "whole" if args.algorithm == "pra" else args.normal
+    # PRA samples the whole group: its default --normal means that group
+    target = "whole" if args.algorithm == "pra" and args.normal == "derived" else args.normal
     normal = None if ambient else _resolve_normal(group, target)
+    if args.algorithm == "pra" and not normal.is_whole_group():
+        raise GroupSpecError(
+            f"--normal {args.normal} is not the whole group, which walk --algorithm pra samples"
+        )
     init = parse_tuple(group, args.init, args.k)
 
     degree = group.degree if ambient else None
@@ -636,6 +641,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy seeds only non-negative integers
+            raise GroupSpecError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args, sys.stdout)
     except (GroupSpecError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,57 +14,38 @@ Four graph families share one vertex/edge machinery, selected by
 * extended Nielsen: Nielsen plus component inversion.
 
 Vertices are coded by ``np.ravel_multi_index`` over member positions
-of N.  Edges are never stored.  One move stream yields the images of a
-frontier under every move, block by block, as numpy gathers over product
-and inverse tables; a move is named by its row's place in the stream.
-Conjugation by w gathers w^-1 y w (backward w y w^-1) from the group's
-product table, one row per w with a distinct non-identity action on N.
-Product tables keep the group's index dtype (uint16 below 65,536
-elements, a quarter of int64); each block is widened to int64 as it is
-gathered or scaled by the radix.
-A caller may leave the conjugation blocks out.  The full-AC BFS leaves
-them out and takes the class step, the level form of the conjugation
-moves: the conjugates of x_i by all of G are its G-class, so along each
-axis it ORs the frontier mask over each class (one ``reduceat`` over a
-class-sorted order) and broadcasts the result back over the class, the
-frontier times a block-diagonal matrix of all-ones class blocks (Kepner &
-Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011).
-The BFS runs in a bounded working set: beyond its arrays over the code
-space, what it allocates fits one budget of ``BLOCK_CELLS`` int64 cells
-(1 MiB, half a 2 MiB L2 cache).  It streams each level in slices of
-``BLOCK_CELLS // 16`` codes, each slice's conjugation blocks hold at most
-the budget, and one block is alive at a time.  On the sl2:7 full-AC graph
-at k=2, the handle holds 0.4 MB, ``components`` peaks 2.1 MB above it
-(tracemalloc), and ``analyze`` at about 34 MB RSS, 30 MB of which is the
-interpreter with numpy and the CLI imported.  BFS picks a direction per
-level.  A push level marks each block in a reusable hit map, masks the
-map by the unvisited vertices and scans it for the next frontier.  Once
-the unvisited vertices are no more than the frontier, a pull level instead
-reads the inverse moves of the unvisited codes and keeps those with a
-preimage in the frontier (Beamer, Asanovic & Patterson, SC 2012); in full
-AC the class step's hits join the level first and leave the scan.  A BFS
-toward a target stops before the level that holds one of the target's
-preimages.  Geodesics walk back from the target over the distance array
-through the inverse moves, so no parent pointers are stored.
+of N; edges are never stored.  One move stream (``_move_images``) yields
+the images of a frontier under every move, block by block, as numpy
+gathers over product and inverse tables; a move is named by its row's
+place in the stream.  Over the whole group a member's position is its
+element index, so the handle moves over the group's own product table and
+inverse array; only a proper N gets tables of its own.  Product tables
+keep the group's index dtype (uint16 below 65,536 elements); each block
+is widened to int64 as it is built.
+
+The BFS is one generator, ``_levels``, that yields each level's codes and
+builds the next only when asked.  It picks push or pull per level (Beamer,
+Asanovic & Patterson, SC 2012), takes full AC's conjugation moves in their
+level form (``_class_step``), and runs in a bounded working set: beyond
+its hit map and unvisited mask, 2 bytes per code, and its frontier, what
+it allocates fits one budget of ``BLOCK_CELLS`` int64 cells (1 MiB, half
+a 2 MiB L2 cache).  ``bfs_distances`` writes the levels into an int32
+distance array, which geodesics, ``distance`` and exact diameters read;
+``components`` labels the levels as they arrive and a diameter estimate
+counts them, so neither builds a distance array.  On the sl2:7 full-AC
+graph at k=2, the handle holds 0.2 MB, ``components`` peaks 1.7 MB above
+it (tracemalloc), and ``analyze`` at about 34 MB RSS, 30 MB of which is
+the interpreter with numpy and the CLI imported.  Geodesics walk back from
+the target over the distance array through the inverse moves, so no
+parent pointers are stored.
 
 The vertex mask is the table of ``subgroups.generating_tuples``, the
-census that also counts psi_k: it folds the join oracle once per orbit of
-the entries' singleton-closure id tuples, and is read off for the whole
-code space at once through each member's id.  A diameter takes its
-component as a boolean mask over the code space, 1 byte per code, and
-reads each BFS's distance array as it is, so a double sweep lists no
-codes.  Exact diameters keep an eccentricity bound per code that every
-BFS tightens, and run each next BFS from the orbit with the largest
-bound, under a few code permutations that preserve the vertices and the
-moves (diagonal conjugation, position permutations, inversion of one
-component); they stop once no orbit's bound exceeds the largest
-eccentricity found.  Both kinds of orbit come from
-``groups.least_in_orbit``, the min-label propagation that also labels
-conjugacy classes; code orbit labels are cached per handle.  The labels
-and the symmetry maps are int32 below 2**31 codes, built narrow by
-``groups.tuple_codes``.  The symmetry maps' conjugation rows and the
-check that N is closed under conjugation are column gathers of
-``FiniteGroup.conjugation_rows``.
+census that also counts psi_k, read off for the whole code space at once
+through each member's id.  A diameter takes its component as a boolean
+mask over the code space, 1 byte per code; exact diameters prune their
+sweeps by eccentricity bounds over the orbits of a few code symmetries
+(``symmetry_maps``, int32 below 2**31 codes), labelled by
+``groups.least_in_orbit`` and cached per handle.
 """
 
 from __future__ import annotations
@@ -214,9 +195,12 @@ class GraphHandle:
     def _member_tables(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Product table in the group's index dtype (None at k = 1, where
         no multiplication move exists) and inverse array over member
-        positions.  Closure under product is checked at every k, in row
-        blocks of at most ``BLOCK_CELLS`` cells."""
+        positions: the group's own over the whole group.  Over a proper N,
+        closure under product is checked at every k, in row blocks of at
+        most ``BLOCK_CELLS`` cells."""
         g, m, nm = self.group, self.member_idx, self.nm
+        if nm == g.order:
+            return (g.mul_table if self.k > 1 else None), g.inv_array
         ninv = self.pos_of[g.inv_array[m]]
         if (ninv < 0).any():
             raise PreconditionError("member set not closed under inverse")
@@ -295,11 +279,10 @@ class GraphHandle:
         """Code of a tuple of group element indices."""
         if len(tup) != self.k:
             raise PreconditionError(f"tuple length {len(tup)} != k={self.k}")
-        pos = self.pos_of.take(tup)
-        if pos.min() < 0:
-            bad = tup[int(np.argmin(pos))]
-            raise PreconditionError(f"element index {bad} outside the member set")
-        return int(np.ravel_multi_index(pos, self.shape))
+        for i in tup:
+            if not 0 <= i < self.group.order or self.pos_of[i] < 0:
+                raise PreconditionError(f"element index {i} outside the member set")
+        return int(np.ravel_multi_index(self.pos_of.take(tup), self.shape))
 
     def decode(self, code: int) -> tuple[int, ...]:
         """Tuple of group element indices for a vertex code."""
@@ -447,73 +430,93 @@ class GraphHandle:
 
     # -- BFS and geodesics -----------------------------------------------------------
 
-    def bfs_distances(
-        self, sources: Sequence[int], *, target: int | None = None
-    ) -> np.ndarray:
-        """Distance array (int32, -1 unreached) from source codes.
+    def _codes(self, codes, what: str) -> np.ndarray:
+        """``codes`` as int64, PreconditionError if one is outside the code
+        space."""
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.size and not (0 <= codes.min() and codes.max() < self.size):
+            raise PreconditionError(f"{what} code outside 0..{self.size - 1}")
+        return codes
+
+    def _levels(self, sources: Sequence[int]) -> Iterator[np.ndarray]:
+        """The codes of each BFS level from the source codes, ascending,
+        level 0 (the sources) first.
 
         Each level pushes every move from the frontier into a hit map,
-        one slice of the frontier at a time, unless the unvisited vertices
-        are no more than the frontier: then it pulls, testing each
-        unvisited code's preimages against the frontier.  Every code has the
-        same number of moves, so a pull never scans more cells than the push
-        it replaces.  In full AC the conjugation moves take their level form
-        instead, the class step: its hits join the level at once, and both
-        directions stream only the multiplication and inversion moves, a
-        pull over the candidates the class step left.  With ``target``, the
-        target's preimages are read once, and the BFS stops before expanding
-        the level that holds one of them, with ``dist[target]`` set and every
-        lower level complete.
+        slice by slice, unless the unvisited vertices are no more than the
+        frontier: then it pulls, testing each unvisited code's preimages
+        against the frontier, which never scans more cells than the push
+        it replaces.  In full AC the class step's hits join the level at
+        once, and both directions stream only the other moves.  The next
+        level is built only when asked for; a consumer that drops its level
+        first keeps one frontier alive while the next is built.
         """
         # the frontier's codes, on entry to every level
         hit = np.zeros(self.size, dtype=bool)
-        hit[np.asarray(sources, dtype=np.int64)] = True
-        src = np.flatnonzero(hit)
-        if not self.vertex_mask[src].all():
+        hit[self._codes(sources, "BFS source")] = True
+        frontier = np.flatnonzero(hit)
+        if not self.vertex_mask[frontier].all():
             raise PreconditionError("BFS source is not a vertex")
-        dist = np.full(self.size, -1, dtype=np.int32)
-        dist[src] = 0
         unvisited = self.vertex_mask.copy()
-        unvisited[src] = False
-        unvisited_count = self.vertex_count - src.size
-        frontier = src
-        if target is not None:
-            if dist[target] == 0:
-                return dist
-            target_preds = self._images_of(target, backward=True)
+        unvisited[frontier] = False
+        unvisited_count = self.vertex_count - frontier.size
         streamed = self._classes is None  # whether the move streams carry conjugation
-        d = 0
-        while frontier.size and unvisited_count:
-            if target is not None and hit[target_preds].any():
-                dist[target] = d + 1
-                return dist
-            d += 1
+        while frontier.size:
+            yield frontier
+            if not unvisited_count:
+                return
             reached = None  # the class step's new codes, read before the hit map is reused
             if not streamed:
                 reached = self._class_step(hit)
                 reached &= unvisited
             if unvisited_count <= frontier.size:
+                del frontier  # a pull reads the frontier's mask, not its codes
                 candidates = unvisited if reached is None else unvisited & ~reached
                 pulled = self._pull(np.flatnonzero(candidates), hit, conjugation=streamed)
+                del candidates
                 if reached is None:
                     hit[:] = False
                 else:
                     hit = reached
                 hit[pulled] = True
+                del pulled
             else:
                 for part in _slices(frontier):
                     for codes in self._move_images(part, conjugation=streamed):
                         hit[codes] = True
                         del codes  # before the stream builds the next block
+                del part, frontier  # a slice is a view that keeps its frontier
                 # codes marked at earlier levels are visited, so this clears them
                 hit &= unvisited
                 if reached is not None:
                     hit |= reached
-            del reached
+            del reached  # nothing but the hit map and the masks outlives a level
             frontier = np.flatnonzero(hit)
             unvisited[frontier] = False
             unvisited_count -= frontier.size
-            dist[frontier] = d
+
+    def bfs_distances(
+        self, sources: Sequence[int], *, target: int | None = None
+    ) -> np.ndarray:
+        """Distance array (int32, -1 unreached) from source codes, written
+        level by level from ``_levels``.  With ``target``, the BFS stops at
+        the first level that holds one of the target's preimages, with
+        ``dist[target]`` set and every lower level complete."""
+        dist = np.full(self.size, -1, dtype=np.int32)
+        if target is not None:
+            target = int(self._codes(target, "BFS target"))
+            target_preds = self._images_of(target, backward=True)
+        d = -1  # no enumerate(): its reused result tuple would keep the last level
+        for level in self._levels(sources):
+            d += 1
+            dist[level] = d
+            del level  # before the next level is built
+            if target is None:
+                continue
+            if dist[target] < 0 and (dist[target_preds] == d).any():
+                dist[target] = d + 1
+            if dist[target] >= 0:
+                break
         return dist
 
     def _class_step(self, mask: np.ndarray) -> np.ndarray:
@@ -633,10 +636,13 @@ def components(handle: GraphHandle) -> ComponentPartition:
         code += int(np.argmax(unlabeled[code:]))
         if not unlabeled[code]:
             break
-        comp = handle.bfs_distances([code]) >= 0
-        labels[comp] = len(sizes)
-        unlabeled[comp] = False
-        sizes.append(int(np.count_nonzero(comp)))
+        size = 0
+        for level in handle._levels([code]):
+            labels[level] = len(sizes)
+            unlabeled[level] = False
+            size += level.size
+            del level  # before the next level is built
+        sizes.append(size)
         reps.append(code)
     return ComponentPartition(handle, labels, tuple(sizes), tuple(reps))
 
@@ -652,23 +658,40 @@ def distance(handle: GraphHandle, u: Sequence[int], v: Sequence[int]) -> int | N
     return d if d >= 0 else None
 
 
+def _eccentricity(
+    handle: GraphHandle, source: int, component: np.ndarray, size: int
+) -> tuple[int, int]:
+    """The eccentricity of ``source`` and the first code at that distance,
+    read from the BFS levels; PreconditionError unless the levels fill the
+    ``component`` mask of ``size`` codes."""
+    ecc, reached = -1, 0
+    for level in handle._levels([source]):
+        if not component[level].all():
+            raise PreconditionError("the mask is not a single component")
+        ecc += 1
+        reached += level.size
+        far = int(level[0])
+        del level  # before the next level is built
+    if reached != size:
+        raise PreconditionError("the mask is not a single component")
+    return ecc, far
+
+
 def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) -> int:
     """Max eccentricity of one component, by bounds that tighten after
     every BFS (Takes & Kosters, CIKM 2011).
 
     ``component`` is a boolean mask over the code space, such as
     ``parts.labels == lab``: 1 byte per code, where a list of the
-    component's codes would take 8.  A BFS from one of its codes reaches
-    exactly the component, so each sweep reads the distance array as it
-    is: ``argmax`` finds the first farthest code.  The lower bound is the
-    largest eccentricity found.
-    A BFS from w bounds each code v by ecc(w) + d(w, v), and each code
-    keeps its least bound.  The first two BFS are the double sweep, from
-    the first code and from a farthest one; ``exact=False`` returns after
-    them and keeps no bounds.  Each next BFS runs from the first code of
-    the symmetry orbit whose least bound is largest, until none exceeds the
-    lower bound; the component's codes are grouped by orbit once, after
-    the double sweep.  Symmetries preserve eccentricity but may carry one
+    component's codes would take 8.  The first two BFS are the double
+    sweep, from the first code and from the first farthest one;
+    ``exact=False`` returns the larger eccentricity after them, read from
+    the BFS levels, so it builds no distance array.  Otherwise each BFS's
+    distance array gives the lower bound, the largest eccentricity found,
+    and bounds each code v by ecc(w) + d(w, v) for the source w; each code
+    keeps its least bound.  Each next BFS runs from the first code of the
+    symmetry orbit whose least bound is largest, until none exceeds the
+    lower bound.  Symmetries preserve eccentricity but may carry one
     component onto another, so an orbit stands for its codes inside the
     component.  With directed conjugators a BFS gives d(w, v), not the
     d(v, w) the bound needs, so it bounds only w.
@@ -681,8 +704,12 @@ def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) 
         raise PreconditionError("empty component")
     if size == 1:
         return 0
-    upper = np.full(handle.size, size, dtype=np.int32) if exact else None
-    lower, source = 0, int(np.argmax(component))
+    source = int(np.argmax(component))
+    if not exact:
+        first, far = _eccentricity(handle, source, component, size)
+        return max(first, _eccentricity(handle, far, component, size)[0])
+    upper = np.full(handle.size, size, dtype=np.int32)
+    lower = 0
     for sweep in itertools.count():
         dist = handle.bfs_distances([source])
         if not np.array_equal(dist >= 0, component):
@@ -690,17 +717,14 @@ def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) 
         far = int(np.argmax(dist))
         ecc = int(dist[far])
         lower = max(lower, ecc)
-        if upper is not None:
-            if not handle.mode.directed_conjugators:
-                dist += ecc
-                np.minimum(upper, dist, out=upper)
-            upper[source] = ecc
+        if not handle.mode.directed_conjugators:
+            dist += ecc
+            np.minimum(upper, dist, out=upper)
+        upper[source] = ecc
         del dist  # before the next BFS
         if sweep == 0:
             source = far
             continue
-        if upper is None:
-            return lower
         if sweep == 1:
             # the component's codes grouped by orbit, each group in code order;
             # the orbit labels are built first, so their peak holds no codes

@@ -282,6 +282,10 @@ def test_exit_codes(capsys):
         code, _, err = run_cli(capsys, "stats", flag, "1001")
         assert (code, err) == (3, "resource cap: resource cap 'stirling_row' exceeded: "
                                   "need 1001, cap is 1000\n")
+    # a word literal's letters are counted before any is built
+    assert run_cli(capsys, "scan", "--group", "sl2:5", "--pair", "x^99999999999;y") == (
+        3, "", "resource cap: resource cap 'word_letters' exceeded: need 99999999999, "
+               "cap is 1048576\n")
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     code, _, err = run_cli(capsys, "scan")
@@ -441,6 +445,14 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         ("scan", "--series", "sl2:3", "--base", "[[1,2],[0,1]];[[1,0],[2,1]]"),
         ("scan", "--series", "sl2:3", "--no-geodesic"),
         ("stats", "--stirling", "-1"),
+        # numpy seeds only non-negative integers; every form records its seed
+        *((*argv, "--seed", "-1") for argv in (
+            ("analyze", "--group", "sym:3", "--k", "2"),
+            ("walk", "--group", "sym:4", "--init", "(0 1 2)", "--samples", "20"),
+            ("stats", "--stirling", "3"),
+            ("scan", "--group", "sl2:3"),
+            ("verify",),
+        )),
         ("stats", "--stirling", "4", "--output", str(missing / "out.json")),
         ("stats", "--stirling", "4", "--format", "csv",
          "--output", str(missing / "out.csv")),
@@ -521,10 +533,15 @@ FORMS = {
                                 **_refusals("walk --full-move-set", "--plain-prob"),
                                 "--algorithm": "error: --full-move-set does not apply to "
                                                "walk --algorithm cayley\n"}),
+    # PRA samples the whole group: a proper normal subgroup, the centre of
+    # sl2:3, is refused
     "walk pra": (WALK_PRA, {"--group": "sl2:5", "--algorithm": "acr",
-                            "--init": "[[1,2],[0,1]];[[1,0],[1,1]]"},
-                 _refusals("walk --algorithm pra", "--conjugator-words", "--plain-prob",
-                           "--full-move-set")),
+                            "--init": "[[1,2],[0,1]];[[1,0],[1,1]]",
+                            "--normal": "ncl:[[2,0],[0,2]]"},
+                 {"--normal": "error: --normal ncl:[[2,0],[0,2]] is not the whole group, "
+                              "which walk --algorithm pra samples\n",
+                  **_refusals("walk --algorithm pra", "--conjugator-words", "--plain-prob",
+                              "--full-move-set")}),
     "walk cayley": (WALK_CAYLEY, {"--algorithm": "acr"},
                     {"--normal": "error: seeds do not normally generate N\n",
                      **_refusals("walk --algorithm cayley", "--no-cumulative", "--plain-prob",
@@ -549,11 +566,10 @@ FORMS = {
 # not rerun: every form records --seed and --output in its manifest, the
 # seed whether or not the form draws random numbers; ACR and PRA reports
 # do not depend on --threads by design (see
-# test_walk_thread_count_does_not_change_report); PRA samples the whole
-# group whatever --normal says, and its recorded runs pass --normal whole
+# test_walk_thread_count_does_not_change_report)
 EXEMPT = {"--seed", "--output"}
 EXEMPT_IN = {"walk acr": {"--threads"}, "walk acr full-move-set": {"--threads"},
-             "walk pra": {"--threads", "--normal"}}
+             "walk pra": {"--threads"}}
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))

@@ -3,6 +3,7 @@ import pytest
 
 from acgraphs.conjecture import (
     AK_PAIR,
+    MAX_WORD_LETTERS,
     Word,
     apply_pair_map,
     distance_series,
@@ -15,7 +16,7 @@ from acgraphs.conjecture import (
     word_to_text,
 )
 from acgraphs.elements import MatrixGF, parse_cycles
-from acgraphs.errors import PreconditionError
+from acgraphs.errors import PreconditionError, ResourceCapError
 from acgraphs.graphs import GraphMode
 from acgraphs.groups import parse_group
 
@@ -31,6 +32,21 @@ def test_parse_word_forms():
     assert parse_word("").letters == ()
     with pytest.raises(ValueError):
         parse_word("x z")  # outside the two-letter alphabet
+
+
+def test_word_letters_are_counted_before_they_are_built():
+    # the letters are counted from the exponents, before reduction: x^n X^n
+    # reduces to nothing and still counts 2n
+    assert len(parse_word(f"x^{MAX_WORD_LETTERS}").letters) == MAX_WORD_LETTERS
+    for text, need in (
+        (f"x^{MAX_WORD_LETTERS} y", MAX_WORD_LETTERS + 1),
+        (f"x^{MAX_WORD_LETTERS} X^{MAX_WORD_LETTERS}", 2 * MAX_WORD_LETTERS),
+        ("x^99999999999", 99999999999),  # 800 GB of letters if built
+        ("Y^-99999999999 x", 100000000000),
+    ):
+        with pytest.raises(ResourceCapError) as err:
+            parse_word(text)
+        assert (err.value.cap_name, err.value.needed) == ("word_letters", need), text
 
 
 def test_parser_free_reduces():

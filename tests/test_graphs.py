@@ -713,9 +713,9 @@ def sl2_7():
 @pytest.mark.parametrize(
     "mode, run, chunk, per_code",
     [
-        (GraphMode.full_ac(), components, None, 40),
+        (GraphMode.full_ac(), components, None, 8),
         (GraphMode.restricted_ac(),
-         lambda h: diameter(h, h.vertex_mask, exact=False), 32_768, 16),
+         lambda h: diameter(h, h.vertex_mask, exact=False), 32_768, 8),
     ],
     ids=["full-ac-components", "restricted-ac-double-sweep"],
 )
@@ -724,6 +724,8 @@ def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, m
     if chunk is not None:
         monkeypatch.setattr("acgraphs.graphs.BLOCK_CELLS", chunk)
     h = GraphHandle(sl2_7, 2, mode)
+    # a whole-group handle moves over the group's own tables
+    assert h.NMUL is sl2_7.mul_table and h.NINV is sl2_7.inv_array
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -731,8 +733,9 @@ def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, m
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # one int64 block, and per code the distance, visited, hit and component
-    # arrays and the frontier; a double sweep lists no component codes
+    # one int64 block, and per code the BFS's hit map and unvisited mask,
+    # its frontier, and the labels and unlabeled mask of components; neither
+    # run builds a distance array, and a double sweep lists no component codes
     assert peak <= 8 * graphs.BLOCK_CELLS + per_code * h.size
 
 
@@ -751,6 +754,25 @@ def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):
     for k in (1, 2):
         with pytest.raises(PreconditionError, match="not closed under product"):
             GraphHandle(g, k, GraphMode.full_ac(), transpositions)
+
+
+def test_out_of_range_indices_and_codes_are_precondition_errors():
+    # negative indices used to wrap: encode((-1, 0)) gave code 30, so this
+    # distance read 2, and a BFS from code -1 ran from code 35
+    h = GraphHandle(parse_group("sym:3"), 2, GraphMode.full_ac())
+    code = int(np.flatnonzero(h.vertex_mask)[0])
+    for call in (
+        lambda: h.encode((-1, 0)),
+        lambda: h.encode((99, 0)),
+        lambda: distance(h, (1, 2), (-1, 3)),
+        lambda: h.bfs_distances([-1]),
+        lambda: h.bfs_distances([h.size]),
+        lambda: h.bfs_distances([code], target=h.size),
+        lambda: h.geodesic(code, -1),
+        lambda: next(h._levels([code, -1])),
+    ):
+        with pytest.raises(PreconditionError, match="outside"):
+            call()
 
 
 def test_distance_none_across_components():
@@ -993,12 +1015,11 @@ def test_orbit_diameter_matches_brute_force_across_swapped_components():
 
 
 def _count_bfs(monkeypatch, h):
-    """A list that grows by one entry per BFS run on ``h``."""
+    """A list that grows by one entry per BFS run on ``h``: every BFS,
+    with or without a distance array, traverses ``_levels`` once."""
     calls = []
-    bfs = h.bfs_distances
-    monkeypatch.setattr(
-        h, "bfs_distances", lambda *a, **kw: calls.append(1) or bfs(*a, **kw)
-    )
+    levels = h._levels
+    monkeypatch.setattr(h, "_levels", lambda *a: calls.append(1) or levels(*a))
     return calls
 
 
@@ -1079,6 +1100,11 @@ class _StubDigraph:
         for code, d in brute_distances(self.adj, sources[0]).items():
             dist[code] = d
         return dist
+
+    def _levels(self, sources):
+        dist = self.bfs_distances(sources)
+        for d in range(dist.max() + 1):
+            yield np.flatnonzero(dist == d)
 
 
 def test_directed_diameter_needs_no_reverse_distances():

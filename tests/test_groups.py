@@ -139,6 +139,13 @@ def test_element_cap_applies_before_enumeration(monkeypatch):
         parse_group("cyclic:8193")
     assert err.value.cap_name == "max_elements"
     assert "8193" in str(err.value) and "8192" in str(err.value)
+    # large elements too: dihedral:100000 (order 200,000) acts on 100,000
+    # points, and building its permutations before the order check would
+    # take minutes
+    monkeypatch.setattr(groups_mod, "Permutation", refuse)
+    with pytest.raises(ResourceCapError) as err:
+        parse_group("dihedral:100000")
+    assert (err.value.cap_name, err.value.needed) == ("max_elements", 200_000)
 
 
 def test_bad_specs():
