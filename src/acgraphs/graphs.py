@@ -43,7 +43,7 @@ The vertex mask is the table of ``subgroups.generating_tuples``, the
 census that also counts psi_k, read off for the whole code space at once
 through each member's id.  A diameter takes its component as a boolean
 mask over the code space, 1 byte per code; exact diameters prune their
-sweeps by eccentricity bounds over the orbits of a few code symmetries
+sweeps by one eccentricity bound per orbit of a few code symmetries
 (``symmetry_maps``, int32 below 2**31 codes), labelled by
 ``groups.least_in_orbit`` and cached per handle.
 """
@@ -686,15 +686,17 @@ def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) 
     component's codes would take 8.  The first two BFS are the double
     sweep, from the first code and from the first farthest one;
     ``exact=False`` returns the larger eccentricity after them, read from
-    the BFS levels, so it builds no distance array.  Otherwise each BFS's
-    distance array gives the lower bound, the largest eccentricity found,
-    and bounds each code v by ecc(w) + d(w, v) for the source w; each code
-    keeps its least bound.  Each next BFS runs from the first code of the
-    symmetry orbit whose least bound is largest, until none exceeds the
+    the BFS levels, so it builds no distance array.  Otherwise the
+    component's codes are grouped by symmetry orbit before the first BFS,
+    and each orbit keeps one bound, not each code.  Each BFS's distance
+    array gives the lower bound, the largest eccentricity found, and
+    bounds each code v by ecc(w) + d(w, v) for the source w, so each orbit
+    by the least of these over its codes.  Each next BFS runs from the
+    first code of the orbit whose bound is largest, until none exceeds the
     lower bound.  Symmetries preserve eccentricity but may carry one
     component onto another, so an orbit stands for its codes inside the
     component.  With directed conjugators a BFS gives d(w, v), not the
-    d(v, w) the bound needs, so it bounds only w.
+    d(v, w) the bound needs, so it bounds only w's orbit.
     """
     component = np.asarray(component)
     if component.dtype != bool or component.shape != (handle.size,):
@@ -708,7 +710,16 @@ def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) 
     if not exact:
         first, far = _eccentricity(handle, source, component, size)
         return max(first, _eccentricity(handle, far, component, size)[0])
-    upper = np.full(handle.size, size, dtype=np.int32)
+    # the component's codes grouped by orbit, each group in code order; the
+    # orbit labels are built first, so their peak holds no codes
+    orbit_labels = handle.orbit_labels
+    by_orbit = np.flatnonzero(component).astype(orbit_labels.dtype)
+    by_orbit = by_orbit[np.argsort(orbit_labels[by_orbit], kind="stable")]
+    labels = orbit_labels[by_orbit]
+    starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+    leaders = labels[starts]  # each orbit's label, ascending
+    del labels
+    bound = np.full(starts.size, size)  # each orbit's least bound
     lower = 0
     for sweep in itertools.count():
         dist = handle.bfs_distances([source])
@@ -717,28 +728,16 @@ def diameter(handle: GraphHandle, component: np.ndarray, *, exact: bool = True) 
         far = int(np.argmax(dist))
         ecc = int(dist[far])
         lower = max(lower, ecc)
+        bound[np.searchsorted(leaders, orbit_labels[source])] = ecc
         if not handle.mode.directed_conjugators:
-            dist += ecc
-            np.minimum(upper, dist, out=upper)
-        upper[source] = ecc
+            np.minimum(bound, np.minimum.reduceat(dist[by_orbit], starts) + ecc, out=bound)
         del dist  # before the next BFS
         if sweep == 0:
             source = far
-            continue
-        if sweep == 1:
-            # the component's codes grouped by orbit, each group in code order;
-            # the orbit labels are built first, so their peak holds no codes
-            orbit_labels = handle.orbit_labels
-            by_orbit = np.flatnonzero(component)
-            labels = orbit_labels[by_orbit]
-            order = np.argsort(labels, kind="stable")
-            by_orbit = by_orbit[order]
-            _, starts = np.unique(labels[order], return_index=True)
-            del labels, order
-        bound = np.minimum.reduceat(upper[by_orbit], starts)
-        if bound.max() <= lower:
+        elif bound.max() <= lower:
             return lower
-        source = int(by_orbit[starts[np.argmax(bound)]])
+        else:
+            source = int(by_orbit[starts[np.argmax(bound)]])
 
 
 def cayley_diameter(group: FiniteGroup, generator_indices: Sequence[int]) -> int:

@@ -18,6 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import PreconditionError, ResourceCapError
+from .subgroups import BLOCK_CELLS
 
 POOL_MIN_EXPECTED = 5.0
 ALPHA = 0.05  # significance level of every chi-squared test
@@ -253,13 +254,23 @@ def cycle_counts(images: np.ndarray) -> np.ndarray:
     """Cycle count, fixed points included, of each row of point images.
 
     Gathers through the first n - 1 powers track each point's least orbit
-    member; a cycle is a point equal to it."""
-    points = np.arange(images.shape[1], dtype=images.dtype)
-    power, least = images, np.minimum(images, points)
-    for _ in range(images.shape[1] - 2):
-        power = np.take_along_axis(images, power, axis=1)
-        np.minimum(least, power, out=least)
-    return np.count_nonzero(least == points, axis=1)
+    member; a cycle is a point equal to it.  Each power is one flat gather
+    with row offsets, over a block of rows whose int64 index, power, least
+    members and next power together fit ``BLOCK_CELLS`` int64 cells."""
+    m, n = images.shape
+    points = np.arange(n, dtype=images.dtype)
+    rows = max(1, BLOCK_CELLS // (4 * max(n, 1)))
+    offsets = np.arange(min(rows, m))[:, None] * n
+    counts = np.empty(m, dtype=np.intp)
+    for start in range(0, m, rows):
+        block = images[start : start + rows]
+        flat, off = block.ravel(), offsets[: len(block)]
+        power, least = block, np.minimum(block, points)
+        for _ in range(n - 2):
+            power = flat[power + off]
+            np.minimum(least, power, out=least)
+        counts[start : start + rows] = np.count_nonzero(least == points, axis=1)
+    return counts
 
 
 def point_action_uniformity(images: np.ndarray, n: int) -> Chi2Report:

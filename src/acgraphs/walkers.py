@@ -201,6 +201,9 @@ class _TableArithmetic:
     def inv(self, a: np.ndarray) -> np.ndarray:
         return self.inverse[a]
 
+    def conj(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.table[self.table[self.inverse[w], y], w]
+
     def identity(self, m: int) -> np.ndarray:
         return np.zeros(m, dtype=np.int64)
 
@@ -221,8 +224,8 @@ class _TableArithmetic:
 
 class _ImageArithmetic:
     """Rows of point images of Sym_n: ``(u*v)[x] = v[u[x]]`` by one flat
-    gather, the inverse by the matching scatter, uniform elements by
-    shuffle."""
+    gather, the inverse by the matching scatter, the conjugate w^-1 y w by
+    relabelling y's points through w, uniform elements by shuffle."""
 
     def __init__(self, degree: int, rows: int):
         self.offsets = np.arange(rows, dtype=np.int64)[:, None] * degree
@@ -234,6 +237,12 @@ class _ImageArithmetic:
     def inv(self, u: np.ndarray) -> np.ndarray:
         out = np.empty_like(u)
         out.ravel()[u + self.offsets[: len(u)]] = self.points
+        return out
+
+    def conj(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        offsets = self.offsets[: len(y)]
+        out = np.empty_like(y)
+        out.ravel()[w + offsets] = w.ravel()[y + offsets]  # out[w[x]] = w[y[x]]
         return out
 
     def identity(self, m: int) -> np.ndarray:
@@ -289,10 +298,10 @@ def _batch_walk(
         if not nielsen_only:
             c = np.flatnonzero(conjugated)
             if c.size:
-                ws = arith.random(c.size, rng)
-                y[c] = arith.mul(arith.mul(arith.inv(ws), y[c]), ws)
-        y = pick(invert, arith.inv(y), y)
-        new = pick(left, arith.mul(y, xi), arith.mul(xi, y))
+                y[c] = arith.conj(y[c], arith.random(c.size, rng))
+        r = np.flatnonzero(invert)
+        y[r] = arith.inv(y[r])
+        new = arith.mul(pick(left, y, xi), pick(left, xi, y))
         if full:
             new = pick(unary, y, new)
         state[i, rows] = new

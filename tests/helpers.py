@@ -6,7 +6,9 @@ BFS, so the main machinery is always checked against a second route.
 Element objects only multiply in the package, so their inverses,
 conjugates, cycle counts and parity are computed here.
 The scalar ACR/PRA walker steps one walker on element objects; tests
-check the batch kernel's step law against it.  ``brute_eval_word`` folds
+check the batch kernel's step law against it, and
+``reference_batch_walk`` keeps the batch step in its plain product form,
+which the kernel must match sample for sample.  ``brute_eval_word`` folds
 a word over element objects.
 """
 
@@ -453,3 +455,57 @@ def pra_sample(
     """Product-replacement sampler over generating tuples of the group."""
     _check_pra_init(group, init)
     return _finish(make_state(init, rng), cfg, lambda st: pra_step(st, cfg))
+
+
+# -- the reference batch step --------------------------------------------------------------
+
+
+def reference_batch_walk(arith, init, cfg: WalkConfig, walkers: int,
+                         rng: np.random.Generator, *, nielsen_only: bool = False):
+    """``walkers._batch_walk`` with the step spelled out in the arithmetic's
+    products and inverses: each conjugate is w^-1 * y * w by two products,
+    every row's y is inverted and the picked one kept, and both products
+    x_i * y and y * x_i are formed.  It makes the same draws in the same
+    order, so its samples are the kernel's, element for element."""
+    k, w = cfg.k, walkers
+    state = np.repeat(np.asarray(init, dtype=np.int64)[:, None], w, axis=1)
+    cum = arith.identity(w)
+    rows = np.arange(w)
+
+    def pick(mask, a, b):
+        return np.where(mask.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+
+    full = cfg.full_move_set and not nielsen_only
+    for _ in range(cfg.step_budget):
+        i = rng.integers(k, size=w)
+        j = rng.integers(k - 1, size=w)
+        j = j + (j >= i)
+        if full:
+            move = rng.integers(4, size=w)
+            conjugated = move % 2 == 1
+        elif not nielsen_only:
+            conjugated = rng.random(w) >= cfg.plain_move_probability
+        left = rng.integers(2, size=w).astype(bool)
+        invert = rng.integers(2, size=w).astype(bool)
+        xi = state[i, rows]
+        y = state[j, rows]
+        if full:
+            unary = move >= 2
+            y = pick(unary, xi, y)
+            invert = np.where(unary, move == 2, invert)
+        if not nielsen_only:
+            c = np.flatnonzero(conjugated)
+            if c.size:
+                ws = arith.random(c.size, rng)
+                y[c] = arith.mul(arith.mul(arith.inv(ws), y[c]), ws)
+        y = pick(invert, arith.inv(y), y)
+        new = pick(left, arith.mul(y, xi), arith.mul(xi, y))
+        if full:
+            new = pick(unary, y, new)
+        state[i, rows] = new
+        if cfg.use_cumulative:
+            cum = arith.mul(cum, new)
+    if cfg.use_cumulative:
+        return cum.astype(np.int64)
+    r = rng.integers(k, size=w)
+    return state[r, rows]

@@ -708,16 +708,17 @@ def sl2_7():
 # (mode, run, budget): the restricted graph's four conjugation rows never fill
 # a default block, so a smaller budget is what shows that the frontier slices
 # also bound its multiplication blocks
-# per_code: bytes per code for the arrays over the code space.  The
-# restricted graph is one component, so its mask is the vertex mask.
+# per_code: bytes per code for the arrays over the code space.  Both graphs
+# are one component, so the vertex mask is the component mask.
 @pytest.mark.parametrize(
     "mode, run, chunk, per_code",
     [
         (GraphMode.full_ac(), components, None, 8),
         (GraphMode.restricted_ac(),
          lambda h: diameter(h, h.vertex_mask, exact=False), 32_768, 8),
+        (GraphMode.full_ac(), lambda h: diameter(h, h.vertex_mask), None, 14),
     ],
-    ids=["full-ac-components", "restricted-ac-double-sweep"],
+    ids=["full-ac-components", "restricted-ac-double-sweep", "full-ac-exact-diameter"],
 )
 def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, mode,
                                                           run, chunk, per_code):
@@ -726,6 +727,7 @@ def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, m
     h = GraphHandle(sl2_7, 2, mode)
     # a whole-group handle moves over the group's own tables
     assert h.NMUL is sl2_7.mul_table and h.NINV is sl2_7.inv_array
+    h.orbit_labels  # cached per handle, and built before an exact diameter's sweeps
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -735,8 +737,10 @@ def test_bfs_working_set_is_one_block_over_the_code_arrays(monkeypatch, sl2_7, m
         tracemalloc.stop()
     # one int64 block, and per code the BFS's hit map and unvisited mask,
     # its frontier, and the labels and unlabeled mask of components; neither
-    # run builds a distance array, and a double sweep lists no component codes
-    assert peak <= 8 * graphs.BLOCK_CELLS + per_code * h.size
+    # run builds a distance array, and a double sweep lists no component codes.
+    # An exact diameter adds its int32 distance array and the component's
+    # codes, int32, grouped by orbit: one bound per orbit, none per code.
+    assert peak <= 8 * graphs.BLOCK_CELLS + per_code * h.size, peak / h.size
 
 
 def test_k1_builds_no_product_table_but_checks_product_closure(monkeypatch):

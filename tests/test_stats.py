@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,6 +8,7 @@ import pytest
 
 from acgraphs.elements import Permutation, parse_cycles
 from acgraphs.errors import PreconditionError, ResourceCapError
+from acgraphs.subgroups import BLOCK_CELLS
 from acgraphs.stats import (
     STIRLING_CAP,
     _stirling_row,
@@ -165,6 +167,32 @@ def test_cycle_counts_match_permutation_cycle_count():
         assert cycle_counts(rows).tolist() == expected
     assert cycle_counts(np.array([[0, 1, 2, 3, 4, 5, 6]])).tolist() == [7]
     assert cycle_counts(np.array([[1, 2, 3, 4, 5, 6, 0]])).tolist() == [1]
+
+
+@pytest.mark.parametrize("cells", [56, BLOCK_CELLS])
+def test_cycle_counts_run_in_row_blocks(monkeypatch, cells):
+    # 56 cells hold two rows of 7 per block; the default budget splits 20,000
+    # rows of 12 into eight blocks.  Each result equals the unblocked formula.
+    monkeypatch.setattr("acgraphs.stats.BLOCK_CELLS", cells)
+    rng = np.random.default_rng(5)
+    m, n = (9, 7) if cells == 56 else (20_000, 12)
+    for dtype in (np.int8, np.int64):
+        rows = np.argsort(rng.random((m, n)), axis=1).astype(dtype)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = cycle_counts(rows)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        power, least = rows, np.minimum(rows, np.arange(n, dtype=dtype))
+        for _ in range(n - 2):
+            power = np.take_along_axis(rows, power, axis=1)
+            np.minimum(least, power, out=least)
+        assert np.array_equal(got, np.count_nonzero(least == np.arange(n), axis=1))
+        # one budget of int64 cells with its row offsets, and the counts;
+        # unblocked, 20,000 rows of int64 held three arrays of 1.9 MB
+        assert cells < BLOCK_CELLS or peak <= 9 * BLOCK_CELLS + 8 * m, (dtype, peak)
 
 
 def test_tv_examples():

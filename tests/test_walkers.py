@@ -16,6 +16,7 @@ from acgraphs.walkers import (
     default_step_budget,
     _ImageArithmetic,
     _TableArithmetic,
+    _batch_walk,
     mixing_diagnostic,
     pra_sample_many,
 )
@@ -28,6 +29,7 @@ from helpers import (
     is_even,
     make_state,
     pra_sample,
+    reference_batch_walk,
 )
 
 
@@ -204,6 +206,42 @@ def test_batch_kernel_matches_scalar_law_at_short_budget(mode):
         tv = sum(abs(hb.get(m, 0) / 40_000 - hs.get(m, 0) / 8000) for m in a4.members)
         assert float(tv_distance(hs, 12)) > 0.2, (mode, cumulative)
         assert tv / 2 < 0.04, (mode, cumulative, tv / 2)
+
+
+_STEP_MODES = {
+    "plain": {}, "component": {"use_cumulative": False},
+    "conjugated": {"plain_move_probability": 0.2}, "full": {"full_move_set": True},
+    "full-component": {"full_move_set": True, "use_cumulative": False},
+    "words": {"conjugator_word_length": 3}, "pra": {"nielsen_only": True},
+}
+
+
+# PRA and word conjugators need an enumerated group
+@pytest.mark.parametrize(
+    "ambient, mode",
+    [(False, m) for m in _STEP_MODES] + [(True, m) for m in list(_STEP_MODES)[:5]],
+)
+def test_batch_step_keeps_the_reference_samples(ambient, mode):
+    """The kernel conjugates by one relabelling, inverts only the rows that
+    invert and forms one product per step, with the reference's draws in
+    the reference's order, so the samples are the same."""
+    mode = dict(_STEP_MODES[mode])
+    nielsen_only = mode.pop("nielsen_only", False)
+    walkers = 300
+    if ambient:
+        init = [parse_cycles(c, 8).images for c in ("(0 1 2)", "(2 3)(4 5)", "()")]
+        arith = _ImageArithmetic(8, walkers)
+    else:
+        g = parse_group("sym:6")
+        init = [idx(g, c) for c in ("(0 1 2)", "(1 2 3 4 5)", "()")]
+        arith = _TableArithmetic(g, mode.get("conjugator_word_length"))
+    cfg = WalkConfig(k=3, step_budget=25, **mode)
+    kernel = _batch_walk(arith, init, cfg, walkers, np.random.default_rng(5),
+                         nielsen_only=nielsen_only)
+    reference = reference_batch_walk(arith, init, cfg, walkers,
+                                     np.random.default_rng(5), nielsen_only=nielsen_only)
+    assert kernel.dtype == reference.dtype == np.int64
+    assert np.array_equal(kernel, reference)
 
 
 def test_pra_trivial_group():
