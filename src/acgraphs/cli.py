@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -85,54 +85,39 @@ _WALKER_CHUNK = 4096  # fixed, so reports do not depend on --threads
 MAX_WALKER_STEPS = 2**30
 
 
-@dataclass
-class RunManifest:
-    command: str
-    group_spec: str | None
-    parameters: dict
-    seed: int
-    output_path: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "groupSpec": self.group_spec,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "outputPath": self.output_path,
+def emit_report(args, group_spec, parameters: dict, report: dict, out, rows=None) -> None:
+    """Write a run's output, the one writer of reports and tables: the
+    JSON document of its manifest, the package version and ``report``, or,
+    when ``rows`` is given, the CSV table of those rows instead.  The
+    manifest takes ``command``, ``seed`` and ``outputPath`` from ``args``.
+    ``--output -`` writes to ``out``; an unwritable path is a usage error."""
+    if rows is None:
+        manifest = {
+            "command": args.command,
+            "groupSpec": group_spec,
+            "parameters": parameters,
+            "seed": args.seed,
+            "outputPath": args.output,
         }
+        doc = {"manifest": manifest, "version": __version__, "report": report}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    else:
+        import csv
 
-
-def _write_output(path: str, text: str, out) -> None:
-    if path == "-":
+        buf = io.StringIO()
+        if rows:
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        text = buf.getvalue()
+    if args.output == "-":
         out.write(text)
         return
     try:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise GroupSpecError(f"cannot write --output {path!r}: {exc.strerror}") from exc
-
-
-def emit_report(manifest: RunManifest, report: dict, out) -> None:
-    doc = {
-        "manifest": manifest.to_json(),
-        "version": __version__,
-        "report": report,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _write_output(manifest.output_path, text, out)
-
-
-def _emit_csv(manifest: RunManifest, rows: list[dict], out) -> None:
-    import csv
-
-    buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_output(manifest.output_path, buf.getvalue(), out)
+        raise GroupSpecError(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
 
 
 def _refuse_unread(args, form: str, *dests: str) -> None:
@@ -199,6 +184,8 @@ def _resolve_normal(group: FiniteGroup, spec: str) -> Subgroup:
 def cmd_analyze(args, out) -> int:
     if args.format == "csv":
         _refuse_unread(args, "analyze --format csv", "diameter", "distance")
+    if args.distance is not None and args.distance.count("|") != 1:
+        raise GroupSpecError(f"--distance {args.distance!r} is not of the form 'TUPLE|TUPLE'")
     group = parse_group(args.group)
     mode = GraphMode(args.mode.strip().lower(), args.directed_conjugators)
     handle = GraphHandle(group, args.k, mode, _resolve_normal(group, args.normal))
@@ -230,20 +217,7 @@ def cmd_analyze(args, out) -> int:
                 "value": distance(handle, u, v),
             }
         ]
-    manifest = RunManifest(
-        "analyze",
-        args.group,
-        {
-            "k": args.k,
-            "mode": mode.describe(),
-            "normal": args.normal,
-            "diameter": args.diameter,
-            "distance": args.distance,
-            "format": args.format,
-        },
-        args.seed,
-        args.output,
-    )
+    rows = None
     if args.format == "csv":
         rows = [
             {
@@ -253,9 +227,15 @@ def cmd_analyze(args, out) -> int:
             }
             for code in np.flatnonzero(handle.vertex_mask)
         ]
-        _emit_csv(manifest, rows, out)
-    else:
-        emit_report(manifest, report, out)
+    parameters = {
+        "k": args.k,
+        "mode": mode.describe(),
+        "normal": args.normal,
+        "diameter": args.diameter,
+        "distance": args.distance,
+        "format": args.format,
+    }
+    emit_report(args, args.group, parameters, report, out, rows)
     return EXIT_OK
 
 
@@ -293,10 +273,13 @@ def _run_walkers(kind, group, normal, init, cfg, seed, samples, threads):
             return acr_sample_many(group, normal, init, cfg, rng, chunks[i])
         return pra_sample_many(group, init, cfg, rng, chunks[i])
 
-    if threads > 1 and len(chunks) > 1:
+    # an executor starts a thread per submit while none is idle: at most
+    # one worker per chunk and per CPU
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_chunk, range(len(chunks))))
     else:
         results = [run_chunk(i) for i in range(len(chunks))]
@@ -397,23 +380,17 @@ def cmd_walk(args, out) -> int:
     if not ambient and normal.order <= 10_000:
         report["mixing"] = mixing_diagnostic(samples, normal).to_json()
 
-    manifest = RunManifest(
-        "walk",
-        args.group,
-        {
-            "algorithm": args.algorithm,
-            "normal": args.normal,
-            "k": args.k,
-            "init": args.init,
-            "budget": args.budget,
-            "samples": args.samples,
-            "threads": args.threads,
-            "config": config_json,
-        },
-        args.seed,
-        args.output,
-    )
-    emit_report(manifest, report, out)
+    parameters = {
+        "algorithm": args.algorithm,
+        "normal": args.normal,
+        "k": args.k,
+        "init": args.init,
+        "budget": args.budget,
+        "samples": args.samples,
+        "threads": args.threads,
+        "config": config_json,
+    }
+    emit_report(args, args.group, parameters, report, out)
     return EXIT_OK
 
 
@@ -462,24 +439,15 @@ def cmd_stats(args, out) -> int:
             )
         dist = cycle_distribution(args.n, args.parity)
         report["chiSquared"] = chi_squared_test(observed, dist).to_json()
-    manifest = RunManifest(
-        "stats",
-        None,
-        {
-            "stirling": args.stirling,
-            "cycleDistribution": args.cycle_distribution,
-            "parity": args.parity,
-            "observed": args.observed,
-            "n": args.n,
-            "format": args.format,
-        },
-        args.seed,
-        args.output,
-    )
-    if args.format == "csv":
-        _emit_csv(manifest, rows, out)
-    else:
-        emit_report(manifest, report, out)
+    parameters = {
+        "stirling": args.stirling,
+        "cycleDistribution": args.cycle_distribution,
+        "parity": args.parity,
+        "observed": args.observed,
+        "n": args.n,
+        "format": args.format,
+    }
+    emit_report(args, None, parameters, report, out, rows if args.format == "csv" else None)
     return EXIT_OK
 
 
@@ -512,24 +480,17 @@ def cmd_scan(args, out) -> int:
             )
         else:
             base = transvection_base(group)
-        result = scan_quotient(
-            group, base, pair, mode, want_geodesic=not args.no_geodesic
-        )
-        report = result.to_json()
-    manifest = RunManifest(
-        "scan",
-        args.group,
-        {
-            "pair": args.pair,
-            "mode": mode.describe(),
-            "base": args.base,
-            "series": args.series,
-            "geodesic": not args.no_geodesic,
-        },
-        args.seed,
-        args.output,
-    )
-    emit_report(manifest, report, out)
+        report = scan_quotient(group, base, pair, mode).to_json()
+        if args.no_geodesic:
+            report.pop("geodesic", None)
+    parameters = {
+        "pair": args.pair,
+        "mode": mode.describe(),
+        "base": args.base,
+        "series": args.series,
+        "geodesic": not args.no_geodesic,
+    }
+    emit_report(args, args.group, parameters, report, out)
     return EXIT_OK
 
 
@@ -548,10 +509,7 @@ def cmd_verify(args, out) -> int:
         ],
         "failed": len(failed),
     }
-    manifest = RunManifest(
-        "verify", None, {"corpus": args.corpus}, args.seed, args.output
-    )
-    emit_report(manifest, report, out)
+    emit_report(args, None, {"corpus": args.corpus}, report, out)
     for r in results:
         print(f"{r.status:4s} {r.name}", file=sys.stderr)
     return EXIT_VERIFICATION if failed else EXIT_OK

@@ -161,12 +161,6 @@ def apply_pair_map(pair: WordPair, tup: Sequence, group: FiniteGroup) -> tuple:
 # with unimodular exponent matrix ((3, -4), (1, -1)).
 AK_PAIR = parse_pair("x^3 y^-4", "x y x y^-1 x^-1 y^-1")
 
-_AK_MATRIX, _AK_DET = exponent_matrix(AK_PAIR)
-if _AK_MATRIX != ((3, -4), (1, -1)) or _AK_DET != 1:
-    raise RuntimeError(
-        f"AK pair transcription drifted: matrix {_AK_MATRIX}, det {_AK_DET}"
-    )
-
 
 @dataclass
 class ScanReport:
@@ -203,8 +197,6 @@ def scan_quotient(
     base: Sequence[int],
     pair: WordPair,
     mode: GraphMode,
-    *,
-    want_geodesic: bool = True,
 ) -> ScanReport:
     """Map a base vertex through the word pair and locate the image.
 
@@ -212,8 +204,7 @@ def scan_quotient(
     normally 2-generated groups the image must again be a vertex; a
     violation is raised loudly (it would contradict the substitution
     argument, or exhibit something far more interesting).  The distance
-    is the length of a geodesic; ``want_geodesic`` decides only whether
-    the report carries it.
+    is the length of the geodesic the report carries.
     """
     matrix, det = exponent_matrix(pair)
     if det not in (1, -1):
@@ -246,7 +237,7 @@ def scan_quotient(
         same,
         len(geo) if geo is not None else None,
         tuple(parts.sizes),
-        geo if want_geodesic else None,
+        geo,
     )
 
 
@@ -296,7 +287,7 @@ def distance_series(
         try:
             group = parse_group(spec)
             base = transvection_base(group)
-            report = scan_quotient(group, base, pair, mode, want_geodesic=False)
+            report = scan_quotient(group, base, pair, mode)
             rows.append(
                 SeriesRow(
                     spec,

@@ -93,6 +93,33 @@ def test_walk_thread_count_does_not_change_report(capsys, tmp_path):
     assert "mixing" in r1
 
 
+def test_walker_pool_has_one_worker_per_chunk_and_cpu(capsys, monkeypatch):
+    import concurrent.futures
+
+    recorded = []
+
+    class InlinePool:  # records its size and maps in the calling thread
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    code, _, err = run_cli(
+        capsys, "walk", "--group", "sym:4", "--normal", "derived", "--k", "2",
+        "--init", "(0 1 2)", "--budget", "4", "--samples", "12289", "--threads", "64",
+    )  # 4 chunks of at most 4,096 walkers
+    assert code == 0, err
+    assert all(size <= min(4, os.cpu_count() or 1) for size in recorded), recorded
+
+
 def test_threads_is_a_walk_option_only(capsys):
     code, out, err = run_cli(
         capsys, "analyze", "--group", "sym:3", "--k", "2", "--threads", "2"
@@ -199,6 +226,16 @@ def test_scan_ak_pair(capsys):
     assert rep["sameComponent"] is True
     assert rep["distance"] >= 1
     assert len(rep["geodesic"]) == rep["distance"]
+
+
+def test_scan_no_geodesic_drops_only_the_geodesic(capsys):
+    argv = ("scan", "--group", "sl2:5", "--pair", "ak")
+    _, full, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--no-geodesic")
+    assert code == 0
+    report = json.loads(full)["report"]
+    del report["geodesic"]
+    assert json.loads(out)["report"] == report
 
 
 def test_scan_series(capsys):
@@ -397,9 +434,13 @@ def test_verify_loads_on_first_access():
 
 def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
     missing = tmp_path / "missing"
+    # a --distance without exactly one '|' once read its second endpoint as ()
+    distances = [("analyze", "--group", "sym:3", "--k", "2", "--normal", "ncl:",
+                  "--distance", text) for text in ("()", "()|()|()")]
     # (environment overrides, argv)
     cases = [({}, argv) for argv in (
         ("analyze", "--group", "alt:5", "--k", "2", "--distance", "(0 1)|(0 1 2)"),
+        *distances,
         ("analyze", "--group", "sym:4", "--k", "2", "--mode", "nielsen",
          "--normal", "derived"),
         ("analyze", "--group", "sym:3", "--k", "2", "--mode", "bogus"),
@@ -475,6 +516,8 @@ def test_bad_input_is_a_usage_error_without_traceback(tmp_path):
         assert proc.stderr.startswith("error: "), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
         assert all(name in proc.stderr for name in overrides), proc.stderr
+        if argv in distances:
+            assert "is not of the form 'TUPLE|TUPLE'" in proc.stderr, proc.stderr
 
 
 # -- the option contract: each form reads every option it accepts ----------------
@@ -654,3 +697,40 @@ def test_verify_smoke_subset(capsys, tmp_path, monkeypatch):
     doc = json.loads(path.read_text())
     assert doc["report"]["failed"] == 0
     assert {c["status"] for c in doc["report"]["checks"]} == {"PASS"}
+
+
+# -- the report emitter: --output PATH holds the bytes stdout gets ----------------
+
+OUTPUT_FORMS = {
+    "analyze json": ("analyze", "--group", "abelian:3,3", "--k", "2", "--mode", "nielsen"),
+    "analyze csv": ("analyze", "--group", "abelian:3,3", "--k", "2", "--mode", "nielsen",
+                    "--format", "csv"),
+    "stats stirling csv": ("stats", "--stirling", "5", "--format", "csv"),
+    "stats cycle-distribution csv": ("stats", "--cycle-distribution", "5", "--format", "csv"),
+    "stats observed": ("stats", "--observed", "hist.json", "--n", "4"),
+    "scan group": ("scan", "--group", "sl2:3", "--mode", "restricted-ac"),
+    "scan series": ("scan", "--series", "sl2:3", "--mode", "restricted-ac"),
+    "walk": WALK_ACR,
+    "verify": ("verify",),
+}
+
+
+@pytest.mark.parametrize("form", sorted(OUTPUT_FORMS))
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, monkeypatch, form):
+    import acgraphs.verify as verify_mod
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify_mod, "CHECKS", (verify_mod.check_stirling_sums,))
+    (tmp_path / "hist.json").write_text('{"2": 900, "4": 100}')
+    argv = OUTPUT_FORMS[form]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.out"
+    code, rest, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, rest) == (0, "")
+    if form.endswith("csv"):
+        expected = stdout
+    else:  # a JSON manifest records its output path
+        assert stdout.count('"outputPath": "-"') == 1
+        expected = stdout.replace('"outputPath": "-"', f'"outputPath": {json.dumps(str(path))}')
+    assert path.read_bytes() == expected.encode()

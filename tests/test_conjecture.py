@@ -186,8 +186,7 @@ def test_scan_ak_on_sl2_5():
 def test_scan_image_matches_direct_evaluation():
     g = parse_group("sl2:5")
     base = transvection_base(g)
-    report = scan_quotient(g, base, AK_PAIR, GraphMode.full_ac(),
-                           want_geodesic=False)
+    report = scan_quotient(g, base, AK_PAIR, GraphMode.full_ac())
     x, y = (g.elements[i] for i in base)
     assert report.image == (
         g.index_of(brute_eval_word(AK_PAIR.u, [x, y])),
